@@ -35,20 +35,12 @@ options:
                   depth-oriented and area-recovery cover selection)
   --no-synth      elaborate only; skip the synthesis flow
   --sat-sweep     enable SAT sweeping inside the AIG cleanup pass
-  --no-aig        use the original (pre-AIG) pass order
   --verify-passes SAT-check the netlist after every synthesis pass against
                   its predecessor (slow; debug aid)
 ";
 
 /// Boolean flags `synthir fsm` accepts (each documented in [`USAGE`]).
-pub const FLAGS: &[&str] = &[
-    "report",
-    "json",
-    "no-synth",
-    "verify-passes",
-    "sat-sweep",
-    "no-aig",
-];
+pub const FLAGS: &[&str] = &["report", "json", "no-synth", "verify-passes", "sat-sweep"];
 
 /// Valued options `synthir fsm` accepts (each documented in [`USAGE`]).
 pub const OPTIONS: &[&str] = &["style", "o", "clock", "mapper"];
@@ -154,9 +146,6 @@ pub fn run(args: &Args) -> CmdResult {
         }
         if args.flag("sat-sweep") {
             sopts.sat_sweep = true;
-        }
-        if args.flag("no-aig") {
-            sopts.aig = false;
         }
         if let Some(m) = args.option("mapper") {
             sopts.mapper = Mapper::parse(m).map_err(|bad| {
@@ -290,13 +279,8 @@ mod tests {
     #[test]
     fn json_output_carries_pass_stats() {
         let path = write_temp("cli_fsm_json.kiss2", TOGGLE);
-        let args = Args::parse(
-            &[path.as_str(), "--json"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
-        let out = run(&args).unwrap();
+        let parse = |raw: &[&str]| Args::parse(raw, FLAGS, OPTIONS);
+        let out = run(&parse(&[path.as_str(), "--json"]).unwrap()).unwrap();
         for needle in [
             "\"design\"",
             "\"gates\"",
@@ -307,22 +291,11 @@ mod tests {
         ] {
             assert!(out.contains(needle), "missing {needle} in {out}");
         }
-        // The sweep + seed-pipeline flags parse and run too.
-        let args = Args::parse(
-            &[path.as_str(), "--json", "--sat-sweep"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
+        // The sweep flag parses and runs too.
+        let args = parse(&[path.as_str(), "--json", "--sat-sweep"]).unwrap();
         assert!(run(&args).unwrap().contains("\"passes\""));
-        let args = Args::parse(
-            &[path.as_str(), "--json", "--no-aig"],
-            &["report", "json", "no-synth", "sat-sweep", "no-aig"],
-            &["style", "o", "clock"],
-        )
-        .unwrap();
-        let out = run(&args).unwrap();
-        assert!(out.contains("\"const_fold\""), "{out}");
+        // There is one pass pipeline, so no switch selects another.
+        assert!(parse(&[path.as_str(), "--json", "--no-aig"]).is_err());
     }
 
     #[test]

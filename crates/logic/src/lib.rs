@@ -33,7 +33,7 @@
 //! seed implementations survive in [`naive`] as the oracle / benchmark
 //! baseline, and [`par`] provides the deterministic thread-parallel map
 //! that [`espresso::minimize_batch`] uses to minimize independent PLA
-//! outputs concurrently (cargo feature `parallel`, enabled by default).
+//! outputs concurrently (`SYNTHIR_THREADS` caps the thread count).
 //!
 //! ## Example
 //!

@@ -1,9 +1,8 @@
 //! The AIG cleanup pass: the netlist-facing wrapper around the
 //! [`synthir_aig`] optimization core.
 //!
-//! One invocation replaces what previously took two fixpoint loops over the
-//! flat netlist (`const_fold` + `strash`, each re-sorting and re-hashing the
-//! whole graph per round): the netlist is imported into a structurally
+//! One invocation folds constants and shares logic without fixpoint loops
+//! over the flat netlist: the netlist is imported into a structurally
 //! hashed And-Inverter Graph — where constant folding, sharing, and two-level
 //! simplification happen *at construction* — locally rewritten (2-input-cut
 //! NPN resynthesis plus dangling-node sweep), optionally SAT-swept, and

@@ -81,15 +81,14 @@ fn run_pass(
 
 /// Compiles a raw netlist with optional FSM metadata and annotations.
 ///
-/// With [`SynthOptions::aig`] (the default) the front half of the flow
-/// runs on the structurally-hashed And-Inverter Graph ([`crate::aigopt`]):
-/// one graph-construction pass — with local rewriting and the optional SAT
-/// sweep ([`SynthOptions::sat_sweep`]) — replaces the `const_fold` +
-/// `strash` fixpoint loops before the netlist is handed to FSM
-/// re-encoding, state propagation, resynthesis, and technology mapping;
-/// the mapped netlist then gets one extra single-sweep
-/// [`crate::strash::strash`] over the post-techmap gates. With `aig` off
-/// the original pass order is preserved verbatim for A/B comparison.
+/// The front half of the flow runs on the structurally-hashed
+/// And-Inverter Graph ([`crate::aigopt`]): one graph-construction pass —
+/// with local rewriting and the optional SAT sweep
+/// ([`SynthOptions::sat_sweep`]) — folds constants and shares logic before
+/// the netlist is handed to FSM re-encoding, optional retiming, state
+/// propagation, resynthesis, and technology mapping. The rule mapper's
+/// output then gets one extra single-sweep [`crate::strash::strash`] over
+/// the post-techmap gates.
 ///
 /// # Errors
 ///
@@ -110,59 +109,42 @@ pub fn compile_netlist(
     let mut fsm: Option<FsmNets> = fsm.cloned();
     let mut annos: Vec<NetGroupValues> = annotations.to_vec();
 
-    // 1. Baseline cleanup: constant folding plus sharing — one AIG pass,
-    // or the original fixpoint pair.
-    if opts.aig {
-        run_pass(&mut stats, &mut nl, "aig_opt", |nl| {
-            crate::aigopt::aig_optimize(nl, fsm.as_mut(), &mut annos, opts.sat_sweep)
-        });
-        verifier.check(&nl, "aig_opt")?;
-    } else {
-        run_pass(
-            &mut stats,
-            &mut nl,
-            "const_fold",
-            crate::constfold::const_fold,
-        );
-        verifier.check(&nl, "const_fold")?;
-        if opts.strash {
-            run_pass(&mut stats, &mut nl, "strash", crate::strash::strash);
-            verifier.check(&nl, "strash")?;
-        }
-    }
+    // 1. Baseline cleanup: constant folding plus sharing in one AIG pass.
+    run_pass(&mut stats, &mut nl, "aig_opt", |nl| {
+        crate::aigopt::aig_optimize(nl, fsm.as_mut(), &mut annos, opts.sat_sweep)
+    });
+    verifier.check(&nl, "aig_opt")?;
 
     // 2. FSM re-encoding (only with metadata, like the real tool).
-    if opts.fsm_reencode {
-        if let Some(f) = fsm.as_ref() {
-            let t0 = Instant::now();
-            let gates_before = nl.num_gates();
-            match crate::fsmreencode::fsm_reencode(&mut nl, f, opts) {
-                Ok(true) => {
-                    stats.push(PassStat {
-                        name: "fsm_reencode",
-                        rewrites: 1,
-                        gates_before,
-                        gates_after: nl.num_gates(),
-                        elapsed: t0.elapsed(),
-                    });
-                    run_pass(
-                        &mut stats,
-                        &mut nl,
-                        "const_fold",
-                        crate::constfold::const_fold,
-                    );
-                    verifier.check(&nl, "fsm_reencode")?;
-                }
-                Ok(false) => {}
-                Err(SynthError::FsmExtraction(_)) => stats.push(PassStat {
-                    name: "fsm_reencode_skipped",
+    if let Some(f) = fsm.as_ref() {
+        let t0 = Instant::now();
+        let gates_before = nl.num_gates();
+        match crate::fsmreencode::fsm_reencode(&mut nl, f, opts.fsm_encoding) {
+            Ok(true) => {
+                stats.push(PassStat {
+                    name: "fsm_reencode",
                     rewrites: 1,
                     gates_before,
                     gates_after: nl.num_gates(),
                     elapsed: t0.elapsed(),
-                }),
-                Err(e) => return Err(e),
+                });
+                run_pass(
+                    &mut stats,
+                    &mut nl,
+                    "const_fold",
+                    crate::constfold::const_fold,
+                );
+                verifier.check(&nl, "fsm_reencode")?;
             }
+            Ok(false) => {}
+            Err(SynthError::FsmExtraction(_)) => stats.push(PassStat {
+                name: "fsm_reencode_skipped",
+                rewrites: 1,
+                gates_before,
+                gates_after: nl.num_gates(),
+                elapsed: t0.elapsed(),
+            }),
+            Err(e) => return Err(e),
         }
     }
 
@@ -173,8 +155,7 @@ pub fn compile_netlist(
     if opts.retime {
         let mut moved = 0;
         run_pass(&mut stats, &mut nl, "retime", |nl| {
-            moved = crate::retime::retime_forward(nl, opts.collapse_support.max(16))
-                + crate::retime::retime_backward(nl, opts.collapse_support.max(16));
+            moved = crate::retime::retime_forward(nl) + crate::retime::retime_backward(nl);
             moved
         });
         if moved > 0 {
@@ -189,10 +170,10 @@ pub fn compile_netlist(
     }
 
     // 4. State propagation and folding over annotated groups.
-    if opts.state_propagation && !annos.is_empty() {
+    if !annos.is_empty() {
         let mut folded = 0;
         run_pass(&mut stats, &mut nl, "state_propagation", |nl| {
-            folded = crate::stateprop::state_propagate(nl, &annos, opts.max_valueset);
+            folded = crate::stateprop::state_propagate(nl, &annos, crate::stateprop::MAX_VALUESET);
             folded
         });
         if folded > 0 {
@@ -207,12 +188,12 @@ pub fn compile_netlist(
     }
 
     // 5. Collapse-and-re-cover resynthesis, then clean up again. The
-    // cleanup stays on the flat netlist even in AIG mode: resynthesis
-    // emits the n-ary And/Or structure technology mapping patterns
-    // against, and an AIG round-trip here would re-decompose it to
-    // 2-input form right before mapping.
+    // cleanup stays on the flat netlist: resynthesis emits the n-ary
+    // And/Or structure technology mapping patterns against, and an AIG
+    // round-trip here would re-decompose it to 2-input form right before
+    // mapping.
     run_pass(&mut stats, &mut nl, "resynthesize", |nl| {
-        crate::resynth::resynthesize(nl, opts)
+        crate::resynth::resynthesize(nl, lib)
     });
     run_pass(
         &mut stats,
@@ -221,10 +202,8 @@ pub fn compile_netlist(
         crate::constfold::const_fold,
     );
     verifier.check(&nl, "resynthesize")?;
-    if opts.strash {
-        run_pass(&mut stats, &mut nl, "strash", crate::strash::strash);
-        verifier.check(&nl, "strash")?;
-    }
+    run_pass(&mut stats, &mut nl, "strash", crate::strash::strash);
+    verifier.check(&nl, "strash")?;
 
     // 6. Technology mapping. The rule mapper rewrites the flat netlist in
     // place (then shares over the *mapped* gates — AOI conversion can
@@ -233,24 +212,20 @@ pub fn compile_netlist(
     // directly from its chosen cuts, so no post-map strash is needed
     // (the AIG is already structurally hashed and cells are emitted
     // at most once per node).
-    if opts.techmap {
-        match opts.mapper {
-            crate::options::Mapper::Rules => {
-                run_pass(&mut stats, &mut nl, "techmap", |nl| {
-                    crate::techmap::techmap(nl)
-                });
-                verifier.check(&nl, "techmap")?;
-                if opts.aig && opts.strash {
-                    run_pass(&mut stats, &mut nl, "strash_mapped", crate::strash::strash);
-                    verifier.check(&nl, "strash_mapped")?;
-                }
-            }
-            crate::options::Mapper::Cuts => {
-                run_pass(&mut stats, &mut nl, "cutmap", |nl| {
-                    crate::cutmap::cut_map(nl, lib)
-                });
-                verifier.check(&nl, "cutmap")?;
-            }
+    match opts.mapper {
+        crate::options::Mapper::Rules => {
+            run_pass(&mut stats, &mut nl, "techmap", |nl| {
+                crate::techmap::techmap(nl)
+            });
+            verifier.check(&nl, "techmap")?;
+            run_pass(&mut stats, &mut nl, "strash_mapped", crate::strash::strash);
+            verifier.check(&nl, "strash_mapped")?;
+        }
+        crate::options::Mapper::Cuts => {
+            run_pass(&mut stats, &mut nl, "cutmap", |nl| {
+                crate::cutmap::cut_map(nl, lib)
+            });
+            verifier.check(&nl, "cutmap")?;
         }
     }
     nl.sweep();
@@ -415,35 +390,30 @@ mod tests {
     /// `verify_each_pass` SAT-checks every pass against its predecessor —
     /// on healthy passes the flow completes and the results are identical
     /// to an unverified run. Covers both the combinational miter (SOP
-    /// module, no flops) and the sequential BMC (table FSM) checkers, in
-    /// both the AIG and the original pipelines.
+    /// module, no flops) and the sequential BMC (table FSM) checkers.
     #[test]
     fn verify_each_pass_accepts_healthy_flows() {
         let lib = Library::vt90();
-        for base in [
-            SynthOptions::default(),
-            SynthOptions::default().without_aig(),
-        ] {
-            let verified = base.clone().with_verify_each_pass();
-            assert!(verified.verify_each_pass);
-            // Combinational: a direct SOP module.
-            let tts: Vec<TruthTable> = (0..2).map(|i| random_tt(4, 99 + i)).collect();
-            let covers: Vec<synthir_logic::Cover> = tts
-                .iter()
-                .map(|t| synthir_logic::espresso::minimize_tt(t, None))
-                .collect();
-            let sop = styles::sop_module("sop", 4, &covers);
-            let elab = elaborate(&sop).unwrap();
-            let r = compile(&elab, &lib, &verified).unwrap();
-            let r0 = compile(&elab, &lib, &base).unwrap();
-            assert_eq!(r.netlist.num_gates(), r0.netlist.num_gates());
-            // Sequential: a bound table FSM (flops + reset).
-            let words: Vec<u128> = (0..16).map(|m| (m as u128 * 5) & 0x7).collect();
-            let tab = styles::table_module("tab", 4, 3, &words);
-            let elab = elaborate(&tab).unwrap();
-            let r = compile(&elab, &lib, &verified).unwrap();
-            assert!(r.netlist.num_gates() > 0);
-        }
+        let base = SynthOptions::default();
+        let verified = base.clone().with_verify_each_pass();
+        assert!(verified.verify_each_pass);
+        // Combinational: a direct SOP module.
+        let tts: Vec<TruthTable> = (0..2).map(|i| random_tt(4, 99 + i)).collect();
+        let covers: Vec<synthir_logic::Cover> = tts
+            .iter()
+            .map(|t| synthir_logic::espresso::minimize_tt(t, None))
+            .collect();
+        let sop = styles::sop_module("sop", 4, &covers);
+        let elab = elaborate(&sop).unwrap();
+        let r = compile(&elab, &lib, &verified).unwrap();
+        let r0 = compile(&elab, &lib, &base).unwrap();
+        assert_eq!(r.netlist.num_gates(), r0.netlist.num_gates());
+        // Sequential: a bound table FSM (flops + reset).
+        let words: Vec<u128> = (0..16).map(|m| (m as u128 * 5) & 0x7).collect();
+        let tab = styles::table_module("tab", 4, 3, &words);
+        let elab = elaborate(&tab).unwrap();
+        let r = compile(&elab, &lib, &verified).unwrap();
+        assert!(r.netlist.num_gates() > 0);
     }
 
     /// The AIG pipeline with SAT sweeping stays verified too.
@@ -460,31 +430,29 @@ mod tests {
         assert!(r.stats.iter().any(|s| s.name == "aig_opt"));
     }
 
-    /// The AIG pipeline must match the original pipeline functionally and
-    /// never lose area on the flow's own workloads.
+    /// The compiled netlist is proved equivalent to the unsynthesized
+    /// elaboration by the SAT engine, and its area stays within a recorded
+    /// ceiling (the flow's area on these designs when the ceilings were
+    /// taken; a regression past it fails).
     #[test]
-    fn aig_pipeline_matches_seed_pipeline() {
+    fn compile_proves_against_elaboration_within_area_ceiling() {
         let lib = Library::vt90();
-        let aig_opts = SynthOptions::default();
-        let seed_opts = SynthOptions::default().without_aig();
-        for seed in 0..4u64 {
+        let opts = SynthOptions::default();
+        let mut eopts = synthir_sim::EquivOptions::new();
+        eopts.engine = synthir_sim::EquivEngine::Sat;
+        for (seed, ceiling) in [(0u64, 91.0), (1, 46.2), (2, 84.0), (3, 0.0)] {
             let words: Vec<u128> = (0..32)
                 .map(|m| ((m as u128).wrapping_mul(37 + seed as u128)) & 0x1F)
                 .collect();
             let tab = styles::table_module("tab", 5, 5, &words);
             let elab = elaborate(&tab).unwrap();
-            let r_aig = compile(&elab, &lib, &aig_opts).unwrap();
-            let r_seed = compile(&elab, &lib, &seed_opts).unwrap();
-            let mut eopts = synthir_sim::EquivOptions::new();
-            eopts.engine = synthir_sim::EquivEngine::Sat;
-            let res =
-                synthir_sim::check_seq_equiv(&r_aig.netlist, &r_seed.netlist, &eopts).unwrap();
-            assert!(res.is_equivalent(), "seed {seed}");
+            let r = compile(&elab, &lib, &opts).unwrap();
+            let res = synthir_sim::check_seq_equiv(&elab.netlist, &r.netlist, &eopts).unwrap();
+            assert!(res.is_equivalent(), "seed {seed}: {res:?}");
             assert!(
-                r_aig.area.total() <= r_seed.area.total() * 1.001,
-                "seed {seed}: aig {:.1} µm² vs seed pipeline {:.1} µm²",
-                r_aig.area.total(),
-                r_seed.area.total()
+                r.area.total() <= ceiling * 1.001,
+                "seed {seed}: {:.1} µm² over the {ceiling:.1} µm² ceiling",
+                r.area.total()
             );
         }
     }

@@ -1,9 +1,10 @@
 //! Synthesis options — the knobs the paper's experiments sweep.
 
 /// State-encoding styles for FSM re-encoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum FsmEncoding {
-    /// Minimum-length binary codes `0..n`.
+    /// Minimum-length binary codes `0..n`. The default.
+    #[default]
     Binary,
     /// One flop per state.
     OneHot,
@@ -52,75 +53,34 @@ impl Mapper {
 }
 
 /// Options controlling [`crate::flow::compile`].
-#[derive(Clone, Debug)]
+///
+/// The flow itself is fixed (see [`crate::flow::compile_netlist`]); these
+/// are the only choices a caller makes, each one swept by an experiment or
+/// a benchmark workload. The passes' effort limits are constants in the
+/// modules that apply them: [`crate::resynth::COLLAPSE_SUPPORT`],
+/// [`crate::resynth::MAX_COVER_CUBES`], [`crate::stateprop::MAX_VALUESET`],
+/// [`crate::retime::MAX_CONE_SUPPORT`] and
+/// [`crate::fsmreencode::FSM_ENUM_LIMIT`].
+#[derive(Clone, Debug, Default)]
 pub struct SynthOptions {
-    /// Maximum cone support for collapse-and-re-cover resynthesis.
-    /// Models the tool's effort limit; cones wider than this keep their
-    /// structural form.
-    pub collapse_support: usize,
-    /// Skip resynthesis acceptance when the minimized cover exceeds this
-    /// many cubes (protects parity-like functions from exponential covers).
-    pub max_cover_cubes: usize,
-    /// Maximum value-set size considered by state propagation (`k` in the
-    /// paper). Annotations with more values are ignored, which reproduces
-    /// the paper's observation that manual annotation stops helping beyond
-    /// 32-bit one-hot subfields.
-    pub max_valueset: usize,
-    /// Run the state-propagation pass at all.
-    pub state_propagation: bool,
-    /// Run forward retiming before optimization (Fig. 8's "Retimed"
-    /// variants).
+    /// Run forward and backward retiming before state propagation (Fig. 8's
+    /// "Retimed" variants).
     pub retime: bool,
-    /// Run FSM re-encoding when FSM metadata is present.
-    pub fsm_reencode: bool,
     /// Encoding used by FSM re-encoding.
     pub fsm_encoding: FsmEncoding,
-    /// Enumeration budget (state × input combinations) for FSM extraction.
-    pub fsm_enum_limit: usize,
-    /// Run structural hashing.
-    pub strash: bool,
-    /// Run technology mapping (NAND/NOR/AOI conversion).
-    pub techmap: bool,
-    /// Which technology mapper to run when `techmap` is on: the rule
-    /// mapper (default) or the cut-based mapper.
+    /// Which technology mapper to run: the rule mapper (default) or the
+    /// cut-based mapper.
     pub mapper: Mapper,
-    /// Use the AIG optimization core for netlist cleanup: constant folding,
-    /// structural hashing, and local rewriting happen in one pass over a
-    /// hash-consed And-Inverter Graph instead of fixpoint loops over the
-    /// flat netlist. Disable to reproduce the original (pre-AIG) pass
-    /// order, e.g. for A/B benchmarking.
-    pub aig: bool,
     /// Run SAT sweeping inside the AIG cleanup: candidate equivalences
     /// from random-simulation signatures, proved by the CDCL solver and
     /// merged on proof. Off by default (it trades compile time for the
-    /// sharing structural methods cannot see). Requires [`SynthOptions::aig`].
+    /// sharing structural methods cannot see).
     pub sat_sweep: bool,
     /// Debug option: after every pass, SAT-check the netlist against its
     /// predecessor (combinational miter for pure logic, bounded model check
     /// from reset for sequential designs) and abort the flow if a pass
     /// changed observable behaviour. Expensive; off by default.
     pub verify_each_pass: bool,
-}
-
-impl Default for SynthOptions {
-    fn default() -> Self {
-        SynthOptions {
-            collapse_support: 14,
-            max_cover_cubes: 96,
-            max_valueset: 32,
-            state_propagation: true,
-            retime: false,
-            fsm_reencode: true,
-            fsm_encoding: FsmEncoding::Binary,
-            fsm_enum_limit: 1 << 18,
-            strash: true,
-            techmap: true,
-            mapper: Mapper::Rules,
-            aig: true,
-            sat_sweep: false,
-            verify_each_pass: false,
-        }
-    }
 }
 
 impl SynthOptions {
@@ -147,22 +107,9 @@ impl SynthOptions {
         self
     }
 
-    /// Returns options using the original (pre-AIG) pass order: netlist
-    /// `const_fold` + `strash` fixpoint loops instead of the AIG core.
-    pub fn without_aig(mut self) -> Self {
-        self.aig = false;
-        self
-    }
-
     /// Returns options with SAT sweeping enabled inside the AIG cleanup.
     pub fn with_sat_sweep(mut self) -> Self {
         self.sat_sweep = true;
-        self
-    }
-
-    /// Returns options using a specific technology mapper.
-    pub fn with_mapper(mut self, mapper: Mapper) -> Self {
-        self.mapper = mapper;
         self
     }
 
@@ -181,10 +128,9 @@ mod tests {
     #[test]
     fn defaults_match_paper_limits() {
         let o = SynthOptions::default();
-        assert_eq!(o.max_valueset, 32);
-        assert!(o.state_propagation);
+        assert_eq!(crate::stateprop::MAX_VALUESET, 32);
         assert!(!o.retime);
-        assert!(o.fsm_reencode);
+        assert_eq!(o.fsm_encoding, FsmEncoding::Binary);
     }
 
     #[test]

@@ -12,15 +12,22 @@
 
 use crate::conefn::cone_function;
 use crate::factor::emit_cover;
-use crate::options::SynthOptions;
 use synthir_logic::espresso::{minimize, EspressoOptions};
 use synthir_logic::{Cover, Cube, TruthTable};
 use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
 
+/// Widest cone (in support nets) the pass collapses. Models the tool's
+/// effort limit; wider cones keep their structural form.
+pub const COLLAPSE_SUPPORT: usize = 14;
+
+/// A minimized cover with more cubes than this is rejected, which protects
+/// parity-like functions from exponential two-level covers.
+pub const MAX_COVER_CUBES: usize = 96;
+
 /// Re-covers all eligible cones. Returns the number of cones rebuilt.
 ///
 /// Each rebuild is accepted only when the re-covered logic is estimated to
-/// be no larger than the logic it retires (under [`Library::vt90`]), so the
+/// be no larger than the logic it retires (under `lib`), so the
 /// pass never degrades structurally good implementations such as XOR trees.
 ///
 /// The pass runs in two phases. Phase 1 collapses and minimizes every
@@ -31,7 +38,7 @@ use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
 /// against the current netlist — a cone altered by an earlier rebuild is
 /// simply re-minimized on the spot. Either way the result is identical to
 /// a fully serial pass.
-pub fn resynthesize(nl: &mut Netlist, opts: &SynthOptions) -> usize {
+pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     let mut roots: Vec<NetId> = Vec::new();
     for net in nl.output_nets() {
         roots.push(net);
@@ -44,11 +51,11 @@ pub fn resynthesize(nl: &mut Netlist, opts: &SynthOptions) -> usize {
     roots.sort();
     roots.dedup();
     let plans: Vec<Option<ConePlan>> =
-        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root, opts));
+        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root));
     let mut rebuilt = 0;
     let mut mutated = false;
     for (&root, plan) in roots.iter().zip(&plans) {
-        if rebuild_root(nl, root, opts, plan.as_ref(), &mut mutated) {
+        if rebuild_root(nl, root, lib, plan.as_ref(), &mut mutated) {
             rebuilt += 1;
         }
     }
@@ -65,17 +72,17 @@ struct ConePlan {
     minimized: Cover,
 }
 
-fn plan_root(nl: &Netlist, root: NetId, opts: &SynthOptions) -> Option<ConePlan> {
+fn plan_root(nl: &Netlist, root: NetId) -> Option<ConePlan> {
     let driver = nl.driver(root)?;
     let kind = nl.gate(driver).kind;
     if kind.is_sequential() || kind.is_constant() {
         return None;
     }
-    let (support, tt) = cone_function(nl, root, opts.collapse_support)?;
+    let (support, tt) = cone_function(nl, root, COLLAPSE_SUPPORT)?;
     if tt.as_constant().is_some() {
         return None; // cheap: handled directly in phase 2
     }
-    let start = structural_cover(nl, root, &support, 4 * opts.max_cover_cubes)
+    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = minimize(&start, None, &EspressoOptions::default());
     Some(ConePlan {
@@ -89,7 +96,7 @@ fn plan_root(nl: &Netlist, root: NetId, opts: &SynthOptions) -> Option<ConePlan>
 fn rebuild_root(
     nl: &mut Netlist,
     root: NetId,
-    opts: &SynthOptions,
+    lib: &Library,
     plan: Option<&ConePlan>,
     mutated: &mut bool,
 ) -> bool {
@@ -98,7 +105,7 @@ fn rebuild_root(
     // just repeat phase 1's work serially.
     if let Some(p) = plan {
         if !*mutated {
-            return apply_rebuild(nl, root, opts, &p.support, &p.tt, &p.minimized, mutated);
+            return apply_rebuild(nl, root, lib, &p.support, &p.tt, &p.minimized, mutated);
         }
     }
     let Some(driver) = nl.driver(root) else {
@@ -108,7 +115,7 @@ fn rebuild_root(
     if kind.is_sequential() || kind.is_constant() {
         return false;
     }
-    let Some((support, tt)) = cone_function(nl, root, opts.collapse_support) else {
+    let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
         return false;
     };
     if let Some(v) = tt.as_constant() {
@@ -119,13 +126,13 @@ fn rebuild_root(
     }
     // Seed the minimizer with the structural cover when it is small enough;
     // otherwise fall back to the canonical minterm cover.
-    let start = structural_cover(nl, root, &support, 4 * opts.max_cover_cubes)
+    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = match plan {
         Some(p) if p.support == support && p.tt == tt && p.start == start => p.minimized.clone(),
         _ => minimize(&start, None, &EspressoOptions::default()),
     };
-    apply_rebuild(nl, root, opts, &support, &tt, &minimized, mutated)
+    apply_rebuild(nl, root, lib, &support, &tt, &minimized, mutated)
 }
 
 /// Accepts or rejects a minimized cover for a cone and stitches it in when
@@ -133,13 +140,13 @@ fn rebuild_root(
 fn apply_rebuild(
     nl: &mut Netlist,
     root: NetId,
-    opts: &SynthOptions,
+    lib: &Library,
     support: &[NetId],
     tt: &TruthTable,
     minimized: &Cover,
     mutated: &mut bool,
 ) -> bool {
-    if minimized.cube_count() > opts.max_cover_cubes {
+    if minimized.cube_count() > MAX_COVER_CUBES {
         return false; // parity-like function: keep the structural form
     }
     debug_assert_eq!(
@@ -148,15 +155,13 @@ fn apply_rebuild(
         "resynthesis must preserve the cone function"
     );
     // Accept only if the rebuilt logic is no larger than what it retires.
-    let lib = Library::vt90();
     let new_cost = {
         let mut scratch = Netlist::new("scratch");
         let fake = scratch.add_input("x", support.len());
-        let r = emit_cover(&mut scratch, minimized, &fake);
-        let _ = r;
-        scratch.area_report(&lib).combinational
+        emit_cover(&mut scratch, minimized, &fake);
+        scratch.area_report(lib).combinational
     };
-    if new_cost > dying_cone_area(nl, root, &lib) {
+    if new_cost > dying_cone_area(nl, root, lib) {
         return false;
     }
     let new_root = emit_cover(nl, minimized, support);
@@ -173,6 +178,8 @@ fn apply_rebuild(
 /// The area of the cone gates that would die if every consumer of `root`
 /// were rewired away: gates whose fanout lies entirely within the dying
 /// set (computed by reverse-topological accumulation from the root driver).
+/// The areas are summed in the cone's topological order, so the `f64` total
+/// — and every accept/reject decision made on it — is the same every run.
 fn dying_cone_area(nl: &Netlist, root: NetId, lib: &Library) -> f64 {
     let cone = topo::cone_gates(nl, root); // topological: inputs first
     let in_cone: std::collections::HashSet<_> = cone.iter().copied().collect();
@@ -196,7 +203,10 @@ fn dying_cone_area(nl: &Netlist, root: NetId, lib: &Library) -> f64 {
             dying.insert(g);
         }
     }
-    dying.iter().map(|&g| lib.area(nl.gate(g).kind)).sum()
+    cone.iter()
+        .filter(|g| dying.contains(g))
+        .map(|&g| lib.area(nl.gate(g).kind))
+        .sum()
 }
 
 /// Extracts a sum-of-products cover of the cone by structural collapse
@@ -360,9 +370,9 @@ mod tests {
         nl.add_output("y", &[y]);
 
         let before = nl.num_gates();
+        let lib = Library::vt90();
         crate::constfold::const_fold(&mut nl);
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl, &lib);
         crate::constfold::const_fold(&mut nl);
         assert!(nl.num_gates() < before);
         // Function preserved.
@@ -371,7 +381,6 @@ mod tests {
         assert_eq!(tt2, tt);
         // Majority-of-3 factored: at most ~6 gates.
         assert!(nl.num_gates() <= 6, "got {}", nl.num_gates());
-        let lib = Library::vt90();
         assert!(nl.area_report(&lib).combinational < 30.0);
     }
 
@@ -387,8 +396,7 @@ mod tests {
         }
         nl.add_output("y", &[acc]);
         let before = nl.num_gates();
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl, &Library::vt90());
         assert_eq!(nl.num_gates(), before);
     }
 
@@ -423,8 +431,7 @@ mod tests {
             &[d],
         );
         nl.add_output("q", &[q]);
-        let opts = SynthOptions::default();
-        resynthesize(&mut nl, &opts);
+        resynthesize(&mut nl, &Library::vt90());
         crate::constfold::const_fold(&mut nl);
         // The D cone should now be the input directly.
         let flop = nl

@@ -16,6 +16,10 @@
 use crate::conefn::cone_function_on;
 use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 
+/// Widest cone (in support nets) either retiming direction will move flops
+/// across; wider cones keep their flops where they are.
+pub const MAX_CONE_SUPPORT: usize = 16;
+
 /// Applies backward retiming: a bank of flops whose D pins are computed by
 /// a combinational cone from primary inputs only can be replaced by flops
 /// *on those inputs*, with the cone recomputed after the flops — exposing
@@ -31,9 +35,9 @@ use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 /// inconsistently on the flop type.
 ///
 /// Returns the number of banks retimed.
-pub fn retime_backward(nl: &mut Netlist, max_support: usize) -> usize {
+pub fn retime_backward(nl: &mut Netlist) -> usize {
     let mut count = 0;
-    while let Some(bank) = find_backward_candidate(nl, max_support) {
+    while let Some(bank) = find_backward_candidate(nl) {
         apply_backward(nl, &bank);
         count += 1;
         nl.sweep();
@@ -47,10 +51,11 @@ struct BackwardBank {
     init_assignment: u64,
 }
 
-fn find_backward_candidate(nl: &Netlist, max_support: usize) -> Option<BackwardBank> {
-    // Group flops by (reset kind, reset net).
-    let mut groups: std::collections::HashMap<(ResetKind, Option<NetId>), Vec<GateId>> =
-        std::collections::HashMap::new();
+fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
+    // Group flops by (reset kind, reset net). Ordered, so the first
+    // qualifying bank — and with it the result — is the same every run.
+    let mut groups: std::collections::BTreeMap<(ResetKind, Option<NetId>), Vec<GateId>> =
+        std::collections::BTreeMap::new();
     for (id, g) in nl.gates() {
         if let GateKind::Dff { reset, .. } = g.kind {
             groups
@@ -74,7 +79,7 @@ fn find_backward_candidate(nl: &Netlist, max_support: usize) -> Option<BackwardB
             }
         }
         let support: Vec<NetId> = support.into_iter().collect();
-        if support.is_empty() || support.len() > max_support || support.len() >= flops.len() {
+        if support.is_empty() || support.len() > MAX_CONE_SUPPORT || support.len() >= flops.len() {
             continue;
         }
         // The D cones must be consumed only by this bank's D pins.
@@ -180,9 +185,9 @@ fn apply_backward(nl: &mut Netlist, bank: &BackwardBank) {
 }
 
 /// Applies forward retiming greedily. Returns the number of cones retimed.
-pub fn retime_forward(nl: &mut Netlist, max_cone_support: usize) -> usize {
+pub fn retime_forward(nl: &mut Netlist) -> usize {
     let mut count = 0;
-    while let Some(root) = find_candidate(nl, max_cone_support) {
+    while let Some(root) = find_candidate(nl) {
         apply(nl, root);
         count += 1;
         nl.sweep();
@@ -193,7 +198,7 @@ pub fn retime_forward(nl: &mut Netlist, max_cone_support: usize) -> usize {
 /// A retimable cone root: a comb net whose support consists purely of
 /// non-async flops that (a) have no feedback and (b) fan out only into this
 /// cone, where absorbing them reduces the flop count.
-fn find_candidate(nl: &Netlist, max_cone_support: usize) -> Option<NetId> {
+fn find_candidate(nl: &Netlist) -> Option<NetId> {
     let fanout = nl.fanout_map();
     for (_, g) in nl.gates() {
         if g.kind.is_sequential() || g.kind.is_constant() {
@@ -201,7 +206,7 @@ fn find_candidate(nl: &Netlist, max_cone_support: usize) -> Option<NetId> {
         }
         let root = g.output;
         let support = topo::comb_support(nl, root);
-        if support.len() < 2 || support.len() > max_cone_support {
+        if support.len() < 2 || support.len() > MAX_CONE_SUPPORT {
             continue;
         }
         // Every source must be a flop without async reset.
@@ -370,7 +375,7 @@ mod tests {
         for reset in [ResetKind::None, ResetKind::Sync] {
             let mut nl = reduction_design(reset, 6);
             assert_eq!(nl.flop_count(), 6);
-            let n = retime_forward(&mut nl, 16);
+            let n = retime_forward(&mut nl);
             assert!(n >= 1, "{reset:?}");
             assert_eq!(nl.flop_count(), 1, "{reset:?}");
         }
@@ -379,7 +384,7 @@ mod tests {
     #[test]
     fn declines_async_reset() {
         let mut nl = reduction_design(ResetKind::Async, 6);
-        let n = retime_forward(&mut nl, 16);
+        let n = retime_forward(&mut nl);
         assert_eq!(n, 0);
         assert_eq!(nl.flop_count(), 6);
     }
@@ -388,7 +393,7 @@ mod tests {
     fn preserves_sequential_behaviour() {
         let golden = reduction_design(ResetKind::Sync, 5);
         let mut retimed = golden.clone();
-        retime_forward(&mut retimed, 16);
+        retime_forward(&mut retimed);
         let res =
             synthir_sim::check_seq_equiv(&golden, &retimed, &synthir_sim::EquivOptions::new())
                 .unwrap();
@@ -405,7 +410,7 @@ mod tests {
             .map(|(_, g)| g.output)
             .unwrap();
         nl.add_output("peek", &[some_flop_q]);
-        let n = retime_forward(&mut nl, 16);
+        let n = retime_forward(&mut nl);
         assert_eq!(n, 0);
     }
 
@@ -425,7 +430,7 @@ mod tests {
         nl.attach_gate(kind, &[nq2], q2).unwrap();
         let y = nl.add_gate(GateKind::And2, &[q1, q2]);
         nl.add_output("y", &[y]);
-        let n = retime_forward(&mut nl, 16);
+        let n = retime_forward(&mut nl);
         assert_eq!(n, 0);
         assert_eq!(nl.flop_count(), 2);
     }

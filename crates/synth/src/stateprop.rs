@@ -12,14 +12,19 @@
 //! * **flop boundaries stop propagation** — the cone exploration never
 //!   crosses a sequential element, so an annotation on logic *before* a flop
 //!   does nothing for logic *after* it (the paper's Fig. 8 finding); and
-//! * **an effort cap on `k`** — sets wider than
-//!   [`crate::SynthOptions::max_valueset`] are ignored, which reproduces the
+//! * **an effort cap on `k`** — sets wider than [`MAX_VALUESET`] are
+//!   ignored, which reproduces the
 //!   paper's observation that annotating subfields wider than 32 bits stops
 //!   being effective.
 
 use std::collections::{HashMap, HashSet};
 use synthir_netlist::{topo, NetId, Netlist};
 use synthir_rtl::elaborate::NetGroupValues;
+
+/// The flow's cap on value-set size (`k` in the paper): annotations with
+/// more values are ignored, which reproduces the paper's observation that
+/// manual annotation stops helping beyond 32-bit one-hot subfields.
+pub const MAX_VALUESET: usize = 32;
 
 /// Applies state propagation and folding for each annotated group.
 /// Returns the number of nets folded or merged.

@@ -66,8 +66,7 @@ proptest! {
     fn resynthesis_preserves_function(seed in any::<u64>()) {
         let golden = random_netlist(6, 20, seed);
         let mut opt = golden.clone();
-        let opts = synthir_synth::SynthOptions::default();
-        synthir_synth::resynth::resynthesize(&mut opt, &opts);
+        synthir_synth::resynth::resynthesize(&mut opt, &synthir_netlist::Library::vt90());
         let res = check_comb_equiv(&golden, &opt, &EquivOptions::new()).unwrap();
         prop_assert!(res.is_equivalent(), "{res:?}");
     }

@@ -17,7 +17,7 @@
 //! * [`netlist`] — gate-level IR and the synthetic `vt90` cell library;
 //! * [`rtl`] — RTL IR, elaboration, and the paper's coding styles;
 //! * [`synth`] — the synthesis flow, its front half running on the AIG
-//!   core ([`synth::SynthOptions::aig`]): cleanup/rewriting/sweeping,
+//!   core ([`synth::aigopt`]): cleanup/rewriting/sweeping,
 //!   state propagation and folding, resynthesis, FSM re-encoding,
 //!   retiming, techmap, STA (with an opt-in per-pass SAT self-check,
 //!   [`synth::SynthOptions::verify_each_pass`]);
@@ -58,7 +58,7 @@
 //! # }
 //! ```
 //!
-//! ## Performance and the `parallel` feature
+//! ## Performance and threads
 //!
 //! The boolean kernel under every experiment is a unate-recursive-paradigm
 //! espresso: complementation and tautology run with unate reduction,
@@ -71,13 +71,12 @@
 //! kernel, which is preserved in `synthir_logic::naive` as the oracle and
 //! benchmark baseline.
 //!
-//! The cargo feature **`parallel`** (enabled by default) lets the batch
-//! drivers — [`logic::espresso::minimize_batch`],
+//! The batch drivers — [`logic::espresso::minimize_batch`],
 //! [`logic::espresso::minimize_tt_batch`], and [`logic::par::par_map`] —
 //! minimize independent PLA outputs, resynthesis cones, and benchmark
 //! design points on scoped OS threads. Results are bit-identical to the
-//! serial path (jobs are independent and returned in input order); build
-//! with `--no-default-features` to force single-threaded execution.
+//! serial path (jobs are independent and returned in input order); set
+//! `SYNTHIR_THREADS=1` to force single-threaded execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
