@@ -83,6 +83,13 @@ impl AigLit {
     pub fn as_constant(self) -> Option<bool> {
         (self.node() == 0).then_some(self.is_complemented())
     }
+
+    /// Translates this literal into another graph through a node map, where
+    /// `map[node]` is the literal that node's plain literal became.
+    pub fn translate(self, map: &[AigLit]) -> AigLit {
+        let m = map[self.node() as usize];
+        AigLit(m.0 ^ u32::from(self.is_complemented()))
+    }
 }
 
 impl std::ops::Not for AigLit {
@@ -276,6 +283,33 @@ impl Aig {
         let l = &mut self.latches[idx as usize];
         l.next = next;
         l.reset_lit = reset_lit;
+    }
+
+    /// Copies the live AND nodes of `src` into this graph, in `src`'s
+    /// topological order — the one copy loop behind rebuild-style passes and
+    /// miter construction.
+    ///
+    /// `map[node]` is the literal of this graph that `src`'s node became: the
+    /// caller seeds every source (constant, inputs, latch outputs) the live
+    /// ANDs reach, and the copy fills in each live AND. `and(dst, map, node,
+    /// a, b)` builds AND `node` from its translated fanins — plain
+    /// [`Aig::and`], or a resynthesis or substitution step. Nodes with
+    /// `live[node]` unset are skipped and keep their seed.
+    pub fn copy_ands(
+        &mut self,
+        src: &Aig,
+        live: &[bool],
+        map: &mut [AigLit],
+        mut and: impl FnMut(&mut Aig, &[AigLit], usize, AigLit, AigLit) -> AigLit,
+    ) {
+        for (i, node) in src.nodes.iter().enumerate() {
+            if let AigNode::And(a, b) = *node {
+                if live[i] {
+                    let (na, nb) = (a.translate(map), b.translate(map));
+                    map[i] = and(self, map, i, na, nb);
+                }
+            }
+        }
     }
 
     fn push(&mut self, n: AigNode) -> u32 {

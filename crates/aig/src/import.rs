@@ -1,4 +1,4 @@
-//! Netlist → AIG conversion: full designs and seeded combinational cones.
+//! Netlist → AIG conversion.
 
 use crate::graph::{Aig, AigLit};
 use crate::AigError;
@@ -63,7 +63,7 @@ pub struct NetlistImport {
 /// of construction.
 ///
 /// Undriven internal nets import as constant false, matching the
-/// simulator, BDD, and CNF conventions.
+/// simulator and BDD conventions.
 ///
 /// # Errors
 ///
@@ -73,7 +73,6 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
     let mut imp = Importer {
         aig: Aig::new(nl.name()),
         lits: NetLits::with_capacity(nl.num_nets()),
-        seeds: Vec::new(),
     };
     for p in nl.inputs() {
         let port_lits = imp.aig.add_input_port(&p.name, p.nets.len());
@@ -90,8 +89,7 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
         }
     }
     // Undriven nets that are not primary inputs read as constant false
-    // (the simulator/BDD/CNF convention); map them eagerly so the lazy
-    // input-creation path in `net_lit` stays reserved for cone imports.
+    // (the simulator/BDD convention).
     for (_, g) in nl.gates() {
         for &i in &g.inputs {
             if nl.driver(i).is_none() && !imp.lits.contains(i) {
@@ -131,87 +129,23 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
         let port_lits: Vec<AigLit> = p.nets.iter().map(|&n| imp.net_lit(n)).collect();
         imp.aig.add_output_port(&p.name, &port_lits);
     }
-    debug_assert!(imp.seeds.is_empty(), "full imports pre-map every net");
     Ok(NetlistImport {
         aig: imp.aig,
         lits: imp.lits,
     })
 }
 
-/// The result of importing a seeded combinational cone (the CNF encoder's
-/// workload): seeded nets become free AIG inputs.
-#[derive(Clone, Debug)]
-pub struct ConeImport {
-    /// The cone-local graph (its inputs are exactly the seeds).
-    pub aig: Aig,
-    /// A literal for every net the walk visited (targets included).
-    pub lits: NetLits,
-    /// The seeded nets, paired with the input literal each received.
-    pub seeds: Vec<(NetId, AigLit)>,
-}
-
-/// Imports the combinational cone of `nl` feeding `targets`, treating every
-/// net for which `seeded` returns true as a free input (primary inputs the
-/// caller has values for, BMC state literals, bound constants). Undriven
-/// unseeded nets import as constant false. The traversal is the shared
-/// [`topo::visit_cone`] worklist walk — stack-safe at any depth.
-///
-/// # Errors
-///
-/// Returns [`AigError::UnseededFlop`] if the cone reaches the output of a
-/// flop that was not seeded — sequential elements have no combinational
-/// meaning.
-pub fn import_cone(
-    nl: &Netlist,
-    targets: &[NetId],
-    mut seeded: impl FnMut(NetId) -> bool,
-) -> Result<ConeImport, AigError> {
-    let mut imp = Importer {
-        aig: Aig::new(nl.name()),
-        lits: NetLits::with_capacity(nl.num_nets()),
-        seeds: Vec::new(),
-    };
-    // `visit_cone` deduplicates visits itself, so the `seeded` predicate
-    // alone decides what becomes a free input.
-    topo::visit_cone(nl, targets, &mut seeded, |nl, net, driver| {
-        let Some(gid) = driver else {
-            imp.lits.insert(net, AigLit::FALSE);
-            return Ok(());
-        };
-        let g = nl.gate(gid);
-        if g.kind.is_sequential() {
-            return Err(AigError::UnseededFlop);
-        }
-        let lit = imp.gate_lit(g);
-        imp.lits.insert(net, lit);
-        Ok(())
-    })?;
-    Ok(ConeImport {
-        aig: imp.aig,
-        lits: imp.lits,
-        seeds: imp.seeds,
-    })
-}
-
-/// Shared import state: the graph under construction, the net → literal
-/// map, and the log of lazily-created seed inputs.
+/// Shared import state: the graph under construction and the net →
+/// literal map.
 struct Importer {
     aig: Aig,
     lits: NetLits,
-    seeds: Vec<(NetId, AigLit)>,
 }
 
 impl Importer {
-    /// The literal of a net, creating (and logging) a fresh input for nets
-    /// the caller seeded but that have no literal yet.
-    fn net_lit(&mut self, net: NetId) -> AigLit {
-        if let Some(l) = self.lits.get(net) {
-            return l;
-        }
-        let l = self.aig.add_input();
-        self.lits.insert(net, l);
-        self.seeds.push((net, l));
-        l
+    /// The literal of a net (every net is mapped before its readers).
+    fn net_lit(&self, net: NetId) -> AigLit {
+        self.lits.get(net).expect("net mapped before use")
     }
 
     /// Normalizes one combinational gate into the AIG.
@@ -255,5 +189,50 @@ impl Importer {
             }
             Dff { .. } => unreachable!("sequential gates are handled by the caller"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Importing one netlist twice into one graph over shared inputs — the
+    /// shape of an equivalence miter — yields identical output literals, so
+    /// the miter target hashes to false with no solver call.
+    #[test]
+    fn double_import_over_shared_inputs_hashes_to_a_false_miter() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 2);
+        let b = nl.add_input("b", 1)[0];
+        let x = nl.add_gate(GateKind::Xor2, &[a[0], b]);
+        let m = nl.add_gate(GateKind::Mux2, &[a[1], x, b]);
+        let y = nl.add_gate(GateKind::Aoi21, &[m, a[0], x]);
+        nl.add_output("y", &[y, m]);
+        let g = from_netlist(&nl).unwrap().aig;
+        let live = g.live_marks(&[]);
+        let mut miter = Aig::new("miter");
+        let shared: Vec<AigLit> = (0..3).map(|_| miter.add_input()).collect();
+        let mut outs = Vec::new();
+        let mut sizes = Vec::new();
+        for _ in 0..2 {
+            let mut map = vec![AigLit::FALSE; g.node_count()];
+            let ports = g.input_ports().iter().flat_map(|p| &p.lits);
+            for (old, &new) in ports.zip(&shared) {
+                map[old.node() as usize] = new;
+            }
+            miter.copy_ands(&g, &live, &mut map, |m, _, _, a, b| m.and(a, b));
+            let port = &g.output_ports()[0];
+            outs.push(
+                port.lits
+                    .iter()
+                    .map(|l| l.translate(&map))
+                    .collect::<Vec<_>>(),
+            );
+            sizes.push(miter.and_count());
+        }
+        assert_eq!(outs[0], outs[1]);
+        assert_eq!(sizes[0], sizes[1], "the second copy hashed onto the first");
+        let diffs: Vec<AigLit> = (0..2).map(|i| miter.xor(outs[0][i], outs[1][i])).collect();
+        assert_eq!(miter.or_all(&diffs), AigLit::FALSE);
     }
 }

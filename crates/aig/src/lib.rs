@@ -15,8 +15,7 @@
 //!   complemented edges, two-level hash-consing with constant folding and
 //!   one-/two-level rewriting inside [`Aig::and`], latch nodes carrying
 //!   netlist flop semantics (reset flavour + init value) unchanged;
-//! * [`import`] — `Netlist → Aig`, whole designs or seeded combinational
-//!   cones (the CNF encoder's path), preserving port names and flop
+//! * [`import`] — `Netlist → Aig`, preserving port names and flop
 //!   semantics and returning the net → literal map annotations ride on;
 //! * [`export`] — `Aig → Netlist` with an implicit dangling-node sweep;
 //! * [`mod@rewrite`] — local rewriting (2-input-cut NPN resynthesis) and
@@ -24,6 +23,9 @@
 //! * [`satsweep`] — candidate equivalence classes from 64-bit random
 //!   simulation signatures, confirmed by the [`synthir_sat`] CDCL solver
 //!   and merged on proof;
+//! * [`tseitin`] — the Tseitin CNF encoding of AIG cones, the workspace's
+//!   only path to the solver: SAT sweeping proves merges through it, and
+//!   [`satisfy`] answers the equivalence checker's miters;
 //! * [`cuts`] — k-feasible priority-cut enumeration with per-cut truth
 //!   tables, the front half of cut-based technology mapping
 //!   (`synthir_synth`'s `cutmap` pass);
@@ -57,32 +59,28 @@ pub mod import;
 pub mod npn;
 pub mod rewrite;
 pub mod satsweep;
+pub mod tseitin;
 
 pub use cuts::{enumerate_cuts, Cut};
 pub use export::{to_netlist, NetlistExport};
 pub use graph::{Aig, AigLit, AigNode, AigPort, FxMap, Latch};
-pub use import::{from_netlist, import_cone, ConeImport, NetLits, NetlistImport};
+pub use import::{from_netlist, NetLits, NetlistImport};
 pub use npn::{canonicalize, NpnTransform};
 pub use rewrite::{compact, rewrite, Rebuilt};
 pub use satsweep::{sat_sweep, SweepOptions, SweepResult};
+pub use tseitin::satisfy;
 
 /// Errors produced by AIG construction and conversion.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AigError {
     /// The source netlist's combinational part is cyclic.
     Cyclic(String),
-    /// A combinational cone import reached the output of a flop that was
-    /// not seeded with a value.
-    UnseededFlop,
 }
 
 impl std::fmt::Display for AigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AigError::Cyclic(e) => write!(f, "cyclic netlist: {e}"),
-            AigError::UnseededFlop => {
-                write!(f, "combinational cone reaches an unseeded flop output")
-            }
         }
     }
 }

@@ -26,8 +26,7 @@ pub struct Rebuilt {
 impl Rebuilt {
     /// Translates an old-graph literal into the rebuilt graph.
     pub fn lit(&self, l: AigLit) -> AigLit {
-        let m = self.map[l.node() as usize];
-        m.with_complement(m.is_complemented() ^ l.is_complemented())
+        l.translate(&self.map)
     }
 
     /// Chains a second rebuild: the result maps original literals straight
@@ -46,7 +45,7 @@ impl Rebuilt {
 /// stay mapped (annotation carriers). Returns the rebuilt graph and the
 /// composed literal map.
 pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
-    let mut current = rebuild(aig, keep, true);
+    let mut current = rebuild(aig, keep, npn_step);
     // Further rounds only pay off while the previous one shrank the graph
     // — the common mid-flow case (a graph already normalized at import)
     // stops after the single pass above.
@@ -57,7 +56,7 @@ pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
         }
         prev_count = current.aig.and_count();
         let keep2: Vec<AigLit> = keep.iter().map(|&l| current.lit(l)).collect();
-        let next = rebuild(&current.aig, &keep2, true);
+        let next = rebuild(&current.aig, &keep2, npn_step);
         current = Rebuilt {
             map: compose(&current.map, &next),
             aig: next.aig,
@@ -69,16 +68,26 @@ pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
 /// Rebuilds `aig` dropping dead nodes, with no resynthesis beyond the
 /// construction rules — the explicit dangling-node sweep.
 pub fn compact(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
-    rebuild(aig, keep, false)
+    rebuild(aig, keep, |g, _, _, a, b| g.and(a, b))
+}
+
+/// The rewriter's per-AND step for [`Aig::copy_ands`].
+fn npn_step(g: &mut Aig, _: &[AigLit], _: usize, a: AigLit, b: AigLit) -> AigLit {
+    and_npn(g, a, b)
 }
 
 fn compose(first: &[AigLit], then: &Rebuilt) -> Vec<AigLit> {
     first.iter().map(|&l| then.lit(l)).collect()
 }
 
-/// One rebuild round: copies inputs/latches, re-derives live ANDs (with the
-/// NPN step when `npn` is set), and rewires latches and output ports.
-fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
+/// One rebuild round: copies inputs/latches, re-derives live ANDs through
+/// `and` (see [`Aig::copy_ands`]), and rewires latches and output ports.
+/// Shared by the rewriter, [`compact`], and SAT sweeping's merge step.
+pub(crate) fn rebuild(
+    aig: &Aig,
+    keep: &[AigLit],
+    and: impl FnMut(&mut Aig, &[AigLit], usize, AigLit, AigLit) -> AigLit,
+) -> Rebuilt {
     let live = aig.live_marks(keep);
     let mut out = Aig::new(aig.name());
     let mut map: Vec<AigLit> = vec![AigLit::FALSE; aig.node_count()];
@@ -101,32 +110,16 @@ fn rebuild(aig: &Aig, keep: &[AigLit], npn: bool) -> Rebuilt {
             map[l.output as usize] = out.add_latch(l.reset, l.init);
         }
     }
-    let trans = |map: &[AigLit], l: AigLit| -> AigLit {
-        let m = map[l.node() as usize];
-        m.with_complement(m.is_complemented() ^ l.is_complemented())
-    };
-    for (i, n) in aig.nodes().iter().enumerate() {
-        if let AigNode::And(a, b) = *n {
-            if !live[i] {
-                continue;
-            }
-            let (na, nb) = (trans(&map, a), trans(&map, b));
-            map[i] = if npn {
-                and_npn(&mut out, na, nb)
-            } else {
-                out.and(na, nb)
-            };
-        }
-    }
+    out.copy_ands(aig, &live, &mut map, and);
     for old in aig.latches() {
         if !live[old.output as usize] {
             continue;
         }
         let q = map[old.output as usize];
-        out.set_latch_next(q, trans(&map, old.next), trans(&map, old.reset_lit));
+        out.set_latch_next(q, old.next.translate(&map), old.reset_lit.translate(&map));
     }
     for p in aig.output_ports() {
-        let lits: Vec<AigLit> = p.lits.iter().map(|&l| trans(&map, l)).collect();
+        let lits: Vec<AigLit> = p.lits.iter().map(|&l| l.translate(&map)).collect();
         out.add_output_port(&p.name, &lits);
     }
     Rebuilt { aig: out, map }

@@ -9,9 +9,9 @@
 //! proven merge is sound sequentially as well as combinationally.
 
 use crate::graph::{Aig, AigLit, AigNode};
-use crate::rewrite::Rebuilt;
+use crate::rewrite::{self, Rebuilt};
+use crate::tseitin::Tseitin;
 use std::collections::HashMap;
-use synthir_sat::{Lit, SatResult, Solver};
 
 /// Effort knobs for [`sat_sweep`].
 #[derive(Clone, Copy, Debug)]
@@ -105,25 +105,20 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
             sat_calls += 1;
             let diff = phase != repr_phase;
             match prove_pair(aig, repr, member, diff) {
-                Proof::Equivalent => {
+                None => {
                     proofs += 1;
                     merges += 1;
                     equiv[member as usize] = Some(AigLit::new(repr, diff));
                 }
-                Proof::Counterexample(pattern) => {
+                Some(pattern) => {
                     refutations += 1;
                     // Refine: members the pattern separates from the
                     // representative form their own candidate group. The
                     // refuted member is split off unconditionally (the
                     // model proves it differs), so this group strictly
                     // shrinks and the loop terminates.
-                    let vals = aig.simulate(|node| {
-                        if pattern.get(&node).copied().unwrap_or(false) {
-                            u64::MAX
-                        } else {
-                            0
-                        }
-                    });
+                    let vals =
+                        aig.simulate(|node| if pattern[node as usize] { u64::MAX } else { 0 });
                     let bit = |node: u32, ph: bool| (vals[node as usize] & 1 != 0) ^ ph;
                     let repr_bit = bit(repr, repr_phase);
                     split.push((member, phase));
@@ -152,150 +147,31 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
         }
     }
 
-    // Rebuild with the proven merges applied.
-    let mut out = Aig::new(aig.name());
-    let mut map: Vec<AigLit> = vec![AigLit::FALSE; n];
-    let mut ported = vec![false; n];
-    for p in aig.input_ports() {
-        let lits = out.add_input_port(&p.name, p.lits.len());
-        for (&old, &new) in p.lits.iter().zip(&lits) {
-            map[old.node() as usize] = new;
-            ported[old.node() as usize] = true;
-        }
-    }
-    for (i, node) in aig.nodes().iter().enumerate() {
-        if matches!(node, AigNode::Input) && !ported[i] {
-            map[i] = out.add_input();
-        }
-    }
-    for l in aig.latches() {
-        if live[l.output as usize] {
-            map[l.output as usize] = out.add_latch(l.reset, l.init);
-        }
-    }
-    let trans = |map: &[AigLit], l: AigLit| -> AigLit {
-        let m = map[l.node() as usize];
-        m.with_complement(m.is_complemented() ^ l.is_complemented())
-    };
-    for (i, node) in aig.nodes().iter().enumerate() {
-        if let AigNode::And(a, b) = *node {
-            if !live[i] {
-                continue;
-            }
-            map[i] = match equiv[i] {
-                Some(e) => trans(&map, e),
-                None => {
-                    let (na, nb) = (trans(&map, a), trans(&map, b));
-                    out.and(na, nb)
-                }
-            };
-        }
-    }
-    for l in aig.latches() {
-        if live[l.output as usize] {
-            let q = map[l.output as usize];
-            out.set_latch_next(q, trans(&map, l.next), trans(&map, l.reset_lit));
-        }
-    }
-    for p in aig.output_ports() {
-        let lits: Vec<AigLit> = p.lits.iter().map(|&l| trans(&map, l)).collect();
-        out.add_output_port(&p.name, &lits);
-    }
+    // Rebuild with the proven merges applied: a merged node takes its
+    // representative's (earlier, already copied) literal.
+    let rebuilt = rewrite::rebuild(aig, keep, |g, map, i, a, b| match equiv[i] {
+        Some(e) => e.translate(map),
+        None => g.and(a, b),
+    });
     SweepResult {
-        rebuilt: Rebuilt { aig: out, map },
+        rebuilt,
         merges,
         proofs,
         refutations,
     }
 }
 
-enum Proof {
-    Equivalent,
-    /// Values for the input/latch nodes the miter constrained.
-    Counterexample(HashMap<u32, bool>),
-}
-
 /// Asks the solver whether `member == repr ^ diff` over all input/latch
-/// valuations of their shared cone.
-fn prove_pair(aig: &Aig, repr: u32, member: u32, diff: bool) -> Proof {
-    let mut solver = Solver::new();
-    let true_lit = Lit::positive(solver.new_var());
-    solver.add_clause(&[true_lit]);
-    let mut vars: Vec<Option<Lit>> = vec![None; aig.node_count()];
-    let a = encode_cone(aig, &mut solver, &mut vars, true_lit, repr);
-    let b = encode_cone(aig, &mut solver, &mut vars, true_lit, member);
-    let b = if diff { !b } else { b };
+/// valuations of their shared cone. `None` is a proof; a model holds the
+/// input/latch values of a distinguishing pattern.
+fn prove_pair(aig: &Aig, repr: u32, member: u32, diff: bool) -> Option<Vec<bool>> {
+    let mut enc = Tseitin::new(aig);
+    let a = enc.encode(aig, AigLit::new(repr, false));
+    let b = enc.encode(aig, AigLit::new(member, diff));
     // Miter: a != b.
-    let t = Lit::positive(solver.new_var());
-    solver.add_clause(&[!t, a, b]);
-    solver.add_clause(&[!t, !a, !b]);
-    solver.add_clause(&[t, !a, b]);
-    solver.add_clause(&[t, a, !b]);
-    solver.add_clause(&[t]);
-    match solver.solve() {
-        SatResult::Unsat => Proof::Equivalent,
-        SatResult::Sat => {
-            let mut pattern = HashMap::new();
-            for (node, v) in vars.iter().enumerate() {
-                if let Some(l) = v {
-                    if matches!(aig.nodes()[node], AigNode::Input | AigNode::Latch(_)) {
-                        pattern.insert(node as u32, solver.model_value(*l));
-                    }
-                }
-            }
-            Proof::Counterexample(pattern)
-        }
-    }
-}
-
-/// Tseitin-encodes the cone of `root`: one variable and three clauses per
-/// AND node, sources as free variables. Iterative, stack-safe.
-fn encode_cone(
-    aig: &Aig,
-    solver: &mut Solver,
-    vars: &mut [Option<Lit>],
-    true_lit: Lit,
-    root: u32,
-) -> Lit {
-    let lit_of = |vars: &[Option<Lit>], l: AigLit| -> Lit {
-        let v = vars[l.node() as usize].expect("fanin encoded");
-        if l.is_complemented() {
-            !v
-        } else {
-            v
-        }
-    };
-    let mut stack: Vec<(u32, bool)> = vec![(root, false)];
-    while let Some((node, expanded)) = stack.pop() {
-        if vars[node as usize].is_some() {
-            continue;
-        }
-        match aig.nodes()[node as usize] {
-            AigNode::Const0 => vars[node as usize] = Some(!true_lit),
-            AigNode::Input | AigNode::Latch(_) => {
-                vars[node as usize] = Some(Lit::positive(solver.new_var()));
-            }
-            AigNode::And(a, b) => {
-                if expanded {
-                    let la = lit_of(vars, a);
-                    let lb = lit_of(vars, b);
-                    let t = Lit::positive(solver.new_var());
-                    solver.add_clause(&[!t, la]);
-                    solver.add_clause(&[!t, lb]);
-                    solver.add_clause(&[t, !la, !lb]);
-                    vars[node as usize] = Some(t);
-                } else {
-                    stack.push((node, true));
-                    for f in [a, b] {
-                        if vars[f.node() as usize].is_none() {
-                            stack.push((f.node(), false));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    vars[root as usize].expect("root encoded")
+    enc.add_clause(&[a, b]);
+    enc.add_clause(&[!a, !b]);
+    enc.solve(aig)
 }
 
 fn splitmix(seed: u64) -> u64 {

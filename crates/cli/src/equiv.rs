@@ -117,6 +117,11 @@ pub fn run(args: &Args) -> CmdResult {
     let cycles: usize = args.option_parsed("cycles", 256)?;
     let seed: u64 = args.option_parsed("seed", 0x5EED)?;
     let depth: usize = args.option_parsed("depth", 8)?;
+    for (name, v) in [("cycles", cycles), ("depth", depth)] {
+        if v == 0 {
+            return Err(CliError(format!("--{name} must be at least 1")));
+        }
+    }
 
     let read = |path: &str| -> Result<FsmSpec, CliError> {
         let text = std::fs::read_to_string(path)
@@ -378,7 +383,7 @@ fn lockstep_with_programming(
         (1u64 << left_spec.num_inputs()) - 1
     };
     let mut verdict = None;
-    for cycle in 0..cycles.max(1) {
+    for cycle in 0..cycles {
         let input = (splitmix_next(&mut rng) & mask) as u128;
         let mut inputs = HashMap::new();
         inputs.insert("in".to_string(), input);
@@ -593,6 +598,20 @@ mod tests {
         for bad in [["--left", "table"], ["--depth", "3"], ["--cycles", "9"]] {
             let e = run(&parse(&[&b, &c, bad[0], bad[1]])).unwrap_err();
             assert!(e.to_string().contains("does not apply"), "{bad:?}: {e}");
+        }
+    }
+
+    /// The checks would run one cycle anyway, so a verdict "up to 0 cycles"
+    /// misreports what was checked: zero is refused instead.
+    #[test]
+    fn zero_depth_or_cycles_is_an_error() {
+        let p = write_temp("cli_eq_zero.kiss2", TOGGLE);
+        for (opt, engine) in [("--depth", "sat"), ("--cycles", "random")] {
+            let e = run(&parse(&[
+                &p, "--left", "table", "--right", "case", "--engine", engine, opt, "0",
+            ]))
+            .unwrap_err();
+            assert!(e.to_string().contains(opt), "{opt}: {e}");
         }
     }
 

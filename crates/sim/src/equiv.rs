@@ -5,14 +5,13 @@
 //! flexible design it came from, with the flexible design's configuration
 //! inputs bound to the programmed values.
 
-use crate::cnf::CnfEncoder;
 use crate::comb::CombSim;
 use crate::seq::SeqSim;
 use crate::SimError;
 use std::collections::HashMap;
+use synthir_aig::{from_netlist, satisfy, Aig, AigLit};
 use synthir_logic::{Bdd, BddRef};
 use synthir_netlist::{NetId, Netlist};
-use synthir_sat::{Lit, SatResult};
 
 /// The widest shared interface (in input bits) the BDD engine accepts.
 pub const BDD_MAX_INPUT_BITS: usize = 24;
@@ -128,8 +127,9 @@ pub struct Counterexample {
 /// The verdict of an equivalence check.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EquivResult {
-    /// No difference found (proof for exhaustive/BDD modes, high confidence
-    /// for random modes).
+    /// No difference found: a proof from the BDD and SAT engines, a proof
+    /// up to [`EquivOptions::bmc_depth`] cycles from SAT-based bounded model
+    /// checking, and high confidence only from random simulation.
     Equivalent,
     /// A concrete counterexample.
     Inequivalent(Box<Counterexample>),
@@ -232,18 +232,28 @@ fn shared_interface(
 ///   [`SimError::EngineLimit`] error rather than a silent downgrade;
 /// * [`EquivEngine::Random`] — random simulation (finds bugs, proves
 ///   nothing);
-/// * [`EquivEngine::Sat`] — CDCL SAT on the Tseitin-encoded miter.
+/// * [`EquivEngine::Sat`] — CDCL SAT on an AIG miter of the two designs.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] for invalid netlists, incompatible interfaces,
-/// bindings naming unknown or over-wide ports, or an engine that cannot
-/// handle the interface.
+/// Returns [`SimError`] for invalid netlists (including any netlist with
+/// flops), incompatible interfaces, bindings naming unknown or over-wide
+/// ports, or an engine that cannot handle the interface.
 pub fn check_comb_equiv(
     left: &Netlist,
     right: &Netlist,
     opts: &EquivOptions,
 ) -> Result<EquivResult, SimError> {
+    for nl in [left, right] {
+        if nl.flop_count() > 0 {
+            return Err(SimError::InvalidNetlist(format!(
+                "`{}` has {} flops; combinational equivalence needs flop-free \
+                 netlists (use check_seq_equiv)",
+                nl.name(),
+                nl.flop_count()
+            )));
+        }
+    }
     let iface = shared_interface(left, right, opts)?;
     let total_bits: usize = iface.inputs.iter().map(|(_, w)| w).sum();
     match opts.engine {
@@ -251,7 +261,7 @@ pub fn check_comb_equiv(
             if total_bits <= BDD_MAX_INPUT_BITS {
                 check_comb_bdd(left, right, &iface, opts)
             } else {
-                check_comb_sat(left, right, &iface, opts)
+                check_sat(left, right, &iface, opts, None)
             }
         }
         EquivEngine::Bdd => {
@@ -267,14 +277,14 @@ pub fn check_comb_equiv(
             }
         }
         EquivEngine::Random => check_comb_random(left, right, &iface, opts),
-        EquivEngine::Sat => check_comb_sat(left, right, &iface, opts),
+        EquivEngine::Sat => check_sat(left, right, &iface, opts, None),
     }
 }
 
 /// Builds the BDD of a net's combinational cone.
 ///
 /// The traversal is the shared [`synthir_netlist::topo::visit_cone`]
-/// worklist walk (also behind the CNF/AIG cone imports), not recursion:
+/// worklist walk, not recursion:
 /// deep netlists (e.g. a 10k-gate inverter chain) would overflow the call
 /// stack with a per-gate recursive descent.
 fn net_bdd(
@@ -304,10 +314,6 @@ fn net_bdd(
                 return Ok(());
             };
             let gate = nl.gate(g);
-            assert!(
-                !gate.kind.is_sequential(),
-                "combinational equivalence on sequential netlist"
-            );
             let ins: Vec<BddRef> = gate.inputs.iter().map(|i| cache[i]).collect();
             let r = apply_gate(bdd, gate.kind, &ins);
             cache.insert(n, r);
@@ -364,7 +370,7 @@ fn apply_gate(bdd: &mut Bdd, kind: synthir_netlist::GateKind, ins: &[BddRef]) ->
             let a = bdd.and(ab, cd);
             bdd.not(a)
         }
-        Dff { .. } => unreachable!("checked by caller"),
+        Dff { .. } => unreachable!("flop-free netlists only (checked by check_comb_equiv)"),
     }
 }
 
@@ -378,11 +384,10 @@ fn fold(bdd: &mut Bdd, ins: &[BddRef], f: fn(&mut Bdd, BddRef, BddRef) -> BddRef
 
 fn assign_vars(
     nl: &Netlist,
-    iface: &Interface,
     binds: &HashMap<String, u128>,
     bdd: &mut Bdd,
     var_of: &HashMap<String, u32>,
-) -> Result<HashMap<NetId, BddRef>, SimError> {
+) -> HashMap<NetId, BddRef> {
     let mut seeds: HashMap<NetId, BddRef> = HashMap::new();
     for p in nl.inputs() {
         if let Some(&v) = binds.get(&p.name) {
@@ -397,8 +402,7 @@ fn assign_vars(
             }
         }
     }
-    let _ = iface;
-    Ok(seeds)
+    seeds
 }
 
 fn check_comb_bdd(
@@ -415,12 +419,8 @@ fn check_comb_bdd(
         var_of.insert(name.clone(), next);
         next += *w as u32;
     }
-    let build = |nl: &Netlist,
-                 binds: &HashMap<String, u128>,
-                 bdd: &mut Bdd|
-     -> Result<HashMap<String, Vec<BddRef>>, SimError> {
-        let seeds = assign_vars(nl, iface, binds, bdd, &var_of)?;
-        let mut cache: HashMap<NetId, BddRef> = seeds;
+    let build = |nl: &Netlist, binds: &HashMap<String, u128>, bdd: &mut Bdd| {
+        let mut cache: HashMap<NetId, BddRef> = assign_vars(nl, binds, bdd, &var_of);
         // Input nets are cached directly; treat them as "input vars" absent.
         let input_vars: HashMap<NetId, u32> = HashMap::new();
         let mut outs = HashMap::new();
@@ -432,10 +432,10 @@ fn check_comb_bdd(
                 .collect();
             outs.insert(p.name.clone(), refs);
         }
-        Ok(outs)
+        outs
     };
-    let louts = build(left, &opts.bind_left, &mut bdd)?;
-    let routs = build(right, &opts.bind_right, &mut bdd)?;
+    let louts = build(left, &opts.bind_left, &mut bdd);
+    let routs = build(right, &opts.bind_right, &mut bdd);
     for (name, w) in &iface.outputs {
         let l = &louts[name];
         let r = &routs[name];
@@ -567,254 +567,169 @@ fn check_comb_random(
     Ok(EquivResult::Equivalent)
 }
 
-/// Seeds a CNF literal map for a design's primary inputs: bound ports get
-/// constant literals, shared ports get the interface literals.
-fn seed_inputs(
-    nl: &Netlist,
-    binds: &HashMap<String, u128>,
-    shared: &HashMap<String, Vec<Lit>>,
-    enc: &CnfEncoder,
-) -> HashMap<NetId, Lit> {
-    let mut seeds: HashMap<NetId, Lit> = HashMap::new();
-    for p in nl.inputs() {
-        if let Some(&v) = binds.get(&p.name) {
-            for (i, &n) in p.nets.iter().enumerate() {
-                seeds.insert(n, enc.constant(v >> i & 1 != 0));
-            }
-        } else if let Some(lits) = shared.get(&p.name) {
-            for (i, &n) in p.nets.iter().enumerate() {
-                seeds.insert(n, lits[i]);
-            }
-        }
-    }
-    seeds
-}
-
-/// SAT-based exact combinational check: Tseitin-encode both cones over
-/// shared input variables, assert the OR of all output differences (the
-/// miter), and solve. UNSAT proves equivalence at any interface width.
-fn check_comb_sat(
+/// The SAT engine behind both check kinds: one AIG miter, one solver call.
+///
+/// Each design is imported once. Every frame copies both graphs into one
+/// miter graph over shared per-frame input literals: bound ports become
+/// constants, frame-0 latches their `init` values, and each later frame's
+/// latches the previous frame's `mux(reset, init, next)`. The target — some
+/// output bit differs in some frame — hashes to false when construction
+/// alone proves the designs equal; otherwise the solver either proves it
+/// unsatisfiable or returns inputs that are replayed through the
+/// simulators. `bmc_depth: None` is the combinational check (one frame, no
+/// latches); `Some(k)` unrolls `k` cycles from reset with a shared `rst`
+/// input held at 0, as in the random lockstep check.
+fn check_sat(
     left: &Netlist,
     right: &Netlist,
     iface: &Interface,
     opts: &EquivOptions,
+    bmc_depth: Option<usize>,
 ) -> Result<EquivResult, SimError> {
-    let mut enc = CnfEncoder::new();
-    let mut shared: HashMap<String, Vec<Lit>> = HashMap::new();
-    for (name, w) in &iface.inputs {
-        let lits: Vec<Lit> = (0..*w).map(|_| enc.fresh()).collect();
-        shared.insert(name.clone(), lits);
-    }
-    let encode = |nl: &Netlist,
-                  binds: &HashMap<String, u128>,
-                  enc: &mut CnfEncoder|
-     -> Result<HashMap<String, Vec<Lit>>, SimError> {
-        let mut map = seed_inputs(nl, binds, &shared, enc);
-        let mut outs = HashMap::new();
-        for (name, _) in &iface.outputs {
-            let port = nl.output(name).expect("interface output exists");
-            enc.encode_cone(nl, &mut map, &port.nets)?;
-            let lits: Vec<Lit> = port.nets.iter().map(|n| map[n]).collect();
-            outs.insert(name.clone(), lits);
-        }
-        Ok(outs)
-    };
-    let louts = encode(left, &opts.bind_left, &mut enc)?;
-    let routs = encode(right, &opts.bind_right, &mut enc)?;
-    let mut diffs: Vec<Lit> = Vec::new();
-    for (name, w) in &iface.outputs {
-        for bit in 0..*w {
-            let d = enc.xor(louts[name][bit], routs[name][bit]);
-            diffs.push(d);
-        }
-    }
-    // The miter: at least one output bit differs.
-    enc.solver_mut().add_clause(&diffs);
-    match enc.solver_mut().solve() {
-        SatResult::Unsat => Ok(EquivResult::Equivalent),
-        SatResult::Sat => {
-            let mut inputs = HashMap::new();
-            for (name, _) in &iface.inputs {
-                inputs.insert(name.clone(), enc.model_word(&shared[name]));
-            }
-            // Replay through the simulator: validates the encoding and
-            // pins down which output differs.
-            for (name, _) in &iface.outputs {
-                let lv = eval_once(left, &inputs, &opts.bind_left, name);
-                let rv = eval_once(right, &inputs, &opts.bind_right, name);
-                if lv != rv {
-                    return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                        inputs,
-                        output: name.clone(),
-                        left: lv,
-                        right: rv,
-                    })));
-                }
-            }
-            Err(SimError::InvalidNetlist(
-                "internal: SAT counterexample failed simulation replay".into(),
-            ))
-        }
-    }
-}
-
-/// SAT-based bounded model check: unroll both designs `depth` cycles from
-/// reset over shared per-cycle input variables and assert that some output
-/// differs in some cycle. UNSAT proves the designs agree on every input
-/// sequence of that length.
-fn check_seq_bmc(
-    left: &Netlist,
-    right: &Netlist,
-    iface: &Interface,
-    opts: &EquivOptions,
-    depth: usize,
-) -> Result<EquivResult, SimError> {
-    struct Unrolled {
-        /// Flop output net -> literal holding the state for the current
-        /// cycle.
-        state: HashMap<NetId, Lit>,
-    }
-    let init_state = |nl: &Netlist, enc: &CnfEncoder| -> Unrolled {
-        let mut state = HashMap::new();
-        for (_, g) in nl.gates() {
-            if let synthir_netlist::GateKind::Dff { init, .. } = g.kind {
-                state.insert(g.output, enc.constant(init));
-            }
-        }
-        Unrolled { state }
-    };
-    let mut enc = CnfEncoder::new();
-    let mut lstate = init_state(left, &enc);
-    let mut rstate = init_state(right, &enc);
-    let mut diffs: Vec<Lit> = Vec::new();
-    let mut cycle_inputs: Vec<HashMap<String, Vec<Lit>>> = Vec::new();
-    for _cycle in 0..depth.max(1) {
-        let mut shared: HashMap<String, Vec<Lit>> = HashMap::new();
-        for (name, w) in &iface.inputs {
-            // Keep reset deasserted after the initial state, matching the
-            // random lockstep check and `SeqSim::new`'s applied reset.
-            let lits: Vec<Lit> = if name == "rst" {
-                (0..*w).map(|_| enc.constant(false)).collect()
-            } else {
-                (0..*w).map(|_| enc.fresh()).collect()
-            };
-            shared.insert(name.clone(), lits);
-        }
-        let step = |nl: &Netlist,
-                    binds: &HashMap<String, u128>,
-                    st: &mut Unrolled,
-                    enc: &mut CnfEncoder|
-         -> Result<HashMap<String, Vec<Lit>>, SimError> {
-            let mut map = seed_inputs(nl, binds, &shared, enc);
-            for (&q, &l) in &st.state {
-                map.insert(q, l);
-            }
-            // Encode everything the cycle needs: the observed outputs plus
-            // every flop's data (and reset) cone.
-            let mut targets: Vec<NetId> = Vec::new();
-            for (name, _) in &iface.outputs {
-                targets.extend(nl.output(name).expect("interface output").nets.iter());
-            }
-            for (_, g) in nl.gates() {
-                if g.kind.is_sequential() {
-                    targets.extend(g.inputs.iter());
-                }
-            }
-            enc.encode_cone(nl, &mut map, &targets)?;
-            let mut outs = HashMap::new();
-            for (name, _) in &iface.outputs {
-                let port = nl.output(name).expect("interface output");
-                outs.insert(
-                    name.clone(),
-                    port.nets.iter().map(|n| map[n]).collect::<Vec<Lit>>(),
-                );
-            }
-            // Clock edge: next state per flop, with reset semantics.
-            let mut next = HashMap::new();
-            for (_, g) in nl.gates() {
-                if let synthir_netlist::GateKind::Dff { reset, init } = g.kind {
-                    let d = map[&g.inputs[0]];
-                    let v = match reset {
-                        synthir_netlist::ResetKind::None => d,
-                        _ => {
-                            let rst = map[&g.inputs[1]];
-                            let iv = enc.constant(init);
-                            enc.ite(rst, iv, d)
-                        }
+    let import = |nl| from_netlist(nl).map_err(|e| SimError::InvalidNetlist(e.to_string()));
+    let sides = [
+        (import(left)?.aig, &opts.bind_left),
+        (import(right)?.aig, &opts.bind_right),
+    ];
+    let live = sides.each_ref().map(|(g, _)| g.live_marks(&[]));
+    let mut m = Aig::new("miter");
+    let mut state = sides.each_ref().map(|(g, _)| {
+        g.latches()
+            .iter()
+            .map(|l| m.constant(l.init))
+            .collect::<Vec<_>>()
+    });
+    let mut frames: Vec<HashMap<&str, Vec<AigLit>>> = Vec::new();
+    let mut target = AigLit::FALSE;
+    for _ in 0..bmc_depth.map_or(1, |d| d.max(1)) {
+        let shared: HashMap<&str, Vec<AigLit>> = iface
+            .inputs
+            .iter()
+            .map(|(name, w)| {
+                let lits = if bmc_depth.is_some() && name == "rst" {
+                    vec![AigLit::FALSE; *w]
+                } else {
+                    (0..*w).map(|_| m.add_input()).collect()
+                };
+                (name.as_str(), lits)
+            })
+            .collect();
+        let mut outs: [Vec<AigLit>; 2] = Default::default();
+        for (side, (g, binds)) in sides.iter().enumerate() {
+            let mut map = vec![AigLit::FALSE; g.node_count()];
+            for p in g.input_ports() {
+                for (i, old) in p.lits.iter().enumerate() {
+                    map[old.node() as usize] = match binds.get(&p.name) {
+                        Some(&v) => m.constant(v >> i & 1 != 0),
+                        None => shared[p.name.as_str()][i],
                     };
-                    next.insert(g.output, v);
                 }
             }
-            st.state = next;
-            Ok(outs)
-        };
-        let louts = step(left, &opts.bind_left, &mut lstate, &mut enc)?;
-        let routs = step(right, &opts.bind_right, &mut rstate, &mut enc)?;
-        for (name, w) in &iface.outputs {
-            for bit in 0..*w {
-                let d = enc.xor(louts[name][bit], routs[name][bit]);
-                diffs.push(d);
+            for (l, &q) in g.latches().iter().zip(&state[side]) {
+                map[l.output as usize] = q;
             }
-        }
-        cycle_inputs.push(shared);
-    }
-    enc.solver_mut().add_clause(&diffs);
-    match enc.solver_mut().solve() {
-        SatResult::Unsat => Ok(EquivResult::Equivalent),
-        SatResult::Sat => {
-            // Decode the input sequence and replay it cycle-accurately to
-            // find the first differing cycle.
-            let sequence: Vec<HashMap<String, u128>> = cycle_inputs
+            m.copy_ands(g, &live[side], &mut map, |m, _, _, a, b| m.and(a, b));
+            for (name, _) in &iface.outputs {
+                let port = g.output_ports().iter().find(|p| &p.name == name);
+                let port = port.expect("interface output exists");
+                outs[side].extend(port.lits.iter().map(|l| l.translate(&map)));
+            }
+            state[side] = g
+                .latches()
                 .iter()
-                .map(|shared| {
-                    let mut m = HashMap::new();
-                    for (name, lits) in shared {
-                        m.insert(name.clone(), enc.model_word(lits));
-                    }
-                    m
+                .map(|l| {
+                    let init = m.constant(l.init);
+                    let (rst, next) = (l.reset_lit.translate(&map), l.next.translate(&map));
+                    m.mux(rst, init, next)
                 })
                 .collect();
-            let mut lsim = SeqSim::new(left)?;
-            let mut rsim = SeqSim::new(right)?;
-            for (cycle, inputs) in sequence.iter().enumerate() {
-                let overlay = |binds: &HashMap<String, u128>| {
-                    let mut m = inputs.clone();
-                    for (k, v) in binds {
-                        m.insert(k.clone(), *v);
-                    }
-                    m
-                };
-                let lout = lsim.step(&overlay(&opts.bind_left));
-                let rout = rsim.step(&overlay(&opts.bind_right));
-                for (name, _) in &iface.outputs {
-                    if lout[name] != rout[name] {
-                        // The failing cycle's inputs under their plain
-                        // names (the lockstep checker's convention), plus
-                        // the full solver-chosen prefix as `name@cycle` —
-                        // without it the mismatch is not reproducible,
-                        // since the divergence may need state built up
-                        // over earlier cycles.
-                        let mut cex_inputs = inputs.clone();
-                        cex_inputs.insert("__cycle".into(), cycle as u128);
-                        for (t, cyc) in sequence.iter().enumerate().take(cycle + 1) {
-                            for (name, v) in cyc {
-                                cex_inputs.insert(format!("{name}@{t}"), *v);
-                            }
-                        }
-                        return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                            inputs: cex_inputs,
-                            output: name.clone(),
-                            left: lout[name],
-                            right: rout[name],
-                        })));
+        }
+        for (&l, &r) in outs[0].iter().zip(&outs[1]) {
+            let d = m.xor(l, r);
+            target = m.or(target, d);
+        }
+        frames.push(shared);
+    }
+    let Some(model) = satisfy(&m, target) else {
+        return Ok(EquivResult::Equivalent);
+    };
+    // Decode the solver's inputs frame by frame (held-low `rst` bits are
+    // constants and read 0).
+    let word = |lits: &[AigLit]| {
+        lits.iter().enumerate().fold(0u128, |v, (i, l)| {
+            let bit = l.as_constant().unwrap_or_else(|| model[l.node() as usize]);
+            v | u128::from(bit) << i
+        })
+    };
+    let sequence: Vec<HashMap<String, u128>> = frames
+        .iter()
+        .map(|shared| {
+            shared
+                .iter()
+                .map(|(name, lits)| (name.to_string(), word(lits)))
+                .collect()
+        })
+        .collect();
+    if bmc_depth.is_none() {
+        let inputs = sequence.into_iter().next().expect("one frame");
+        // Replay through the simulator: validates the miter and pins down
+        // which output differs.
+        for (name, _) in &iface.outputs {
+            let lv = eval_once(left, &inputs, &opts.bind_left, name);
+            let rv = eval_once(right, &inputs, &opts.bind_right, name);
+            if lv != rv {
+                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
+                    inputs,
+                    output: name.clone(),
+                    left: lv,
+                    right: rv,
+                })));
+            }
+        }
+        return Err(SimError::InvalidNetlist(
+            "internal: SAT counterexample failed simulation replay".into(),
+        ));
+    }
+    // Replay the sequence cycle-accurately to find the first differing
+    // cycle.
+    let mut lsim = SeqSim::new(left)?;
+    let mut rsim = SeqSim::new(right)?;
+    for (cycle, inputs) in sequence.iter().enumerate() {
+        let overlay = |binds: &HashMap<String, u128>| {
+            let mut m = inputs.clone();
+            for (k, v) in binds {
+                m.insert(k.clone(), *v);
+            }
+            m
+        };
+        let lout = lsim.step(&overlay(&opts.bind_left));
+        let rout = rsim.step(&overlay(&opts.bind_right));
+        for (name, _) in &iface.outputs {
+            if lout[name] != rout[name] {
+                // The failing cycle's inputs under their plain names (the
+                // lockstep checker's convention), plus the full
+                // solver-chosen prefix as `name@cycle` — without it the
+                // mismatch is not reproducible, since the divergence may
+                // need state built up over earlier cycles.
+                let mut cex_inputs = inputs.clone();
+                cex_inputs.insert("__cycle".into(), cycle as u128);
+                for (t, cyc) in sequence.iter().enumerate().take(cycle + 1) {
+                    for (name, v) in cyc {
+                        cex_inputs.insert(format!("{name}@{t}"), *v);
                     }
                 }
+                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
+                    inputs: cex_inputs,
+                    output: name.clone(),
+                    left: lout[name],
+                    right: rout[name],
+                })));
             }
-            Err(SimError::InvalidNetlist(
-                "internal: BMC counterexample failed simulation replay".into(),
-            ))
         }
     }
+    Err(SimError::InvalidNetlist(
+        "internal: BMC counterexample failed simulation replay".into(),
+    ))
 }
 
 /// Checks sequential equivalence by resetting both designs and driving them
@@ -851,11 +766,11 @@ pub fn check_seq_equiv(
             })
         }
         EquivEngine::Sat => {
-            return check_seq_bmc(left, right, &iface, opts, opts.bmc_depth);
+            return check_sat(left, right, &iface, opts, Some(opts.bmc_depth));
         }
         EquivEngine::Auto => {
             if total_bits > BDD_MAX_INPUT_BITS {
-                let res = check_seq_bmc(left, right, &iface, opts, opts.bmc_depth)?;
+                let res = check_sat(left, right, &iface, opts, Some(opts.bmc_depth))?;
                 if !res.is_equivalent() {
                     return Ok(res);
                 }
@@ -1214,6 +1129,85 @@ mod tests {
         let odd = chain(10_001);
         let res = check_comb_equiv(&l, &odd, &opts).unwrap();
         assert!(!res.is_equivalent());
+    }
+
+    /// The 50 000-gate chain through the single-AIG miter, combinational
+    /// and unrolled: complemented edges collapse it at import, so an even
+    /// chain hashes to the input (target false) and an odd one is refuted.
+    #[test]
+    fn sat_miter_is_stack_safe_on_a_50k_inverter_chain() {
+        let chain = |n: usize| {
+            let mut nl = Netlist::new("chain");
+            let a = nl.add_input("a", 1)[0];
+            let mut net = a;
+            for _ in 0..n {
+                net = nl.add_gate(GateKind::Inv, &[net]);
+            }
+            nl.add_output("y", &[net]);
+            nl
+        };
+        let mut opts = EquivOptions::new();
+        opts.engine = EquivEngine::Sat;
+        let (even, odd, wire) = (chain(50_000), chain(50_001), chain(0));
+        assert!(check_comb_equiv(&even, &wire, &opts)
+            .unwrap()
+            .is_equivalent());
+        assert!(check_seq_equiv(&even, &wire, &opts)
+            .unwrap()
+            .is_equivalent());
+        assert!(!check_comb_equiv(&odd, &wire, &opts)
+            .unwrap()
+            .is_equivalent());
+        assert!(!check_seq_equiv(&odd, &wire, &opts).unwrap().is_equivalent());
+    }
+
+    /// Flops have no combinational meaning: every engine must refuse them
+    /// up front rather than prove, refute, or panic depending on which one
+    /// runs.
+    #[test]
+    fn comb_check_rejects_flops_on_every_engine() {
+        use synthir_netlist::ResetKind;
+        let mut nl = Netlist::new("t");
+        let d = nl.add_input("d", 1)[0];
+        let q = nl.add_gate(
+            GateKind::Dff {
+                reset: ResetKind::None,
+                init: true,
+            },
+            &[d],
+        );
+        let y = nl.add_gate(GateKind::Inv, &[q]);
+        nl.add_output("y", &[y]);
+        for engine in [
+            EquivEngine::Auto,
+            EquivEngine::Bdd,
+            EquivEngine::Random,
+            EquivEngine::Sat,
+        ] {
+            let mut opts = EquivOptions::new();
+            opts.engine = engine;
+            let err = check_comb_equiv(&nl, &nl.clone(), &opts).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidNetlist(_)),
+                "{engine}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cyclic_netlists_are_invalid_for_the_sat_engine() {
+        let mut nl = Netlist::new("cyc");
+        let a = nl.add_input("a", 1)[0];
+        let loop_net = nl.add_net();
+        let x = nl.add_gate(GateKind::And2, &[a, loop_net]);
+        nl.attach_gate(GateKind::Inv, &[x], loop_net).unwrap();
+        nl.add_output("x", &[x]);
+        let mut opts = EquivOptions::new();
+        opts.engine = EquivEngine::Sat;
+        let err = check_comb_equiv(&nl, &nl.clone(), &opts).unwrap_err();
+        assert!(matches!(err, SimError::InvalidNetlist(_)), "{err:?}");
+        let err = check_seq_equiv(&nl, &nl.clone(), &opts).unwrap_err();
+        assert!(matches!(err, SimError::InvalidNetlist(_)), "{err:?}");
     }
 
     #[test]

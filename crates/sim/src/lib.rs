@@ -13,8 +13,9 @@
 //!   sequential equivalence (random lockstep and SAT-based bounded model
 //!   checking) under input bindings (used to check a specialized design
 //!   against its flexible parent with the configuration port tied to the
-//!   table being specialized),
-//! * [`cnf`] — the Tseitin netlist-to-CNF encoder behind the SAT engine.
+//!   table being specialized). The SAT engine builds one AIG miter — a
+//!   single frame, or a bounded unrolling from reset — and hands it to
+//!   [`synthir_aig::satisfy`].
 //!
 //! ## Example
 //!
@@ -36,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cnf;
 pub mod comb;
 pub mod equiv;
 pub mod seq;
