@@ -38,6 +38,17 @@ pub const MAX_COVER_CUBES: usize = 96;
 /// against the current netlist — a cone altered by an earlier rebuild is
 /// simply re-minimized on the spot. Either way the result is identical to
 /// a fully serial pass.
+///
+/// # Cost
+///
+/// Apart from collecting the roots and the final sweep, the work per root
+/// is O(cone): the cone's truth table is simulated over the cone's own
+/// gates ([`cone_function_on`](crate::conefn::cone_function_on)), and the
+/// area a rebuild would retire is found by a reference-count walk
+/// over the cone (ABC's `deref`) against per-net use counts. The use counts
+/// cost O(netlist) to build and are recounted only when an accepted
+/// rebuild has changed the netlist — which then already pays O(netlist)
+/// for [`Netlist::replace_net_uses`].
 pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     let mut roots: Vec<NetId> = Vec::new();
     for net in nl.output_nets() {
@@ -53,9 +64,9 @@ pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     let plans: Vec<Option<ConePlan>> =
         synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root));
     let mut rebuilt = 0;
-    let mut mutated = false;
+    let mut state = Phase2::default();
     for (&root, plan) in roots.iter().zip(&plans) {
-        if rebuild_root(nl, root, lib, plan.as_ref(), &mut mutated) {
+        if rebuild_root(nl, root, lib, plan.as_ref(), &mut state) {
             rebuilt += 1;
         }
     }
@@ -70,6 +81,83 @@ struct ConePlan {
     tt: TruthTable,
     start: Cover,
     minimized: Cover,
+}
+
+/// The serial (phase-2) state of the pass.
+#[derive(Default)]
+struct Phase2 {
+    /// Whether the netlist has changed since phase 1 saw it.
+    mutated: bool,
+    /// Use counts of the current netlist; `None` until first needed and
+    /// again after every change.
+    uses: Option<UseCounts>,
+}
+
+impl Phase2 {
+    /// Records a change to the netlist.
+    fn changed(&mut self) {
+        self.mutated = true;
+        self.uses = None;
+    }
+
+    fn uses(&mut self, nl: &Netlist) -> &mut UseCounts {
+        self.uses.get_or_insert_with(|| UseCounts::count(nl))
+    }
+}
+
+/// How often each net is used: once per gate-input pin reading it (so
+/// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
+/// gate counts, including dead ones an earlier rebuild left for the final
+/// sweep, exactly as [`Netlist::fanout_map`] lists them.
+struct UseCounts {
+    refs: Vec<u32>,
+}
+
+impl UseCounts {
+    fn count(nl: &Netlist) -> Self {
+        let mut refs = vec![0u32; nl.num_nets()];
+        for (_, g) in nl.gates() {
+            for &i in &g.inputs {
+                refs[i.index()] += 1;
+            }
+        }
+        for p in nl.outputs() {
+            for &n in &p.nets {
+                refs[n.index()] += 1;
+            }
+        }
+        UseCounts { refs }
+    }
+
+    /// The area of the cone gates that would die if every consumer of
+    /// `root` were rewired away: the root's driver, then every cone gate
+    /// whose uses all come from dying gates. Visiting the cone in reverse
+    /// topological order settles each gate's consumers before the gate, so
+    /// one pass decrements the counts (the `deref` walk); a second pass
+    /// restores them. The areas are summed in the cone's topological order,
+    /// so the `f64` total — and every accept/reject decision made on it —
+    /// is the same every run.
+    fn dying_area(&mut self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
+        let cone = topo::cone_gates(nl, root); // topological: inputs first
+        let mut dying = vec![false; cone.len()];
+        for (j, &g) in cone.iter().enumerate().rev() {
+            let gate = nl.gate(g);
+            if gate.output == root || self.refs[gate.output.index()] == 0 {
+                dying[j] = true;
+                for &i in &gate.inputs {
+                    self.refs[i.index()] -= 1;
+                }
+            }
+        }
+        let dead = || cone.iter().zip(&dying).filter(|(_, &d)| d).map(|(&g, _)| g);
+        let area = dead().map(|g| lib.area(nl.gate(g).kind)).sum();
+        for g in dead() {
+            for &i in &nl.gate(g).inputs {
+                self.refs[i.index()] += 1;
+            }
+        }
+        area
+    }
 }
 
 fn plan_root(nl: &Netlist, root: NetId) -> Option<ConePlan> {
@@ -98,14 +186,14 @@ fn rebuild_root(
     root: NetId,
     lib: &Library,
     plan: Option<&ConePlan>,
-    mutated: &mut bool,
+    state: &mut Phase2,
 ) -> bool {
     // Until the first mutation the netlist is exactly what phase 1 saw, so
     // the plan needs no re-validation — re-collapsing the cone here would
     // just repeat phase 1's work serially.
     if let Some(p) = plan {
-        if !*mutated {
-            return apply_rebuild(nl, root, lib, &p.support, &p.tt, &p.minimized, mutated);
+        if !state.mutated {
+            return apply_rebuild(nl, root, lib, &p.support, &p.tt, &p.minimized, state);
         }
     }
     let Some(driver) = nl.driver(root) else {
@@ -121,7 +209,7 @@ fn rebuild_root(
     if let Some(v) = tt.as_constant() {
         let c = nl.constant(v);
         nl.replace_net_uses(root, c);
-        *mutated = true;
+        state.changed();
         return true;
     }
     // Seed the minimizer with the structural cover when it is small enough;
@@ -132,11 +220,11 @@ fn rebuild_root(
         Some(p) if p.support == support && p.tt == tt && p.start == start => p.minimized.clone(),
         _ => minimize(&start, None, &EspressoOptions::default()),
     };
-    apply_rebuild(nl, root, lib, &support, &tt, &minimized, mutated)
+    apply_rebuild(nl, root, lib, &support, &tt, &minimized, state)
 }
 
 /// Accepts or rejects a minimized cover for a cone and stitches it in when
-/// it pays off. Sets `mutated` when the netlist changes.
+/// it pays off. Records every change to the netlist in `state`.
 fn apply_rebuild(
     nl: &mut Netlist,
     root: NetId,
@@ -144,7 +232,7 @@ fn apply_rebuild(
     support: &[NetId],
     tt: &TruthTable,
     minimized: &Cover,
-    mutated: &mut bool,
+    state: &mut Phase2,
 ) -> bool {
     if minimized.cube_count() > MAX_COVER_CUBES {
         return false; // parity-like function: keep the structural form
@@ -161,52 +249,19 @@ fn apply_rebuild(
         emit_cover(&mut scratch, minimized, &fake);
         scratch.area_report(lib).combinational
     };
-    if new_cost > dying_cone_area(nl, root, lib) {
+    if new_cost > state.uses(nl).dying_area(nl, root, lib) {
         return false;
     }
     let new_root = emit_cover(nl, minimized, support);
-    // emit_cover adds gates even when the rebuild is then abandoned, so the
-    // netlist diverges from the phase-1 snapshot either way.
-    *mutated = true;
-    if new_root == root {
-        return false;
-    }
+    // emit_cover adds gates for every cover but a single positive literal
+    // (then it returns that support net). Either way the result is a new
+    // net or a source: `root` is driven by a combinational gate, so it is
+    // neither in its own support nor returned here, and the rewiring below
+    // always changes the netlist.
+    debug_assert_ne!(new_root, root);
     nl.replace_net_uses(root, new_root);
+    state.changed();
     true
-}
-
-/// The area of the cone gates that would die if every consumer of `root`
-/// were rewired away: gates whose fanout lies entirely within the dying
-/// set (computed by reverse-topological accumulation from the root driver).
-/// The areas are summed in the cone's topological order, so the `f64` total
-/// — and every accept/reject decision made on it — is the same every run.
-fn dying_cone_area(nl: &Netlist, root: NetId, lib: &Library) -> f64 {
-    let cone = topo::cone_gates(nl, root); // topological: inputs first
-    let in_cone: std::collections::HashSet<_> = cone.iter().copied().collect();
-    let fanout = nl.fanout_map();
-    let out_nets: std::collections::HashSet<NetId> = nl.output_nets().into_iter().collect();
-    let mut dying: std::collections::HashSet<synthir_netlist::GateId> =
-        std::collections::HashSet::new();
-    for &g in cone.iter().rev() {
-        let out = nl.gate(g).output;
-        if out == root {
-            dying.insert(g);
-            continue;
-        }
-        // Output ports keep a gate alive; so does any consumer outside the
-        // dying set.
-        let survives = out_nets.contains(&out)
-            || fanout[out.index()]
-                .iter()
-                .any(|c| !in_cone.contains(c) || !dying.contains(c));
-        if !survives {
-            dying.insert(g);
-        }
-    }
-    cone.iter()
-        .filter(|g| dying.contains(g))
-        .map(|&g| lib.area(nl.gate(g).kind))
-        .sum()
 }
 
 /// Extracts a sum-of-products cover of the cone by structural collapse
@@ -345,7 +400,70 @@ pub fn cone_tt(nl: &Netlist, root: NetId, max_support: usize) -> Option<TruthTab
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conefn::tests::random_netlist;
     use synthir_netlist::Library;
+
+    /// The formulation `UseCounts::dying_area` replaced: a fanout map and an
+    /// output-net set built for the whole netlist on every query.
+    fn dying_cone_area_oracle(nl: &Netlist, root: NetId, lib: &Library) -> f64 {
+        let cone = topo::cone_gates(nl, root);
+        let in_cone: std::collections::HashSet<_> = cone.iter().copied().collect();
+        let fanout = nl.fanout_map();
+        let out_nets: std::collections::HashSet<NetId> = nl.output_nets().into_iter().collect();
+        let mut dying: std::collections::HashSet<synthir_netlist::GateId> =
+            std::collections::HashSet::new();
+        for &g in cone.iter().rev() {
+            let out = nl.gate(g).output;
+            if out == root {
+                dying.insert(g);
+                continue;
+            }
+            let survives = out_nets.contains(&out)
+                || fanout[out.index()]
+                    .iter()
+                    .any(|c| !in_cone.contains(c) || !dying.contains(c));
+            if !survives {
+                dying.insert(g);
+            }
+        }
+        cone.iter()
+            .filter(|g| dying.contains(g))
+            .map(|&g| lib.area(nl.gate(g).kind))
+            .sum()
+    }
+
+    #[test]
+    fn reference_counted_dying_area_matches_fanout_oracle() {
+        let lib = Library::vt90();
+        let mut partial = 0;
+        for seed in 0..300u64 {
+            let nl = random_netlist(seed);
+            let mut uses = UseCounts::count(&nl);
+            for (_, g) in nl.gates() {
+                if g.kind.is_sequential() || g.kind.is_constant() {
+                    continue;
+                }
+                let root = g.output;
+                let area = uses.dying_area(&nl, root, &lib);
+                let expected = dying_cone_area_oracle(&nl, root, &lib);
+                assert_eq!(
+                    area.to_bits(),
+                    expected.to_bits(),
+                    "seed {seed} root {root:?}"
+                );
+                let whole: f64 = topo::cone_gates(&nl, root)
+                    .iter()
+                    .map(|&c| lib.area(nl.gate(c).kind))
+                    .sum();
+                if area < whole {
+                    partial += 1; // some of the cone is shared and survives
+                }
+            }
+            // Every query restored the counts it consumed.
+            assert_eq!(uses.refs, UseCounts::count(&nl).refs, "seed {seed}");
+        }
+        assert!(partial > 1000, "only {partial} cones with surviving gates");
+    }
 
     /// Builds the raw mux-tree netlist for a 3-input truth table (as table
     /// elaboration would) and checks resynthesis collapses it to SOP size.
