@@ -74,6 +74,10 @@ impl NpnIndex {
     /// Builds the index from a library's cell metadata table. Cells with
     /// 2–4 data pins participate; `Buf`/`Inv` are handled as aliases and
     /// constants as tie cells, so they are not indexed.
+    ///
+    /// One [`canonicalize`] per cell: for the shipped library this costs
+    /// a few tens of microseconds, so [`cut_map`] simply rebuilds the
+    /// index on every call.
     pub fn build(lib: &Library) -> NpnIndex {
         let mut classes: FxMap<(u8, u16), Vec<CellMatch>> = FxMap::default();
         for (kind, spec) in lib.combinational_cells() {
@@ -128,23 +132,50 @@ enum Real {
     Cell {
         kind: GateKind,
         spec: CellSpec,
-        /// `pins[j]` = (index into the cut's leaves, complemented) for
-        /// pin `j` of the cell.
-        pins: [(u8, bool); K],
-        arity: u8,
         /// The cell computes the *complement* of the node function.
         out_neg: bool,
     },
 }
 
-/// One mapping candidate: a cut plus a realization.
+/// One mapping candidate: a realization plus the leaves it reads.
 #[derive(Clone, Copy, Debug)]
 struct Cand {
-    cut: u16,
     real: Real,
+    /// The leaf read by cell pin `j` (an alias reads its one leaf, a tie
+    /// cell nothing), complemented when bit `j` of `negs` is set; only the
+    /// first `len` entries count. Resolved once when the candidate is
+    /// built, so the cover passes — which read them for every candidate
+    /// they score, recursively in the exact-area refinement — neither
+    /// allocate nor revisit the cut.
+    leaves: [u32; K],
+    negs: u8,
+    len: u8,
 }
 
 impl Cand {
+    fn new(real: Real, leaves: &[(u32, bool)]) -> Cand {
+        let mut cand = Cand {
+            real,
+            leaves: [0; K],
+            negs: 0,
+            len: leaves.len() as u8,
+        };
+        for (j, &(leaf, neg)) in leaves.iter().enumerate() {
+            cand.leaves[j] = leaf;
+            cand.negs |= u8::from(neg) << j;
+        }
+        cand
+    }
+
+    /// The leaves the realization reads, as (leaf, complemented), in
+    /// cell-pin order.
+    fn leaves(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.leaves[..self.len as usize]
+            .iter()
+            .enumerate()
+            .map(|(j, &leaf)| (leaf, self.negs >> j & 1 != 0))
+    }
+
     fn area(&self) -> f64 {
         match self.real {
             Real::Cell { spec, .. } => spec.area,
@@ -157,6 +188,52 @@ impl Cand {
             Real::Cell { spec, .. } => spec.delay,
             _ => 0.0,
         }
+    }
+
+    /// Whether the realization physically produces the node's complement,
+    /// given the produced phase of every earlier node: aliases carry their
+    /// leaf's net, tie cells count as plain.
+    fn produces_compl(&self, produced_compl: &[bool]) -> bool {
+        match self.real {
+            Real::Cell { out_neg, .. } => out_neg,
+            Real::Alias { leaf, neg } => produced_compl[leaf as usize] ^ neg,
+            Real::Constant(_) => false,
+        }
+    }
+
+    /// The output-polarity fix-up: consumers reading the phase the
+    /// candidate does not physically produce (`u`) pay one inverter; both
+    /// tie-cell polarities are free. Conservative (no sharing assumed).
+    fn out_fixup(&self, u: Uses, produced_compl: &[bool], inv: &CellSpec) -> f64 {
+        if matches!(self.real, Real::Constant(_)) {
+            return 0.0;
+        }
+        let produced = self.produces_compl(produced_compl);
+        let both = u.plain > 0 && u.compl > 0;
+        let wanted_compl = u.compl > 0 && u.plain == 0;
+        if both || (wanted_compl != produced && u.total() > 0) {
+            inv.area
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Every node's candidates in one flat list: node `i`'s are
+/// `list[start[i]..start[i + 1]]` (empty for non-AND nodes), and a choice
+/// vector holds an index into that range per node.
+struct Cands {
+    list: Vec<Cand>,
+    start: Vec<u32>,
+}
+
+impl Cands {
+    fn of(&self, i: usize) -> &[Cand] {
+        &self.list[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    fn chosen(&self, i: usize, choice: &[usize]) -> &Cand {
+        &self.of(i)[choice[i]]
     }
 }
 
@@ -206,70 +283,60 @@ pub fn cut_map(nl: &mut Netlist, lib: &Library) -> usize {
 fn map_aig(aig: &Aig, lib: &Library) -> Mapped {
     let index = NpnIndex::build(lib);
     let inv = lib.cell(GateKind::Inv);
-    let n_nodes = aig.node_count();
     let live = aig.live_marks(&[]);
-    let cuts = enumerate_cuts(aig, K, MAX_CUTS);
-    let cands = candidates(aig, &cuts, &index);
+    let cands = candidates(aig, &enumerate_cuts(aig, K, MAX_CUTS), &index);
 
     // Structural polarity/fanout estimates seed the first pass.
     let structural = structural_uses(aig, &live);
 
     // Pass 1: depth-oriented. Passes 2..: area recovery with real cover
     // references from the previous pass's extraction.
-    let mut choice = select(aig, &cuts, &cands, &inv, Mode::Depth, &structural, None);
+    let mut choice = select(aig, &cands, &inv, Mode::Depth, &structural, None);
     for _ in 0..2 {
-        let cover = extract(aig, &cuts, &cands, &choice, &live);
-        choice = select(
-            aig,
-            &cuts,
-            &cands,
-            &inv,
-            Mode::Area,
-            &structural,
-            Some(&cover),
-        );
+        let cover = extract(aig, &cands, &choice, &live);
+        choice = select(aig, &cands, &inv, Mode::Area, &structural, Some(&cover));
     }
     // Exact-local-area refinement on the final cover.
-    let cover = extract(aig, &cuts, &cands, &choice, &live);
-    exact_local_area(aig, &cuts, &cands, &mut choice, cover, &live, &inv);
+    let cover = extract(aig, &cands, &choice, &live);
+    exact_local_area(aig, &cands, &mut choice, cover, &live, &inv);
 
-    let cover = extract(aig, &cuts, &cands, &choice, &live);
-    emit(aig, &cuts, &cands, &choice, &cover, &live, n_nodes)
+    let cover = extract(aig, &cands, &choice, &live);
+    emit(aig, &cands, &choice, &cover, &live)
 }
 
-/// Builds the candidate realizations of every AND node.
-fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Vec<Vec<Cand>> {
-    let mut canon_memo: FxMap<(u8, u16), (u16, NpnTransform)> = FxMap::default();
-    let mut all: Vec<Vec<Cand>> = Vec::with_capacity(aig.node_count());
+/// Builds the candidate realizations of every AND node: per non-trivial
+/// cut, a tie cell, an alias, or one candidate per library cell in the
+/// cut function's NPN class (cheapest first).
+fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Cands {
+    // The cell realizations of each distinct cut function met in this
+    // call, as (cell, per-pin (cut-leaf index, complemented)): `memo`
+    // maps (arity, table) to a range of `cells`.
+    let mut memo: FxMap<(u8, u16), (u32, u32)> = FxMap::default();
+    let mut cells: Vec<(Real, [(u8, bool); K])> = Vec::new();
+    let mut list: Vec<Cand> = Vec::new();
+    let mut start: Vec<u32> = Vec::with_capacity(aig.node_count() + 1);
     for (i, node) in aig.nodes().iter().enumerate() {
-        let mut list: Vec<Cand> = Vec::new();
-        if matches!(node, AigNode::And(..)) {
-            for (ci, cut) in cuts[i].iter().enumerate() {
-                if cut.leaves() == [i as u32] {
-                    continue; // the trivial cut cannot implement its own node
+        start.push(list.len() as u32);
+        if !matches!(node, AigNode::And(..)) {
+            continue;
+        }
+        let first = list.len();
+        for cut in &cuts[i] {
+            if cut.leaves() == [i as u32] {
+                continue; // the trivial cut cannot implement its own node
+            }
+            match cut.len() {
+                0 => list.push(Cand::new(Real::Constant(cut.tt & 1 == 1), &[])),
+                1 => {
+                    let (leaf, neg) = (cut.leaves()[0], cut.tt == 0b01);
+                    list.push(Cand::new(Real::Alias { leaf, neg }, &[(leaf, neg)]));
                 }
-                let ci16 = ci as u16;
-                match cut.len() {
-                    0 => list.push(Cand {
-                        cut: ci16,
-                        real: Real::Constant(cut.tt & 1 == 1),
-                    }),
-                    1 => list.push(Cand {
-                        cut: ci16,
-                        real: Real::Alias {
-                            leaf: cut.leaves()[0],
-                            neg: cut.tt == 0b01,
-                        },
-                    }),
-                    n => {
-                        let (canon, t) = *canon_memo
-                            .entry((n as u8, cut.tt))
-                            .or_insert_with(|| canonicalize(cut.tt, n));
-                        let Some(matches) = index.classes.get(&(n as u8, canon)) else {
-                            continue;
-                        };
+                n => {
+                    let (lo, hi) = *memo.entry((n as u8, cut.tt)).or_insert_with(|| {
+                        let lo = cells.len() as u32;
+                        let (canon, t) = canonicalize(cut.tt, n);
                         let ti = t.inverse(n);
-                        for m in matches {
+                        for m in index.classes.get(&(n as u8, canon)).into_iter().flatten() {
                             // f = (t⁻¹ ∘ s)·g: cut function f in terms of
                             // the cell function g.
                             let u = ti.compose(&m.to_canon, n);
@@ -277,25 +344,29 @@ fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Vec<Vec<Cand>> 
                             for v in 0..n {
                                 pins[u.perm[v] as usize] = (v as u8, u.flips >> v & 1 != 0);
                             }
-                            list.push(Cand {
-                                cut: ci16,
-                                real: Real::Cell {
-                                    kind: m.kind,
-                                    spec: m.spec,
-                                    pins,
-                                    arity: n as u8,
-                                    out_neg: u.negate,
-                                },
-                            });
+                            let real = Real::Cell {
+                                kind: m.kind,
+                                spec: m.spec,
+                                out_neg: u.negate,
+                            };
+                            cells.push((real, pins));
                         }
+                        (lo, cells.len() as u32)
+                    });
+                    for &(real, pins) in &cells[lo as usize..hi as usize] {
+                        let mut leaves = [(0u32, false); K];
+                        for (slot, &(li, neg)) in leaves.iter_mut().zip(&pins[..n]) {
+                            *slot = (cut.leaves()[li as usize], neg);
+                        }
+                        list.push(Cand::new(real, &leaves[..n]));
                     }
                 }
             }
-            debug_assert!(!list.is_empty(), "every AND node has a matchable cut");
         }
-        all.push(list);
+        debug_assert!(list.len() > first, "every AND node has a matchable cut");
     }
-    all
+    start.push(list.len() as u32);
+    Cands { list, start }
 }
 
 /// Structural (AIG-edge) polarity use counts — the seed estimate before
@@ -344,20 +415,6 @@ struct Cover {
     uses: Vec<Uses>,
 }
 
-/// The leaves a candidate's realization reads, as (leaf, complemented).
-fn cand_leaves(cut: &Cut, cand: &Cand) -> Vec<(u32, bool)> {
-    match cand.real {
-        Real::Constant(_) => Vec::new(),
-        Real::Alias { leaf, neg } => vec![(leaf, neg)],
-        Real::Cell { pins, arity, .. } => (0..arity as usize)
-            .map(|j| {
-                let (li, neg) = pins[j];
-                (cut.leaves()[li as usize], neg)
-            })
-            .collect(),
-    }
-}
-
 /// Selects one candidate per AND node in topological order.
 ///
 /// Depth mode minimizes arrival (cell delays plus inverter fix-ups);
@@ -368,8 +425,7 @@ fn cand_leaves(cut: &Cut, cand: &Cand) -> Vec<(u32, bool)> {
 /// producing phase is known for already-chosen leaves in the same pass).
 fn select(
     aig: &Aig,
-    cuts: &[Vec<Cut>],
-    cands: &[Vec<Cand>],
+    cands: &Cands,
     inv: &CellSpec,
     mode: Mode,
     structural: &[Uses],
@@ -380,57 +436,30 @@ fn select(
     let mut arrival = vec![0.0f64; n_nodes];
     let mut flow = vec![0.0f64; n_nodes];
     let mut produced_compl = vec![false; n_nodes];
-    let refs_of = |n: usize| -> f64 {
-        let u = match prev {
-            Some(c) if c.uses[n].total() > 0 => c.uses[n],
-            _ => structural[n],
-        };
-        f64::from(u.total().max(1))
-    };
-    let needs = |n: usize| -> Uses {
-        match prev {
-            Some(c) if c.uses[n].total() > 0 => c.uses[n],
-            _ => structural[n],
-        }
-    };
     for i in 0..n_nodes {
         if !matches!(aig.nodes()[i], AigNode::And(..)) {
             continue;
         }
+        // The polarities consumers read, and the reference count area
+        // flow divides by.
+        let needs = match prev {
+            Some(c) if c.uses[i].total() > 0 => c.uses[i],
+            _ => structural[i],
+        };
+        let refs = f64::from(needs.total().max(1));
         let mut best: Option<(f64, f64, usize)> = None;
-        for (k, cand) in cands[i].iter().enumerate() {
+        for (k, cand) in cands.of(i).iter().enumerate() {
             let mut arr = 0.0f64;
             let mut in_cost = 0.0f64;
-            for (leaf, neg) in cand_leaves(&cuts[i][cand.cut as usize], cand) {
+            for (leaf, neg) in cand.leaves() {
                 let l = leaf as usize;
                 let mismatch = neg != produced_compl[l];
                 arr = arr.max(arrival[l] + if mismatch { inv.delay } else { 0.0 });
                 in_cost += flow[l] + if mismatch { inv.area } else { 0.0 };
             }
             arr += cand.delay();
-            // Output-polarity fix-up: consumers that need the phase the
-            // candidate does not physically produce pay one inverter
-            // (aliases produce whatever their leaf's net carries; both
-            // tie-cell polarities are free).
-            let out_pen = match cand.real {
-                Real::Constant(_) => 0.0,
-                _ => {
-                    let produced = match cand.real {
-                        Real::Cell { out_neg, .. } => out_neg,
-                        Real::Alias { leaf, neg } => produced_compl[leaf as usize] ^ neg,
-                        Real::Constant(_) => unreachable!(),
-                    };
-                    let u = needs(i);
-                    let both = u.plain > 0 && u.compl > 0;
-                    let wanted_compl = u.compl > 0 && u.plain == 0;
-                    if both || (wanted_compl != produced && u.total() > 0) {
-                        inv.area
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            let af = (cand.area() + out_pen + in_cost) / refs_of(i);
+            let out_pen = cand.out_fixup(needs, &produced_compl, inv);
+            let af = (cand.area() + out_pen + in_cost) / refs;
             let key = match mode {
                 Mode::Depth => (arr, af),
                 Mode::Area => (af, arr),
@@ -441,11 +470,10 @@ fn select(
         }
         let (_, _, k) = best.expect("every AND node has a candidate");
         choice[i] = k;
-        let cand = &cands[i][k];
-        let leaves = cand_leaves(&cuts[i][cand.cut as usize], cand);
-        arrival[i] = leaves
-            .iter()
-            .map(|&(l, neg)| {
+        let cand = &cands.of(i)[k];
+        arrival[i] = cand
+            .leaves()
+            .map(|(l, neg)| {
                 arrival[l as usize]
                     + if neg != produced_compl[l as usize] {
                         inv.delay
@@ -455,13 +483,8 @@ fn select(
             })
             .fold(0.0, f64::max)
             + cand.delay();
-        flow[i] =
-            (cand.area() + leaves.iter().map(|&(l, _)| flow[l as usize]).sum::<f64>()) / refs_of(i);
-        produced_compl[i] = match cand.real {
-            Real::Cell { out_neg, .. } => out_neg,
-            Real::Alias { leaf, neg } => produced_compl[leaf as usize] ^ neg,
-            Real::Constant(_) => false,
-        };
+        flow[i] = (cand.area() + cand.leaves().map(|(l, _)| flow[l as usize]).sum::<f64>()) / refs;
+        produced_compl[i] = cand.produces_compl(&produced_compl);
     }
     choice
 }
@@ -469,13 +492,7 @@ fn select(
 /// Extracts the cover of a choice vector: walks the required-node set
 /// from the roots (output ports plus live-latch next/reset cones) and
 /// counts polarity uses, resolving aliases onto their leaves.
-fn extract(
-    aig: &Aig,
-    cuts: &[Vec<Cut>],
-    cands: &[Vec<Cand>],
-    choice: &[usize],
-    live: &[bool],
-) -> Cover {
+fn extract(aig: &Aig, cands: &Cands, choice: &[usize], live: &[bool]) -> Cover {
     let mut uses = vec![Uses::default(); aig.node_count()];
     let add = |uses: &mut Vec<Uses>, l: AigLit| {
         let u = &mut uses[l.node() as usize];
@@ -502,7 +519,7 @@ fn extract(
         if uses[i].total() == 0 || !matches!(aig.nodes()[i], AigNode::And(..)) {
             continue;
         }
-        let cand = &cands[i][choice[i]];
+        let cand = cands.chosen(i, choice);
         match cand.real {
             Real::Constant(_) => {}
             Real::Alias { leaf, neg } => {
@@ -519,7 +536,7 @@ fn extract(
                 }
             }
             Real::Cell { .. } => {
-                for (leaf, neg) in cand_leaves(&cuts[i][cand.cut as usize], cand) {
+                for (leaf, neg) in cand.leaves() {
                     add(&mut uses, AigLit::new(leaf, neg));
                 }
             }
@@ -535,14 +552,14 @@ fn extract(
 /// recursive ref/deref.
 fn exact_local_area(
     aig: &Aig,
-    cuts: &[Vec<Cut>],
-    cands: &[Vec<Cand>],
+    cands: &Cands,
     choice: &mut [usize],
     cover: Cover,
     live: &[bool],
     inv: &CellSpec,
 ) {
-    let is_and = |n: u32| matches!(aig.nodes()[n as usize], AigNode::And(..));
+    let nodes = aig.nodes();
+    let is_and = |n: usize| matches!(nodes[n], AigNode::And(..));
     // Reference counts in the same convention `ref_cand`/`deref_cand`
     // maintain: one count per consumer *pin* (an alias is one pin on its
     // leaf) plus one per root read — NOT `cover.uses` totals, which
@@ -561,9 +578,8 @@ fn exact_local_area(
         }
     }
     for i in (0..aig.node_count()).rev() {
-        if refs[i] > 0 && is_and(i as u32) {
-            let cand = &cands[i][choice[i]];
-            for (leaf, _) in cand_leaves(&cuts[i][cand.cut as usize], cand) {
+        if refs[i] > 0 && is_and(i) {
+            for (leaf, _) in cands.chosen(i, choice).leaves() {
                 refs[leaf as usize] += 1;
             }
         }
@@ -572,14 +588,9 @@ fn exact_local_area(
     // choices (leaves precede their consumers, so entries below `i` are
     // final by the time node `i` is scored; they are updated on commit).
     let mut produced_compl = vec![false; aig.node_count()];
-    let produced_of = |produced_compl: &[bool], cand: &Cand| match cand.real {
-        Real::Cell { out_neg, .. } => out_neg,
-        Real::Alias { leaf, neg } => produced_compl[leaf as usize] ^ neg,
-        Real::Constant(_) => false,
-    };
     for i in 0..aig.node_count() {
-        if is_and(i as u32) {
-            produced_compl[i] = produced_of(&produced_compl, &cands[i][choice[i]]);
+        if is_and(i) {
+            produced_compl[i] = cands.chosen(i, choice).produces_compl(&produced_compl);
         }
     }
     // Inverters needed to fix a candidate's pin polarities and its output
@@ -587,89 +598,73 @@ fn exact_local_area(
     // sharing assumed), like the selection passes.
     let inv_fixups = |i: usize, cand: &Cand, produced_compl: &[bool]| -> f64 {
         let mut pen = 0.0;
-        for (leaf, neg) in cand_leaves(&cuts[i][cand.cut as usize], cand) {
+        for (leaf, neg) in cand.leaves() {
             if neg != produced_compl[leaf as usize] {
                 pen += inv.area;
             }
         }
-        let u = cover.uses[i];
-        // Same produced-phase rule as the selection passes: aliases carry
-        // their leaf's physical polarity, tie cells are free both ways.
-        match cand.real {
-            Real::Constant(_) => {}
-            _ => {
-                let produced = match cand.real {
-                    Real::Cell { out_neg, .. } => out_neg,
-                    Real::Alias { leaf, neg } => produced_compl[leaf as usize] ^ neg,
-                    Real::Constant(_) => unreachable!(),
-                };
-                let both = u.plain > 0 && u.compl > 0;
-                let wanted_compl = u.compl > 0 && u.plain == 0;
-                if both || (wanted_compl != produced && u.total() > 0) {
-                    pen += inv.area;
-                }
-            }
-        }
-        pen
+        pen + cand.out_fixup(cover.uses[i], produced_compl, inv)
     };
 
     /// Increments references of a candidate's leaves, materializing
-    /// newly-needed sub-covers; returns the area added.
+    /// newly-needed sub-covers; returns the area added. Every increment is
+    /// appended to `log`, so a trial insertion is undone by decrementing
+    /// the logged nodes again.
     fn ref_cand(
-        n: usize,
         cand: &Cand,
-        cuts: &[Vec<Cut>],
-        cands: &[Vec<Cand>],
+        nodes: &[AigNode],
+        cands: &Cands,
         choice: &[usize],
         refs: &mut [u32],
-        is_and: &dyn Fn(u32) -> bool,
+        log: &mut Vec<u32>,
     ) -> f64 {
         let mut area = cand.area();
-        for (leaf, _) in cand_leaves(&cuts[n][cand.cut as usize], cand) {
-            if refs[leaf as usize] == 0 && is_and(leaf) {
-                let lc = &cands[leaf as usize][choice[leaf as usize]];
-                area += ref_cand(leaf as usize, lc, cuts, cands, choice, refs, is_and);
+        for (leaf, _) in cand.leaves() {
+            let l = leaf as usize;
+            if refs[l] == 0 && matches!(nodes[l], AigNode::And(..)) {
+                area += ref_cand(cands.chosen(l, choice), nodes, cands, choice, refs, log);
             }
-            refs[leaf as usize] += 1;
+            refs[l] += 1;
+            log.push(leaf);
         }
         area
     }
 
-    /// The inverse of [`ref_cand`]; returns the area freed.
+    /// The inverse of [`ref_cand`]: removes a candidate from the cover,
+    /// releasing every sub-cover whose last reference goes with it.
     fn deref_cand(
-        n: usize,
         cand: &Cand,
-        cuts: &[Vec<Cut>],
-        cands: &[Vec<Cand>],
+        nodes: &[AigNode],
+        cands: &Cands,
         choice: &[usize],
         refs: &mut [u32],
-        is_and: &dyn Fn(u32) -> bool,
-    ) -> f64 {
-        let mut area = cand.area();
-        for (leaf, _) in cand_leaves(&cuts[n][cand.cut as usize], cand) {
-            refs[leaf as usize] -= 1;
-            if refs[leaf as usize] == 0 && is_and(leaf) {
-                let lc = &cands[leaf as usize][choice[leaf as usize]];
-                area += deref_cand(leaf as usize, lc, cuts, cands, choice, refs, is_and);
+    ) {
+        for (leaf, _) in cand.leaves() {
+            let l = leaf as usize;
+            refs[l] -= 1;
+            if refs[l] == 0 && matches!(nodes[l], AigNode::And(..)) {
+                deref_cand(cands.chosen(l, choice), nodes, cands, choice, refs);
             }
         }
-        area
     }
 
+    let mut log: Vec<u32> = Vec::new();
     for i in 0..aig.node_count() {
-        if refs[i] == 0 || !is_and(i as u32) {
+        if refs[i] == 0 || !is_and(i) {
             continue;
         }
         // Temporarily remove the current choice from the cover…
         let cur = choice[i];
-        deref_cand(i, &cands[i][cur], cuts, cands, choice, &mut refs, &is_and);
+        deref_cand(cands.chosen(i, choice), nodes, cands, choice, &mut refs);
         // …score every candidate by trial insertion…
         let mut best = cur;
         let mut best_area = f64::INFINITY;
-        for (k, cand) in cands[i].iter().enumerate() {
-            let a = ref_cand(i, cand, cuts, cands, choice, &mut refs, &is_and)
+        for (k, cand) in cands.of(i).iter().enumerate() {
+            let a = ref_cand(cand, nodes, cands, choice, &mut refs, &mut log)
                 + inv_fixups(i, cand, &produced_compl);
-            deref_cand(i, cand, cuts, cands, choice, &mut refs, &is_and);
+            for l in log.drain(..) {
+                refs[l as usize] -= 1;
+            }
             if a < best_area {
                 best_area = a;
                 best = k;
@@ -677,21 +672,16 @@ fn exact_local_area(
         }
         // …and commit the winner.
         choice[i] = best;
-        ref_cand(i, &cands[i][best], cuts, cands, choice, &mut refs, &is_and);
-        produced_compl[i] = produced_of(&produced_compl, &cands[i][best]);
+        let winner = cands.chosen(i, choice);
+        ref_cand(winner, nodes, cands, choice, &mut refs, &mut log);
+        log.clear();
+        produced_compl[i] = winner.produces_compl(&produced_compl);
     }
 }
 
 /// Emits the mapped netlist from the chosen cover.
-fn emit(
-    aig: &Aig,
-    cuts: &[Vec<Cut>],
-    cands: &[Vec<Cand>],
-    choice: &[usize],
-    cover: &Cover,
-    live: &[bool],
-    n_nodes: usize,
-) -> Mapped {
+fn emit(aig: &Aig, cands: &Cands, choice: &[usize], cover: &Cover, live: &[bool]) -> Mapped {
+    let n_nodes = aig.node_count();
     let mut nl = Netlist::new(aig.name());
     // Net of each node polarity, memoized (inverters created on demand).
     let mut plain_net: Vec<Option<NetId>> = vec![None; n_nodes];
@@ -737,7 +727,7 @@ fn emit(
         if cover.uses[i].total() == 0 || !matches!(aig.nodes()[i], AigNode::And(..)) {
             continue;
         }
-        let cand = &cands[i][choice[i]];
+        let cand = cands.chosen(i, choice);
         match cand.real {
             Real::Constant(v) => {
                 // Both polarities are free tie cells — pre-populating the
@@ -769,27 +759,17 @@ fn emit(
                     inv_net[i] = Some(net);
                 }
             }
-            Real::Cell {
-                kind,
-                pins,
-                arity,
-                out_neg,
-                ..
-            } => {
-                let cut = &cuts[i][cand.cut as usize];
-                let ins: Vec<NetId> = (0..arity as usize)
-                    .map(|j| {
-                        let (li, neg) = pins[j];
-                        let leaf = cut.leaves()[li as usize];
-                        resolve(
-                            &mut nl,
-                            &mut plain_net,
-                            &mut inv_net,
-                            AigLit::new(leaf, neg),
-                        )
-                    })
-                    .collect();
-                let out = nl.add_gate(kind, &ins);
+            Real::Cell { kind, out_neg, .. } => {
+                let mut ins = [NetId(0); K];
+                for (net, (leaf, neg)) in ins.iter_mut().zip(cand.leaves()) {
+                    *net = resolve(
+                        &mut nl,
+                        &mut plain_net,
+                        &mut inv_net,
+                        AigLit::new(leaf, neg),
+                    );
+                }
+                let out = nl.add_gate(kind, &ins[..cand.len as usize]);
                 if out_neg {
                     inv_net[i] = Some(out);
                 } else {
