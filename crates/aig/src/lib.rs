@@ -68,7 +68,7 @@ pub use import::{from_netlist, NetLits, NetlistImport};
 pub use npn::{canonicalize, NpnTransform};
 pub use rewrite::{compact, rewrite, Rebuilt};
 pub use satsweep::{sat_sweep, SweepOptions, SweepResult};
-pub use tseitin::satisfy;
+pub use tseitin::{satisfy, satisfy_within};
 
 /// Errors produced by AIG construction and conversion.
 #[derive(Debug, Clone, PartialEq)]

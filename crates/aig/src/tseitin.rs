@@ -83,8 +83,19 @@ impl Tseitin {
 
     /// Solves the clauses so far; see [`satisfy`] for the model's shape.
     pub(crate) fn solve(&mut self, aig: &Aig) -> Option<Vec<bool>> {
-        if self.solver.solve() == SatResult::Unsat {
-            return None;
+        self.solve_limited(aig, u64::MAX)
+            .expect("an unlimited search always answers")
+    }
+
+    /// [`Tseitin::solve`] within a conflict budget: `None` when the budget
+    /// runs out first.
+    pub(crate) fn solve_limited(
+        &mut self,
+        aig: &Aig,
+        max_conflicts: u64,
+    ) -> Option<Option<Vec<bool>>> {
+        if self.solver.solve_limited(max_conflicts)? == SatResult::Unsat {
+            return Some(None);
         }
         let mut model = vec![false; aig.node_count()];
         for (node, v) in self.vars.iter().enumerate() {
@@ -94,7 +105,7 @@ impl Tseitin {
                 }
             }
         }
-        Some(model)
+        Some(Some(model))
     }
 }
 
@@ -106,13 +117,20 @@ impl Tseitin {
 /// index-aligned with [`Aig::nodes`]: the witness on input and latch nodes
 /// (false for those outside `target`'s cone), false on every other node.
 pub fn satisfy(aig: &Aig, target: AigLit) -> Option<Vec<bool>> {
+    satisfy_within(aig, target, u64::MAX).expect("an unlimited search always answers")
+}
+
+/// [`satisfy`] within a budget of `max_conflicts` solver conflicts:
+/// `None` when the budget runs out before an answer, otherwise `Some` of
+/// what [`satisfy`] returns.
+pub fn satisfy_within(aig: &Aig, target: AigLit, max_conflicts: u64) -> Option<Option<Vec<bool>>> {
     if target == AigLit::FALSE {
-        return None;
+        return Some(None);
     }
     let mut enc = Tseitin::new(aig);
     let t = enc.encode(aig, target);
     enc.add_clause(&[t]);
-    enc.solve(aig)
+    enc.solve_limited(aig, max_conflicts)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("espresso_naive_kernel", |b| {
         b.iter(|| minimize_naive(&on, None, &EspressoOptions::default()))
     });
-    // Multi-output batch driver (parallel under the `parallel` feature).
+    // Multi-output batch driver (parallel through `synthir_logic::par`).
     let wide = random_table(256, 16, 7);
     let tts: Vec<TruthTable> = (0..16)
         .map(|bit| TruthTable::from_fn(8, |m| wide[m] >> bit & 1 != 0))

@@ -40,7 +40,7 @@ pub fn sample(depth: usize, width: usize, seed: u64) -> AreaPoint {
     let abits = depth.trailing_zeros() as usize;
 
     // Direct style: minimized sum-of-products assignments per output bit,
-    // minimized as one batch (concurrently under the `parallel` feature).
+    // minimized as one batch (concurrently through `synthir_logic::par`).
     let tts: Vec<TruthTable> = (0..width)
         .map(|b| TruthTable::from_fn(abits, |m| words[m] >> b & 1 != 0))
         .collect();
@@ -66,8 +66,8 @@ pub fn sample(depth: usize, width: usize, seed: u64) -> AreaPoint {
 }
 
 /// Runs the experiment over a grid with `samples` seeds per cell. Design
-/// points are independent, so they are synthesized concurrently (in grid
-/// order) when the `parallel` feature is enabled.
+/// points are independent, so they are synthesized concurrently, with
+/// results in grid order (`SYNTHIR_THREADS=1` runs them serially).
 pub fn run(grid: &[(usize, usize)], samples: u64) -> Vec<AreaPoint> {
     let mut jobs = Vec::new();
     for &(d, w) in grid {

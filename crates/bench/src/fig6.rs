@@ -59,8 +59,8 @@ pub fn sample(m: usize, n: usize, s: usize, seed: u64, series: Fig6Series) -> Ar
 }
 
 /// Runs a series over a grid with `samples` seeds per cell. Design points
-/// are independent, so they are synthesized concurrently (in grid order)
-/// when the `parallel` feature is enabled.
+/// are independent, so they are synthesized concurrently, with results in
+/// grid order (`SYNTHIR_THREADS=1` runs them serially).
 pub fn run(grid: &[(usize, usize, usize)], samples: u64, series: Fig6Series) -> Vec<AreaPoint> {
     let mut jobs = Vec::new();
     for &(m, n, s) in grid {

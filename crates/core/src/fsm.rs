@@ -370,8 +370,8 @@ impl FsmSpec {
         });
         // Build the per-bit truth tables for next-state and output logic,
         // then hand the whole multi-output PLA to the batch minimizer: each
-        // bit is an independent job, minimized concurrently under the
-        // `parallel` feature (identical results to the serial path).
+        // bit is an independent job, minimized concurrently by
+        // `synthir_logic::par` (identical results to the serial path).
         let bit_tt = |bit_fn: &dyn Fn(usize) -> bool| -> synthir_logic::TruthTable {
             synthir_logic::TruthTable::from_fn(nvars, bit_fn)
         };

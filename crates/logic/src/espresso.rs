@@ -107,7 +107,7 @@ pub fn minimize_tt(tt: &TruthTable, dc: Option<&TruthTable>) -> Cover {
 }
 
 /// Minimizes many independent ON-covers against a shared optional DC cover,
-/// in parallel when the `parallel` feature is enabled.
+/// on up to [`crate::par::max_threads`] threads.
 ///
 /// Results are returned in input order and are bit-identical to calling
 /// [`minimize`] serially on each cover: each job is independent and
@@ -120,7 +120,7 @@ pub fn minimize_batch(ons: &[Cover], dc: Option<&Cover>, opts: &EspressoOptions)
 
 /// Per-output minimization of a multi-output function given as one truth
 /// table per output bit, sharing one optional don't-care table; parallel
-/// under the `parallel` feature, deterministic regardless.
+/// through [`crate::par::par_map`], deterministic regardless.
 pub fn minimize_tt_batch(
     tts: &[TruthTable],
     dc: Option<&TruthTable>,

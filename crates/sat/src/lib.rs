@@ -357,17 +357,30 @@ impl Solver {
 
     /// Solves the current clause set.
     pub fn solve(&mut self) -> SatResult {
+        self.solve_limited(u64::MAX)
+            .expect("an unlimited search always answers")
+    }
+
+    /// [`Solver::solve`] within a budget of `max_conflicts` conflicts:
+    /// `None` when the budget runs out before an answer. The solver stays
+    /// usable; a later call resumes with everything learned so far.
+    pub fn solve_limited(&mut self, max_conflicts: u64) -> Option<SatResult> {
         if !self.ok {
-            return SatResult::Unsat;
+            return Some(SatResult::Unsat);
         }
         if self.propagate().is_some() {
             self.ok = false;
-            return SatResult::Unsat;
+            return Some(SatResult::Unsat);
         }
+        let stop = self.conflicts.saturating_add(max_conflicts);
         let mut restarts = 0u32;
         let mut max_learned = (self.clauses.len() / 3).max(1000);
         loop {
-            let budget = 64 * luby(restarts);
+            let left = stop.saturating_sub(self.conflicts);
+            if left == 0 {
+                return None;
+            }
+            let budget = (64 * luby(restarts)).min(left);
             match self.search(budget, &mut max_learned) {
                 Some(res) => {
                     if res == SatResult::Unsat {
@@ -375,7 +388,7 @@ impl Solver {
                     } else {
                         self.cancel_until(0);
                     }
-                    return res;
+                    return Some(res);
                 }
                 None => restarts += 1,
             }
@@ -806,6 +819,18 @@ mod tests {
             let mut s = pigeonhole(n + 1, n);
             assert_eq!(s.solve(), SatResult::Unsat, "php({}, {n})", n + 1);
         }
+    }
+
+    /// A budget too small for a proof gives up without an answer; the
+    /// solver then still finishes the proof.
+    #[test]
+    fn conflict_budget_gives_up_and_resumes() {
+        let mut s = pigeonhole(6, 5);
+        assert_eq!(s.solve_limited(10), None);
+        assert!(s.num_conflicts() >= 10);
+        assert_eq!(s.solve_limited(u64::MAX), Some(SatResult::Unsat));
+        let mut s = pigeonhole(4, 4);
+        assert_eq!(s.solve_limited(1_000_000), Some(SatResult::Sat));
     }
 
     #[test]

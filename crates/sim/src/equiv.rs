@@ -9,7 +9,7 @@ use crate::comb::CombSim;
 use crate::seq::SeqSim;
 use crate::SimError;
 use std::collections::HashMap;
-use synthir_aig::{from_netlist, satisfy, Aig, AigLit};
+use synthir_aig::{from_netlist, satisfy, satisfy_within, Aig, AigLit, AigNode};
 use synthir_logic::{Bdd, BddRef};
 use synthir_netlist::{NetId, Netlist};
 
@@ -21,8 +21,8 @@ pub const BDD_MAX_INPUT_BITS: usize = 24;
 pub enum EquivEngine {
     /// Pick automatically: BDD up to [`BDD_MAX_INPUT_BITS`] shared input
     /// bits, SAT beyond (combinational); for sequential checks, random
-    /// lockstep up to the limit, SAT-based bounded model checking plus
-    /// random lockstep beyond.
+    /// lockstep up to the limit, the sequential SAT check (see
+    /// [`EquivEngine::Sat`]) plus random lockstep beyond.
     #[default]
     Auto,
     /// BDD-based exact checking. Refuses interfaces wider than
@@ -30,8 +30,9 @@ pub enum EquivEngine {
     Bdd,
     /// Random simulation. Finds counterexamples but proves nothing.
     Random,
-    /// CDCL SAT on a miter (combinational) or a `k`-cycle unrolling
-    /// (sequential bounded model checking). Exact at any width.
+    /// CDCL SAT on a miter (combinational). Sequential checks first try an
+    /// unbounded induction proof and otherwise unroll `k` cycles (bounded
+    /// model checking). Exact at any width.
     Sat,
 }
 
@@ -82,7 +83,8 @@ pub struct EquivOptions {
     pub engine: EquivEngine,
     /// Unrolling depth for SAT-based sequential checks (bounded model
     /// checking): outputs are compared exactly for this many cycles from
-    /// reset.
+    /// reset whenever the induction prover cannot prove them equal at
+    /// every depth.
     pub bmc_depth: usize,
 }
 
@@ -128,8 +130,9 @@ pub struct Counterexample {
 #[derive(Clone, Debug, PartialEq)]
 pub enum EquivResult {
     /// No difference found: a proof from the BDD and SAT engines, a proof
-    /// up to [`EquivOptions::bmc_depth`] cycles from SAT-based bounded model
-    /// checking, and high confidence only from random simulation.
+    /// for at least [`EquivOptions::bmc_depth`] cycles from sequential SAT
+    /// checks (for every depth when induction proved it; the verdict does
+    /// not say which), and high confidence only from random simulation.
     Equivalent,
     /// A concrete counterexample.
     Inequivalent(Box<Counterexample>),
@@ -256,12 +259,16 @@ pub fn check_comb_equiv(
     }
     let iface = shared_interface(left, right, opts)?;
     let total_bits: usize = iface.inputs.iter().map(|(_, w)| w).sum();
+    let sat = || {
+        let designs = import_pair(left, right, opts)?;
+        check_sat(left, right, &designs, &iface, opts, None)
+    };
     match opts.engine {
         EquivEngine::Auto => {
             if total_bits <= BDD_MAX_INPUT_BITS {
                 check_comb_bdd(left, right, &iface, opts)
             } else {
-                check_sat(left, right, &iface, opts, None)
+                sat()
             }
         }
         EquivEngine::Bdd => {
@@ -277,7 +284,7 @@ pub fn check_comb_equiv(
             }
         }
         EquivEngine::Random => check_comb_random(left, right, &iface, opts),
-        EquivEngine::Sat => check_sat(left, right, &iface, opts, None),
+        EquivEngine::Sat => sat(),
     }
 }
 
@@ -567,34 +574,130 @@ fn check_comb_random(
     Ok(EquivResult::Equivalent)
 }
 
+/// One imported design of a SAT check: its graph, its input bindings, and
+/// its live nodes (those an output observes, through latches).
+struct Design<'a> {
+    aig: Aig,
+    binds: &'a HashMap<String, u128>,
+    live: Vec<bool>,
+}
+
+/// Imports both designs once; BMC and the induction prover share them.
+fn import_pair<'a>(
+    left: &Netlist,
+    right: &Netlist,
+    opts: &'a EquivOptions,
+) -> Result<[Design<'a>; 2], SimError> {
+    let import = |nl, binds| -> Result<Design<'a>, SimError> {
+        let aig = from_netlist(nl)
+            .map_err(|e| SimError::InvalidNetlist(e.to_string()))?
+            .aig;
+        let live = aig.live_marks(&[]);
+        Ok(Design { aig, binds, live })
+    };
+    Ok([
+        import(left, &opts.bind_left)?,
+        import(right, &opts.bind_right)?,
+    ])
+}
+
+/// One frame's shared input literals: a fresh miter input per interface
+/// bit, except that sequential checks hold `rst` low.
+fn frame_inputs<'i>(
+    m: &mut Aig,
+    iface: &'i Interface,
+    sequential: bool,
+) -> HashMap<&'i str, Vec<AigLit>> {
+    iface
+        .inputs
+        .iter()
+        .map(|(name, w)| {
+            let lits = if sequential && name == "rst" {
+                vec![AigLit::FALSE; *w]
+            } else {
+                (0..*w).map(|_| m.add_input()).collect()
+            };
+            (name.as_str(), lits)
+        })
+        .collect()
+}
+
+/// Copies one time frame of `d` into the miter `m` — the one frame
+/// construction behind BMC and the induction prover. Input ports read
+/// `inputs` (bound ports become constants), latch outputs read `state`, and
+/// the ANDs marked in `mask` are rebuilt through `and`: plain [`Aig::and`],
+/// or the prover's speculative reduction. Returns the node → miter-literal
+/// map.
+fn frame(
+    m: &mut Aig,
+    d: &Design,
+    inputs: &HashMap<&str, Vec<AigLit>>,
+    state: &[AigLit],
+    mask: &[bool],
+    and: impl FnMut(&mut Aig, &[AigLit], usize, AigLit, AigLit) -> AigLit,
+) -> Vec<AigLit> {
+    let mut map = vec![AigLit::FALSE; d.aig.node_count()];
+    for p in d.aig.input_ports() {
+        for (i, old) in p.lits.iter().enumerate() {
+            map[old.node() as usize] = match d.binds.get(&p.name) {
+                Some(&v) => m.constant(v >> i & 1 != 0),
+                None => inputs[p.name.as_str()][i],
+            };
+        }
+    }
+    for (l, &q) in d.aig.latches().iter().zip(state) {
+        map[l.output as usize] = q;
+    }
+    m.copy_ands(&d.aig, mask, &mut map, and);
+    map
+}
+
+/// The latch values one cycle after the frame `map` holds:
+/// `mux(reset, init, next)` per latch.
+fn next_state(m: &mut Aig, d: &Design, map: &[AigLit]) -> Vec<AigLit> {
+    d.aig
+        .latches()
+        .iter()
+        .map(|l| {
+            let init = m.constant(l.init);
+            let (rst, next) = (l.reset_lit.translate(map), l.next.translate(map));
+            m.mux(rst, init, next)
+        })
+        .collect()
+}
+
+/// The design's literals for the interface output bits, interface order.
+fn iface_outputs<'a>(d: &'a Design, iface: &'a Interface) -> impl Iterator<Item = AigLit> + 'a {
+    iface.outputs.iter().flat_map(move |(name, _)| {
+        let port = d.aig.output_ports().iter().find(|p| &p.name == name);
+        port.expect("interface output exists").lits.iter().copied()
+    })
+}
+
 /// The SAT engine behind both check kinds: one AIG miter, one solver call.
 ///
-/// Each design is imported once. Every frame copies both graphs into one
-/// miter graph over shared per-frame input literals: bound ports become
-/// constants, frame-0 latches their `init` values, and each later frame's
-/// latches the previous frame's `mux(reset, init, next)`. The target — some
-/// output bit differs in some frame — hashes to false when construction
-/// alone proves the designs equal; otherwise the solver either proves it
-/// unsatisfiable or returns inputs that are replayed through the
-/// simulators. `bmc_depth: None` is the combinational check (one frame, no
-/// latches); `Some(k)` unrolls `k` cycles from reset with a shared `rst`
-/// input held at 0, as in the random lockstep check.
+/// Every frame copies both imported graphs into one miter graph over
+/// shared per-frame input literals ([`frame`]): frame-0 latches read their
+/// `init` values, and each later frame's latches the previous frame's
+/// [`next_state`]. The target — some output bit differs in some frame —
+/// hashes to false when construction alone proves the designs equal;
+/// otherwise the solver either proves it unsatisfiable or returns inputs
+/// that are replayed through the simulators. `bmc_depth: None` is the
+/// combinational check (one frame, no latches); `Some(k)` unrolls `k`
+/// cycles from reset with a shared `rst` input held at 0, as in the random
+/// lockstep check.
 fn check_sat(
     left: &Netlist,
     right: &Netlist,
+    designs: &[Design; 2],
     iface: &Interface,
     opts: &EquivOptions,
     bmc_depth: Option<usize>,
 ) -> Result<EquivResult, SimError> {
-    let import = |nl| from_netlist(nl).map_err(|e| SimError::InvalidNetlist(e.to_string()));
-    let sides = [
-        (import(left)?.aig, &opts.bind_left),
-        (import(right)?.aig, &opts.bind_right),
-    ];
-    let live = sides.each_ref().map(|(g, _)| g.live_marks(&[]));
     let mut m = Aig::new("miter");
-    let mut state = sides.each_ref().map(|(g, _)| {
-        g.latches()
+    let mut state = designs.each_ref().map(|d| {
+        d.aig
+            .latches()
             .iter()
             .map(|l| m.constant(l.init))
             .collect::<Vec<_>>()
@@ -602,47 +705,19 @@ fn check_sat(
     let mut frames: Vec<HashMap<&str, Vec<AigLit>>> = Vec::new();
     let mut target = AigLit::FALSE;
     for _ in 0..bmc_depth.map_or(1, |d| d.max(1)) {
-        let shared: HashMap<&str, Vec<AigLit>> = iface
-            .inputs
-            .iter()
-            .map(|(name, w)| {
-                let lits = if bmc_depth.is_some() && name == "rst" {
-                    vec![AigLit::FALSE; *w]
-                } else {
-                    (0..*w).map(|_| m.add_input()).collect()
-                };
-                (name.as_str(), lits)
-            })
-            .collect();
+        let shared = frame_inputs(&mut m, iface, bmc_depth.is_some());
         let mut outs: [Vec<AigLit>; 2] = Default::default();
-        for (side, (g, binds)) in sides.iter().enumerate() {
-            let mut map = vec![AigLit::FALSE; g.node_count()];
-            for p in g.input_ports() {
-                for (i, old) in p.lits.iter().enumerate() {
-                    map[old.node() as usize] = match binds.get(&p.name) {
-                        Some(&v) => m.constant(v >> i & 1 != 0),
-                        None => shared[p.name.as_str()][i],
-                    };
-                }
-            }
-            for (l, &q) in g.latches().iter().zip(&state[side]) {
-                map[l.output as usize] = q;
-            }
-            m.copy_ands(g, &live[side], &mut map, |m, _, _, a, b| m.and(a, b));
-            for (name, _) in &iface.outputs {
-                let port = g.output_ports().iter().find(|p| &p.name == name);
-                let port = port.expect("interface output exists");
-                outs[side].extend(port.lits.iter().map(|l| l.translate(&map)));
-            }
-            state[side] = g
-                .latches()
-                .iter()
-                .map(|l| {
-                    let init = m.constant(l.init);
-                    let (rst, next) = (l.reset_lit.translate(&map), l.next.translate(&map));
-                    m.mux(rst, init, next)
-                })
-                .collect();
+        for (side, d) in designs.iter().enumerate() {
+            let map = frame(
+                &mut m,
+                d,
+                &shared,
+                &state[side],
+                &d.live,
+                |m, _, _, a, b| m.and(a, b),
+            );
+            outs[side].extend(iface_outputs(d, iface).map(|l| l.translate(&map)));
+            state[side] = next_state(&mut m, d, &map);
         }
         for (&l, &r) in outs[0].iter().zip(&outs[1]) {
             let d = m.xor(l, r);
@@ -732,18 +807,404 @@ fn check_sat(
     ))
 }
 
-/// Checks sequential equivalence by resetting both designs and driving them
-/// with identical random input sequences, comparing outputs each cycle.
+/// The sequential SAT check: the induction prover first; when it cannot
+/// prove, BMC to [`EquivOptions::bmc_depth`] decides, so every verdict and
+/// every counterexample is the one BMC alone returns.
+fn check_seq_sat(
+    left: &Netlist,
+    right: &Netlist,
+    iface: &Interface,
+    opts: &EquivOptions,
+) -> Result<EquivResult, SimError> {
+    let designs = import_pair(left, right, opts)?;
+    if prove_by_induction(&designs, iface, opts) {
+        return Ok(EquivResult::Equivalent);
+    }
+    check_sat(left, right, &designs, iface, opts, Some(opts.bmc_depth))
+}
+
+/// Cycles from reset the prover simulates (64 random patterns each) before
+/// grouping candidates into classes.
+const INDUCTION_SIM_CYCLES: usize = 24;
+
+/// Refinement rounds the prover spends on one candidate set before it
+/// gives up and leaves the check to BMC.
+const INDUCTION_MAX_ROUNDS: usize = 8;
+
+/// Solver conflicts one refinement round may spend before the prover gives
+/// up and leaves the check to BMC.
+const INDUCTION_MAX_CONFLICTS: u64 = 300;
+
+/// A signal-correspondence candidate: a node of one design, with the
+/// phase its simulation signature was normalized by. Node 0 of design 0
+/// stands for the constant.
+#[derive(Clone, Copy)]
+struct Cand {
+    side: usize,
+    node: u32,
+    phase: bool,
+}
+
+/// `l`, complemented when `c` is set.
+fn flip(l: AigLit, c: bool) -> AigLit {
+    l.with_complement(l.is_complemented() ^ c)
+}
+
+/// Proves the sequential check at every depth by signal correspondence
+/// (van Eijk, "Sequential equivalence checking based on structural
+/// similarities", IEEE TCAD 2000) in its speculatively-reduced form
+/// (Mishchenko, Case, Brayton, Jang, "Scalable and scalably-verifiable
+/// sequential synthesis", ICCAD 2008), under BMC's semantics: reset from
+/// `init`, `rst` held low, latches through [`next_state`].
+///
+/// Candidates are the constant, the live latches and the live
+/// *state-only* ANDs (no free input in their cone) of both designs.
+/// Simulation from reset groups them into classes of equal phase-
+/// canonical signatures, so every class holds at `init`. A round then
+/// builds one [`frame`] per design over a free state in which every class
+/// member reads its representative (the induction hypothesis), and asks
+/// one SAT question: can a class break one cycle later, or an output
+/// differ now? A counterexample splits the classes it separates and the
+/// round repeats; an unsatisfiable target proves the classes inductive and
+/// the outputs equal in every reachable state, which is BMC passing at
+/// every depth. The latch-only candidate set runs first (one frame); when
+/// it cannot prove, the same routine runs on the widened set.
+///
+/// Returns `false` — leaving the verdict to BMC — when simulation already
+/// sees an output differ, when a counterexample splits no class, after
+/// [`INDUCTION_MAX_ROUNDS`] rounds, or when one SAT call runs past
+/// [`INDUCTION_MAX_CONFLICTS`] conflicts.
+fn prove_by_induction(designs: &[Design; 2], iface: &Interface, opts: &EquivOptions) -> bool {
+    let state_only = designs.each_ref().map(state_only_ands);
+    let cand = |side, node| Cand {
+        side,
+        node,
+        phase: false,
+    };
+    let mut cands = vec![cand(0, 0)];
+    for (side, d) in designs.iter().enumerate() {
+        let live = d.aig.latches().iter().filter(|l| d.live[l.output as usize]);
+        cands.extend(live.map(|l| cand(side, l.output)));
+    }
+    let latch_cands = cands.len();
+    for (side, marks) in state_only.iter().enumerate() {
+        let ands = (0..marks.len()).filter(|&i| marks[i]);
+        cands.extend(ands.map(|i| cand(side, i as u32)));
+    }
+    let mut rng = SplitMix::new(opts.seed);
+    let Some(sigs) = simulate_from_reset(designs, iface, &mut rng, &mut cands) else {
+        return false;
+    };
+    for pool in [latch_cands, cands.len()] {
+        let classes = classes_by_signature(0..pool, &sigs);
+        let widened = pool > latch_cands;
+        if refine_to_fixpoint(
+            designs,
+            iface,
+            &mut rng,
+            &cands,
+            &state_only,
+            widened,
+            classes,
+        ) {
+            return true;
+        }
+        if latch_cands == cands.len() {
+            break;
+        }
+    }
+    false
+}
+
+/// Marks the live ANDs with no free input in their cone: only latches,
+/// constants, bound ports and the held-low `rst`.
+fn state_only_ands(d: &Design) -> Vec<bool> {
+    let nodes = d.aig.nodes();
+    let mut free: Vec<bool> = nodes.iter().map(|n| matches!(n, AigNode::Input)).collect();
+    for p in d.aig.input_ports() {
+        if d.binds.contains_key(&p.name) || p.name == "rst" {
+            for l in &p.lits {
+                free[l.node() as usize] = false;
+            }
+        }
+    }
+    let mut marks = vec![false; nodes.len()];
+    for (i, n) in nodes.iter().enumerate() {
+        if let AigNode::And(a, b) = *n {
+            free[i] = free[a.node() as usize] || free[b.node() as usize];
+            marks[i] = d.live[i] && !free[i];
+        }
+    }
+    marks
+}
+
+/// Simulates both designs from reset as BMC unrolls them (`rst` held low,
+/// bound ports constant, latches through `mux(reset, init, next)`), 64
+/// random input patterns per cycle shared by both designs. Returns the
+/// candidates' signatures, [`INDUCTION_SIM_CYCLES`] words each, after
+/// setting every candidate's phase so its first pattern of cycle 0 reads 0
+/// — or `None` once an output differs.
+fn simulate_from_reset(
+    designs: &[Design; 2],
+    iface: &Interface,
+    rng: &mut SplitMix,
+    cands: &mut [Cand],
+) -> Option<Vec<u64>> {
+    let word = |b: bool| if b { u64::MAX } else { 0 };
+    let mut state: [Vec<u64>; 2] = designs
+        .each_ref()
+        .map(|d| d.aig.latches().iter().map(|l| word(l.init)).collect());
+    let mut sigs = vec![0u64; cands.len() * INDUCTION_SIM_CYCLES];
+    for cycle in 0..INDUCTION_SIM_CYCLES {
+        let words: HashMap<&str, Vec<u64>> = iface
+            .inputs
+            .iter()
+            .map(|(name, w)| {
+                let held = name == "rst";
+                let bits = (0..*w).map(|_| if held { 0 } else { rng.next() });
+                (name.as_str(), bits.collect())
+            })
+            .collect();
+        let vals = [0, 1].map(|side| {
+            let d = &designs[side];
+            let mut src = vec![0u64; d.aig.node_count()];
+            for p in d.aig.input_ports() {
+                for (i, l) in p.lits.iter().enumerate() {
+                    src[l.node() as usize] = match d.binds.get(&p.name) {
+                        Some(&v) => word(v >> i & 1 != 0),
+                        None => words[p.name.as_str()][i],
+                    };
+                }
+            }
+            for (l, &q) in d.aig.latches().iter().zip(&state[side]) {
+                src[l.output as usize] = q;
+            }
+            d.aig.simulate(|n| src[n as usize])
+        });
+        let value = |side: usize, l| Aig::lit_value(&vals[side], l);
+        let mut outs = iface_outputs(&designs[0], iface).zip(iface_outputs(&designs[1], iface));
+        if outs.any(|(l, r)| value(0, l) != value(1, r)) {
+            return None;
+        }
+        for (c, cand) in cands.iter().enumerate() {
+            sigs[c * INDUCTION_SIM_CYCLES + cycle] = vals[cand.side][cand.node as usize];
+        }
+        state = [0, 1].map(|side| {
+            let latches = designs[side].aig.latches().iter();
+            latches
+                .map(|l| {
+                    let rst = value(side, l.reset_lit);
+                    rst & word(l.init) | !rst & value(side, l.next)
+                })
+                .collect()
+        });
+    }
+    for (cand, sig) in cands.iter_mut().zip(sigs.chunks_mut(INDUCTION_SIM_CYCLES)) {
+        cand.phase = sig[0] & 1 != 0;
+        if cand.phase {
+            sig.iter_mut().for_each(|w| *w = !*w);
+        }
+    }
+    Some(sigs)
+}
+
+/// Groups candidates with equal signatures, dropping singletons. Members
+/// keep candidate order, so each class's first member — its
+/// representative — is the constant, a latch, or the earliest AND, and is
+/// always built before the members that read it.
+fn classes_by_signature(pool: std::ops::Range<usize>, sigs: &[u64]) -> Vec<Vec<usize>> {
+    let mut index: HashMap<&[u64], usize> = HashMap::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for c in pool {
+        let sig = &sigs[c * INDUCTION_SIM_CYCLES..(c + 1) * INDUCTION_SIM_CYCLES];
+        let k = *index.entry(sig).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[k].push(c);
+    }
+    classes.retain(|c| c.len() > 1);
+    classes
+}
+
+/// The refinement loop of [`prove_by_induction`] over one candidate set:
+/// `true` once the classes and the outputs are proved inductive.
+fn refine_to_fixpoint(
+    designs: &[Design; 2],
+    iface: &Interface,
+    rng: &mut SplitMix,
+    cands: &[Cand],
+    state_only: &[Vec<bool>; 2],
+    widened: bool,
+    mut classes: Vec<Vec<usize>>,
+) -> bool {
+    let kind = |c: Cand| designs[c.side].aig.nodes()[c.node as usize];
+    for _ in 0..INDUCTION_MAX_ROUNDS {
+        // Every class member reads its representative, in relative phase.
+        let mut subst = designs.each_ref().map(|d| vec![None; d.aig.node_count()]);
+        for class in &classes {
+            let rep = cands[class[0]];
+            for &c in &class[1..] {
+                let c = cands[c];
+                subst[c.side][c.node as usize] = Some((rep, c.phase ^ rep.phase));
+            }
+        }
+        let mut m = Aig::new("induction");
+        let inputs = frame_inputs(&mut m, iface, true);
+        // Frame t: a free state under the hypothesis. A latch's
+        // representative is the constant or an earlier latch.
+        let mut state: [Vec<AigLit>; 2] = Default::default();
+        for (side, d) in designs.iter().enumerate() {
+            for l in d.aig.latches() {
+                let q = match subst[side][l.output as usize] {
+                    Some((rep, ph)) => match kind(rep) {
+                        AigNode::Latch(idx) => flip(state[rep.side][idx as usize], ph),
+                        _ => flip(AigLit::FALSE, ph),
+                    },
+                    None => m.add_input(),
+                };
+                state[side].push(q);
+            }
+        }
+        // A reduced AND member still constrains the state: its own value
+        // over the reduced fanins must equal its representative's, which
+        // every state satisfying the hypothesis meets.
+        let mut maps: Vec<Vec<AigLit>> = Vec::with_capacity(2);
+        let mut assumed: Vec<(AigLit, AigLit)> = Vec::new();
+        for (side, d) in designs.iter().enumerate() {
+            let map = frame(
+                &mut m,
+                d,
+                &inputs,
+                &state[side],
+                &d.live,
+                |m, map, i, a, b| {
+                    let own = m.and(a, b);
+                    let Some((rep, ph)) = subst[side][i] else {
+                        return own;
+                    };
+                    let r = match kind(rep) {
+                        AigNode::Latch(idx) => state[rep.side][idx as usize],
+                        _ if rep.side == side => map[rep.node as usize],
+                        _ => maps[rep.side][rep.node as usize],
+                    };
+                    assumed.push((own, flip(r, ph)));
+                    flip(r, ph)
+                },
+            );
+            maps.push(map);
+        }
+        let mut hypothesis = AigLit::TRUE;
+        for (own, r) in assumed {
+            let same = !m.xor(own, r);
+            hypothesis = m.and(hypothesis, same);
+        }
+        let mut target = AigLit::FALSE;
+        let outs: Vec<(AigLit, AigLit)> = iface_outputs(&designs[0], iface)
+            .map(|l| l.translate(&maps[0]))
+            .zip(iface_outputs(&designs[1], iface).map(|l| l.translate(&maps[1])))
+            .collect();
+        for (l, r) in outs {
+            let d = m.xor(l, r);
+            target = m.or(target, d);
+        }
+        // Frame t + 1, unreduced: the latches' next values and, widened,
+        // the state-only ANDs over them.
+        let next = [0, 1].map(|s| next_state(&mut m, &designs[s], &maps[s]));
+        let after = [0, 1].map(|s| {
+            if widened {
+                let d = &designs[s];
+                frame(
+                    &mut m,
+                    d,
+                    &inputs,
+                    &next[s],
+                    &state_only[s],
+                    |m, _, _, a, b| m.and(a, b),
+                )
+            } else {
+                Vec::new()
+            }
+        });
+        let lit_after = |c: Cand| {
+            let l = match kind(c) {
+                AigNode::Latch(idx) => next[c.side][idx as usize],
+                AigNode::And(..) => after[c.side][c.node as usize],
+                _ => AigLit::FALSE,
+            };
+            flip(l, c.phase)
+        };
+        let checked: Vec<Vec<AigLit>> = classes
+            .iter()
+            .map(|class| class.iter().map(|&c| lit_after(cands[c])).collect())
+            .collect();
+        for lits in &checked {
+            for &l in &lits[1..] {
+                let d = m.xor(lits[0], l);
+                target = m.or(target, d);
+            }
+        }
+        let target = m.and(hypothesis, target);
+        let Some(answer) = satisfy_within(&m, target, INDUCTION_MAX_CONFLICTS) else {
+            return false;
+        };
+        let Some(model) = answer else {
+            return true;
+        };
+        // Split every class the counterexample separates. The hypothesis
+        // only constrains the frame-t state, so the model's state meets it
+        // under any inputs: pattern 0 replays the model, 63 random input
+        // patterns from the same state split further classes for free.
+        let mut src: Vec<u64> = model
+            .iter()
+            .map(|&b| if b { u64::MAX } else { 0 })
+            .collect();
+        for l in inputs.values().flatten().filter(|l| !l.is_constant()) {
+            let n = l.node() as usize;
+            src[n] = rng.next() & !1 | src[n] & 1;
+        }
+        let vals = m.simulate(|n| src[n as usize]);
+        let mut split = false;
+        let mut refined = Vec::with_capacity(classes.len());
+        for (class, lits) in classes.into_iter().zip(&checked) {
+            let mut parts: Vec<(u64, Vec<usize>)> = Vec::new();
+            for (c, &l) in class.into_iter().zip(lits) {
+                let w = Aig::lit_value(&vals, l);
+                match parts.iter_mut().find(|(pw, _)| *pw == w) {
+                    Some((_, part)) => part.push(c),
+                    None => parts.push((w, vec![c])),
+                }
+            }
+            split |= parts.len() > 1;
+            refined.extend(parts.into_iter().map(|(_, p)| p).filter(|p| p.len() > 1));
+        }
+        if !split {
+            return false;
+        }
+        classes = refined;
+    }
+    false
+}
+
+/// Checks sequential equivalence: both designs start from reset (flops at
+/// their `init` values) and see the same inputs every cycle, with a shared
+/// `rst` input held low.
 ///
 /// Engine selection follows [`EquivOptions::engine`]:
 ///
 /// * [`EquivEngine::Auto`] — random lockstep for narrow interfaces; beyond
 ///   [`BDD_MAX_INPUT_BITS`] shared input bits (where random stimulus stops
-///   covering the space) an exact [`EquivOptions::bmc_depth`]-cycle bounded
-///   model check runs first, then random lockstep probes deeper cycles;
-/// * [`EquivEngine::Random`] — random lockstep only;
-/// * [`EquivEngine::Sat`] — bounded model checking only (exact up to
-///   [`EquivOptions::bmc_depth`] cycles);
+///   covering the space) the sequential SAT check below runs first, then
+///   random lockstep probes deeper cycles;
+/// * [`EquivEngine::Random`] — random lockstep only: identical random input
+///   sequences for [`EquivOptions::cycles`] cycles;
+/// * [`EquivEngine::Sat`] — the sequential SAT check only. An induction
+///   prover (signal correspondence with speculative reduction) runs first;
+///   when it proves the outputs equal in every reachable state, the designs
+///   are equivalent at every depth. Otherwise an exact
+///   [`EquivOptions::bmc_depth`]-cycle bounded model check decides, so
+///   every counterexample — and every verdict — is the one bounded model
+///   checking alone returns;
 /// * [`EquivEngine::Bdd`] — unsupported for sequential checks
 ///   ([`SimError::EngineLimit`]).
 ///
@@ -766,11 +1227,11 @@ pub fn check_seq_equiv(
             })
         }
         EquivEngine::Sat => {
-            return check_sat(left, right, &iface, opts, Some(opts.bmc_depth));
+            return check_seq_sat(left, right, &iface, opts);
         }
         EquivEngine::Auto => {
             if total_bits > BDD_MAX_INPUT_BITS {
-                let res = check_sat(left, right, &iface, opts, Some(opts.bmc_depth))?;
+                let res = check_seq_sat(left, right, &iface, opts)?;
                 if !res.is_equivalent() {
                     return Ok(res);
                 }
@@ -1321,5 +1782,284 @@ mod tests {
         };
         let res = check_seq_equiv(&build(false), &build(true), &EquivOptions::new()).unwrap();
         assert!(!res.is_equivalent());
+    }
+}
+
+/// The induction prover against the BMC-only path it runs in front of. On
+/// seeded random FSM pairs, [`check_seq_equiv`] must return exactly what
+/// BMC alone returns — verdict and counterexample — and every pair the
+/// prover proves must also pass a much deeper BMC.
+#[cfg(test)]
+mod induction_tests {
+    use super::*;
+    use synthir_core::fsm::FsmSpec;
+    use synthir_netlist::{GateId, GateKind};
+    use synthir_rtl::elaborate;
+    use synthir_synth::fsmreencode::fsm_reencode;
+    use synthir_synth::FsmEncoding;
+
+    /// The sequential SAT check without the prover: BMC alone.
+    fn bmc_only(l: &Netlist, r: &Netlist, opts: &EquivOptions) -> EquivResult {
+        let iface = shared_interface(l, r, opts).unwrap();
+        let designs = import_pair(l, r, opts).unwrap();
+        check_sat(l, r, &designs, &iface, opts, Some(opts.bmc_depth)).unwrap()
+    }
+
+    fn proved_by_induction(l: &Netlist, r: &Netlist, opts: &EquivOptions) -> bool {
+        let iface = shared_interface(l, r, opts).unwrap();
+        prove_by_induction(&import_pair(l, r, opts).unwrap(), &iface, opts)
+    }
+
+    /// Dense FSM tables over `m` input bits and `n` output bits. The first
+    /// `reach` states only step among themselves, and state `i` steps to
+    /// `i + 1` on the all-ones minterm, so exactly those are reachable.
+    #[derive(Clone)]
+    struct Tables {
+        m: usize,
+        n: usize,
+        next: Vec<Vec<usize>>,
+        out: Vec<Vec<u128>>,
+    }
+
+    fn below(rng: &mut SplitMix, n: usize) -> usize {
+        (rng.next() % n as u64) as usize
+    }
+
+    fn random_tables(rng: &mut SplitMix, m: usize, n: usize, s: usize, reach: usize) -> Tables {
+        let minterms = 1 << m;
+        let next = (0..s)
+            .map(|i| {
+                (0..minterms)
+                    .map(|mm| match i < reach {
+                        true if mm == minterms - 1 => (i + 1) % reach,
+                        true => below(rng, reach),
+                        false => below(rng, s),
+                    })
+                    .collect()
+            })
+            .collect();
+        let out = (0..s)
+            .map(|_| {
+                (0..minterms)
+                    .map(|_| u128::from(rng.next()) & ((1 << n) - 1))
+                    .collect()
+            })
+            .collect();
+        Tables { m, n, next, out }
+    }
+
+    fn spec(t: &Tables) -> FsmSpec {
+        FsmSpec::from_dense("rand", t.m, t.n, &t.next, &t.out).unwrap()
+    }
+
+    fn table(t: &Tables) -> Netlist {
+        elaborate(&spec(t).to_table_module(false)).unwrap().netlist
+    }
+
+    fn case(t: &Tables) -> Netlist {
+        elaborate(&spec(t).to_case_module()).unwrap().netlist
+    }
+
+    /// The annotated table before and after FSM re-encoding, when the pass
+    /// applies.
+    fn reencoded(t: &Tables, enc: FsmEncoding) -> Option<(Netlist, Netlist)> {
+        let e = elaborate(&spec(t).to_table_module(true)).unwrap();
+        let mut nl = e.netlist.clone();
+        match fsm_reencode(&mut nl, e.fsm.as_ref()?, enc) {
+            Ok(true) => Some((e.netlist, nl)),
+            _ => None,
+        }
+    }
+
+    fn flops(nl: &Netlist) -> Vec<GateId> {
+        let seq = nl.gates().filter(|(_, g)| g.kind.is_sequential());
+        seq.map(|(id, _)| id).collect()
+    }
+
+    /// `nl` with the flops picked by `mask` stored complemented: inverted
+    /// D and init, every reader behind an inverter.
+    fn complement_flops(nl: &Netlist, mask: u64) -> Netlist {
+        let mut nl = nl.clone();
+        for (k, f) in flops(&nl).into_iter().enumerate() {
+            if mask >> (k % 64) & 1 == 0 {
+                continue;
+            }
+            let g = nl.gate(f).clone();
+            let GateKind::Dff { reset, init } = g.kind else {
+                unreachable!("sequential gates are flops")
+            };
+            let mut ins = g.inputs.clone();
+            ins[0] = nl.add_gate(GateKind::Inv, &[g.inputs[0]]);
+            let q = nl.add_gate(GateKind::Dff { reset, init: !init }, &ins);
+            let nq = nl.add_gate(GateKind::Inv, &[q]);
+            nl.replace_net_uses(g.output, nq);
+            nl.remove_gate(f);
+        }
+        nl
+    }
+
+    /// `nl` with a 1-bit `cfg` input that, when set, complements one flop's
+    /// next state.
+    fn with_cfg(nl: &Netlist, pick: usize) -> Netlist {
+        let mut nl = nl.clone();
+        let cfg = nl.add_input("cfg", 1)[0];
+        let fs = flops(&nl);
+        let f = fs[pick % fs.len()];
+        let g = nl.gate(f).clone();
+        let alt = nl.add_gate(GateKind::Inv, &[g.inputs[0]]);
+        let mut ins = g.inputs.clone();
+        ins[0] = nl.add_gate(GateKind::Mux2, &[cfg, g.inputs[0], alt]);
+        nl.rewrite_gate(f, g.kind, &ins);
+        nl
+    }
+
+    /// A counter stepping `0 → 1 → … → s - 1` (then staying) whatever the
+    /// input, and a twin differing in one output bit of the last state
+    /// only: they first diverge at cycle `s - 1`.
+    fn late_divergence(rng: &mut SplitMix, m: usize, n: usize, s: usize) -> (Tables, Tables) {
+        let mut t = random_tables(rng, m, n, s, s);
+        for (i, row) in t.next.iter_mut().enumerate() {
+            row.iter_mut().for_each(|nx| *nx = (i + 1).min(s - 1));
+        }
+        let mut u = t.clone();
+        u.out[s - 1].iter_mut().for_each(|o| *o ^= 1);
+        (t, u)
+    }
+
+    /// One checked pair: its kind, the two netlists, the right design's
+    /// bindings, and the verdict known by construction (if any).
+    struct Pair {
+        kind: &'static str,
+        left: Netlist,
+        right: Netlist,
+        bind_right: Option<u128>,
+        expect: Option<bool>,
+    }
+
+    fn pairs(seed: u64, m: usize, n: usize, s: usize, depth: usize) -> Vec<Pair> {
+        let mut rng = SplitMix::new(seed);
+        let t = random_tables(&mut rng, m, n, s, s);
+        let pair = |kind, left, right, expect| Pair {
+            kind,
+            left,
+            right,
+            bind_right: None,
+            expect,
+        };
+        let mut out = vec![pair("table/case", table(&t), case(&t), Some(true))];
+        let enc = [FsmEncoding::Binary, FsmEncoding::Gray, FsmEncoding::OneHot][seed as usize % 3];
+        if let Some((before, after)) = reencoded(&t, enc) {
+            out.push(pair("fsm_reencode", before, after, Some(true)));
+        }
+        let mut mutated = t.clone();
+        let (st, mm) = (below(&mut rng, s), below(&mut rng, 1 << m));
+        mutated.out[st][mm] ^= 1 << below(&mut rng, n);
+        out.push(pair("mutation", case(&t), case(&mutated), None));
+        for k in [depth + 2, INDUCTION_SIM_CYCLES + 6] {
+            let (l, r) = late_divergence(&mut rng, m, n, k + 1);
+            out.push(pair("late divergence", case(&l), case(&r), Some(true)));
+        }
+        let reach = 2.max(s / 2);
+        let l = random_tables(&mut rng, m, n, s + 2, reach);
+        let mut r = l.clone();
+        for i in reach..s + 2 {
+            let fresh = random_tables(&mut rng, m, n, s + 2, s + 2);
+            r.next[i] = fresh.next[i].clone();
+            r.out[i] = fresh.out[i].clone();
+        }
+        out.push(pair("unreachable codes", table(&l), case(&r), Some(true)));
+        let c = case(&t);
+        let flipped = complement_flops(&c, rng.next() | 1);
+        out.push(pair("complemented latches", c.clone(), flipped, Some(true)));
+        for v in [0, 1] {
+            let mut p = pair(
+                "bound ports",
+                c.clone(),
+                with_cfg(&table(&t), seed as usize),
+                None,
+            );
+            p.bind_right = Some(v);
+            p.expect = (v == 0).then_some(true);
+            out.push(p);
+        }
+        out
+    }
+
+    /// Checks every pair of one generator call, re-checking each pair the
+    /// prover proves by BMC to `deep_depth` cycles and by random lockstep
+    /// over [`EquivOptions::cycles`] cycles; returns (pairs proved
+    /// by induction, pairs known equivalent with no late divergence).
+    fn check_pairs(seed: u64, m: usize, n: usize, s: usize, deep_depth: usize) -> (usize, usize) {
+        let mut opts = EquivOptions::new();
+        opts.engine = EquivEngine::Sat;
+        opts.bmc_depth = 4;
+        opts.seed = seed;
+        let (mut proved, mut provable) = (0, 0);
+        for p in pairs(seed, m, n, s, opts.bmc_depth) {
+            let mut o = opts.clone();
+            if let Some(v) = p.bind_right {
+                o.bind_right.insert("cfg".into(), v);
+            }
+            let ctx = format!("seed {seed} (m {m}, n {n}, s {s}) {}", p.kind);
+            let got = check_seq_equiv(&p.left, &p.right, &o).unwrap();
+            assert_eq!(got, bmc_only(&p.left, &p.right, &o), "{ctx}");
+            if let Some(e) = p.expect {
+                assert_eq!(got.is_equivalent(), e, "{ctx}: {got:?}");
+            }
+            let by_induction = proved_by_induction(&p.left, &p.right, &o);
+            if by_induction {
+                let mut deep = o.clone();
+                deep.bmc_depth = deep_depth;
+                assert!(
+                    bmc_only(&p.left, &p.right, &deep).is_equivalent(),
+                    "{ctx}: proved by induction, refuted by deep BMC"
+                );
+                deep.engine = EquivEngine::Random;
+                assert!(
+                    check_seq_equiv(&p.left, &p.right, &deep)
+                        .unwrap()
+                        .is_equivalent(),
+                    "{ctx}: proved by induction, refuted by random lockstep"
+                );
+            }
+            if p.kind == "late divergence" {
+                assert!(
+                    !by_induction,
+                    "{ctx}: a reachable divergence was proved away"
+                );
+            } else if p.expect == Some(true) {
+                provable += 1;
+                proved += usize::from(by_induction);
+            }
+        }
+        (proved, provable)
+    }
+
+    #[test]
+    fn induction_agrees_with_bmc_on_random_fsm_pairs() {
+        let (mut proved, mut provable) = (0, 0);
+        for seed in 0..8u64 {
+            let s = 2 + seed as usize % 5;
+            let (p, q) = check_pairs(seed, 1 + seed as usize % 2, 1 + seed as usize % 3, s, 12);
+            proved += p;
+            provable += q;
+        }
+        // The prover must carry most known-equivalent pairs, not just
+        // forward them to BMC.
+        assert!(2 * proved > provable, "proved {proved} of {provable}");
+    }
+
+    #[test]
+    #[ignore = "release-only sweep of the differential generator"]
+    fn induction_agrees_with_bmc_sweep() {
+        let (mut proved, mut provable) = (0, 0);
+        for seed in 0..48u64 {
+            let s = 2 + seed as usize % 11;
+            let deep = 14;
+            let (p, q) = check_pairs(seed, 1 + seed as usize % 3, 1 + seed as usize % 4, s, deep);
+            proved += p;
+            provable += q;
+        }
+        assert!(2 * proved > provable, "proved {proved} of {provable}");
     }
 }

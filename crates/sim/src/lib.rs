@@ -10,12 +10,13 @@
 //! * [`CombSim`] — bit-parallel (64 patterns/word) combinational evaluation,
 //! * [`SeqSim`] — cycle-accurate sequential simulation with reset handling,
 //! * [`equiv`] — random, BDD- and SAT-based combinational equivalence, plus
-//!   sequential equivalence (random lockstep and SAT-based bounded model
-//!   checking) under input bindings (used to check a specialized design
-//!   against its flexible parent with the configuration port tied to the
-//!   table being specialized). The SAT engine builds one AIG miter — a
-//!   single frame, or a bounded unrolling from reset — and hands it to
-//!   [`synthir_aig::satisfy`].
+//!   sequential equivalence (random lockstep, and SAT-based induction
+//!   backed by bounded model checking) under input bindings (used to check
+//!   a specialized design against its flexible parent with the
+//!   configuration port tied to the table being specialized). Every SAT
+//!   question is one AIG miter built from per-cycle frames — a single
+//!   frame, an induction step, or a bounded unrolling from reset — handed
+//!   to [`synthir_aig::satisfy`].
 //!
 //! ## Example
 //!

@@ -246,10 +246,13 @@ pub fn compile_netlist(
 /// The `verify_each_pass` debug harness: holds the netlist as of the last
 /// verified pass and SAT-checks each new snapshot against it.
 ///
-/// Pure combinational designs use the miter check; anything with flops is
-/// bounded-model-checked from reset. Both are exact within their scope, so
-/// a pass that changes observable behaviour is caught with a concrete
-/// counterexample in the error message.
+/// Pure combinational designs use the miter check. Anything with flops goes
+/// through the sequential SAT check: an induction prover first proves the
+/// snapshot equivalent at every depth when the pass kept a correspondence
+/// between the two designs' signals (nearly every pass does), and whatever
+/// it cannot prove is bounded-model-checked 6 cycles from reset. A pass
+/// that changes behaviour within those cycles is caught with BMC's
+/// concrete, cycle-numbered counterexample in the error message.
 struct PassVerifier {
     prev: Option<Netlist>,
 }
@@ -454,6 +457,51 @@ mod tests {
                 "seed {seed}: {:.1} µm² over the {ceiling:.1} µm² ceiling",
                 r.area.total()
             );
+        }
+    }
+
+    /// A pass that changes sequential behaviour is refused with a
+    /// counterexample that names its cycle: a flipped flop `init`, an
+    /// inverted next-state function, and two swapped state codes.
+    #[test]
+    fn pass_verifier_refuses_sequential_mutants_with_a_cycle_numbered_counterexample() {
+        use synthir_core::fsm::FsmSpec;
+        use synthir_netlist::GateKind;
+        let out = vec![vec![0, 1], vec![2, 3], vec![1, 0], vec![3, 2]];
+        let table = |next: Vec<Vec<usize>>| {
+            let spec = FsmSpec::from_dense("m", 1, 2, &next, &out).unwrap();
+            elaborate(&spec.to_table_module(false)).unwrap().netlist
+        };
+        let golden = table(vec![vec![1, 2], vec![2, 3], vec![3, 0], vec![0, 1]]);
+        let flop = golden
+            .gates()
+            .find(|(_, g)| g.kind.is_sequential())
+            .map(|(id, g)| (id, g.clone()))
+            .unwrap();
+        let GateKind::Dff { reset, init } = flop.1.kind else {
+            unreachable!("sequential gates are flops")
+        };
+        let mut flipped_init = golden.clone();
+        let kind = GateKind::Dff { reset, init: !init };
+        flipped_init.rewrite_gate(flop.0, kind, &flop.1.inputs);
+        let mut inverted_next = golden.clone();
+        let mut ins = flop.1.inputs.clone();
+        ins[0] = inverted_next.add_gate(GateKind::Inv, &[ins[0]]);
+        inverted_next.rewrite_gate(flop.0, flop.1.kind, &ins);
+        let swapped_codes = table(vec![vec![2, 1], vec![1, 3], vec![3, 0], vec![0, 2]]);
+        for (name, mutant) in [
+            ("flipped init", flipped_init),
+            ("inverted next state", inverted_next),
+            ("swapped state codes", swapped_codes),
+        ] {
+            let mut verifier = PassVerifier::new(true, &golden);
+            match verifier.check(&mutant, "mutant") {
+                Err(SynthError::PassVerification(msg)) => assert!(
+                    msg.contains("pass `mutant` changed behaviour") && msg.contains("\"__cycle\""),
+                    "{name}: {msg}"
+                ),
+                other => panic!("{name}: expected a counterexample, got {other:?}"),
+            }
         }
     }
 

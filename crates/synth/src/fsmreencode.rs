@@ -247,7 +247,7 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
     // Collect the truth table of every root to rebuild (next-state bits,
     // outputs, non-state flop D inputs), then minimize them as one batch:
     // the per-root jobs are independent, so the batch driver runs them
-    // concurrently under the `parallel` feature with identical results.
+    // concurrently (`synthir_logic::par`) with identical results.
     let root_tt = |value_of: &dyn Fn(usize, usize) -> bool| -> TruthTable {
         // value_of(state_idx, combo)
         TruthTable::from_fn(total_vars, |m| {

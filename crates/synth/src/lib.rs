@@ -49,6 +49,7 @@ pub mod stateprop;
 pub mod strash;
 pub mod techmap;
 pub mod timing;
+mod uses;
 
 pub use cutmap::cut_map;
 pub use flow::{compile, CompileResult, PassStat};

@@ -12,6 +12,7 @@
 
 use crate::conefn::cone_function;
 use crate::factor::emit_cover;
+use crate::uses::UseCounts;
 use synthir_logic::espresso::{minimize, EspressoOptions};
 use synthir_logic::{Cover, Cube, TruthTable};
 use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
@@ -102,61 +103,6 @@ impl Phase2 {
 
     fn uses(&mut self, nl: &Netlist) -> &mut UseCounts {
         self.uses.get_or_insert_with(|| UseCounts::count(nl))
-    }
-}
-
-/// How often each net is used: once per gate-input pin reading it (so
-/// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
-/// gate counts, including dead ones an earlier rebuild left for the final
-/// sweep, exactly as [`Netlist::fanout_map`] lists them.
-struct UseCounts {
-    refs: Vec<u32>,
-}
-
-impl UseCounts {
-    fn count(nl: &Netlist) -> Self {
-        let mut refs = vec![0u32; nl.num_nets()];
-        for (_, g) in nl.gates() {
-            for &i in &g.inputs {
-                refs[i.index()] += 1;
-            }
-        }
-        for p in nl.outputs() {
-            for &n in &p.nets {
-                refs[n.index()] += 1;
-            }
-        }
-        UseCounts { refs }
-    }
-
-    /// The area of the cone gates that would die if every consumer of
-    /// `root` were rewired away: the root's driver, then every cone gate
-    /// whose uses all come from dying gates. Visiting the cone in reverse
-    /// topological order settles each gate's consumers before the gate, so
-    /// one pass decrements the counts (the `deref` walk); a second pass
-    /// restores them. The areas are summed in the cone's topological order,
-    /// so the `f64` total — and every accept/reject decision made on it —
-    /// is the same every run.
-    fn dying_area(&mut self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
-        let cone = topo::cone_gates(nl, root); // topological: inputs first
-        let mut dying = vec![false; cone.len()];
-        for (j, &g) in cone.iter().enumerate().rev() {
-            let gate = nl.gate(g);
-            if gate.output == root || self.refs[gate.output.index()] == 0 {
-                dying[j] = true;
-                for &i in &gate.inputs {
-                    self.refs[i.index()] -= 1;
-                }
-            }
-        }
-        let dead = || cone.iter().zip(&dying).filter(|(_, &d)| d).map(|(&g, _)| g);
-        let area = dead().map(|g| lib.area(nl.gate(g).kind)).sum();
-        for g in dead() {
-            for &i in &nl.gate(g).inputs {
-                self.refs[i.index()] += 1;
-            }
-        }
-        area
     }
 }
 
@@ -460,7 +406,7 @@ mod tests {
                 }
             }
             // Every query restored the counts it consumed.
-            assert_eq!(uses.refs, UseCounts::count(&nl).refs, "seed {seed}");
+            assert_eq!(uses, UseCounts::count(&nl), "seed {seed}");
         }
         assert!(partial > 1000, "only {partial} cones with surviving gates");
     }

@@ -6,7 +6,8 @@
 //! nets it swallows have no other fanout, so the rewrite is always
 //! area-neutral or better under [`synthir_netlist::Library::vt90`].
 
-use synthir_netlist::{GateId, GateKind, Netlist};
+use crate::uses::UseCounts;
+use synthir_netlist::{GateId, GateKind, NetId, Netlist};
 
 /// Runs the peephole mapper to a fixpoint. Returns the number of rewrites.
 pub fn techmap(nl: &mut Netlist) -> usize {
@@ -29,6 +30,7 @@ fn map_once(nl: &mut Netlist) -> usize {
         let out = nl.gate(gid).output;
         fanout[out.index()].len() == 1 && !out_nets.contains(&out)
     };
+    let mut uses = UseCounts::count(nl);
     let gids: Vec<GateId> = nl.gates().map(|(id, _)| id).collect();
     let mut count = 0;
     for gid in gids {
@@ -62,36 +64,30 @@ fn map_once(nl: &mut Netlist) -> usize {
                 };
                 // AOI/OAI patterns: Inv(Or2(And2(a,b), c)) etc.
                 if ig.kind == Or2 {
-                    if let Some((aoi_inputs, wide)) = match_and_or(nl, &ig, true) {
-                        if wide {
-                            nl.rewrite_gate(gid, Aoi22, &aoi_inputs);
-                        } else {
-                            nl.rewrite_gate(gid, Aoi21, &aoi_inputs);
-                        }
+                    if let Some((aoi_inputs, wide)) = match_and_or(nl, &uses, &ig, true) {
+                        let kind = if wide { Aoi22 } else { Aoi21 };
+                        uses.rewrite(nl, gid, kind, &aoi_inputs);
                         count += 1;
                         continue;
                     }
                 }
                 if ig.kind == And2 {
-                    if let Some((oai_inputs, wide)) = match_and_or(nl, &ig, false) {
-                        if wide {
-                            nl.rewrite_gate(gid, Oai22, &oai_inputs);
-                        } else {
-                            nl.rewrite_gate(gid, Oai21, &oai_inputs);
-                        }
+                    if let Some((oai_inputs, wide)) = match_and_or(nl, &uses, &ig, false) {
+                        let kind = if wide { Oai22 } else { Oai21 };
+                        uses.rewrite(nl, gid, kind, &oai_inputs);
                         count += 1;
                         continue;
                     }
                 }
                 if let Some(kind) = mapped {
-                    nl.rewrite_gate(gid, kind, &ig.inputs);
+                    uses.rewrite(nl, gid, kind, &ig.inputs);
                     count += 1;
                 }
             }
             // Widen AND/OR trees: And2(And2(a,b), c) -> And3 when the inner
             // gate has a single fanout.
             And2 | Or2 => {
-                let widened = try_widen(nl, gid, &g, &single_fanout);
+                let widened = try_widen(nl, &mut uses, gid, &g, &single_fanout);
                 if widened {
                     count += 1;
                 }
@@ -99,28 +95,29 @@ fn map_once(nl: &mut Netlist) -> usize {
             _ => {}
         }
     }
+    debug_assert_eq!(uses, UseCounts::count(nl), "use counts drifted");
     count
 }
 
 /// For an Or2 (when `and_inner`) finds `Or2(And2(a,b), c)` → `[a,b,c]`
 /// (Aoi21) or `Or2(And2(a,b), And2(c,d))` → `[a,b,c,d]` (Aoi22); dual for
-/// And2 with Or2 children. Inner gates must be single-fanout.
+/// And2 with Or2 children. Inner gates must be single-fanout as of the
+/// round's rewrites so far.
 fn match_and_or(
     nl: &Netlist,
+    uses: &UseCounts,
     outer: &synthir_netlist::Gate,
     and_inner: bool,
-) -> Option<(Vec<synthir_netlist::NetId>, bool)> {
+) -> Option<(Vec<NetId>, bool)> {
     let want = if and_inner {
         GateKind::And2
     } else {
         GateKind::Or2
     };
-    let fanout = nl.fanout_map();
-    let out_nets: std::collections::HashSet<_> = nl.output_nets().into_iter().collect();
-    let inner_of = |n: synthir_netlist::NetId| -> Option<&synthir_netlist::Gate> {
+    let inner_of = |n: NetId| -> Option<&synthir_netlist::Gate> {
         let d = nl.driver(n)?;
         let g = nl.gate(d);
-        if g.kind == want && fanout[n.index()].len() == 1 && !out_nets.contains(&n) {
+        if g.kind == want && uses.single(n) {
             Some(g)
         } else {
             None
@@ -139,6 +136,7 @@ fn match_and_or(
 
 fn try_widen(
     nl: &mut Netlist,
+    uses: &mut UseCounts,
     gid: GateId,
     g: &synthir_netlist::Gate,
     single_fanout: &dyn Fn(&Netlist, GateId) -> bool,
@@ -161,7 +159,8 @@ fn try_widen(
         if let Some(oinner) = nl.driver(other) {
             let og = nl.gate(oinner).clone();
             if og.kind == two && single_fanout(nl, oinner) {
-                nl.rewrite_gate(
+                uses.rewrite(
+                    nl,
                     gid,
                     four,
                     &[ig.inputs[0], ig.inputs[1], og.inputs[0], og.inputs[1]],
@@ -169,7 +168,7 @@ fn try_widen(
                 return true;
             }
         }
-        nl.rewrite_gate(gid, three, &[ig.inputs[0], ig.inputs[1], other]);
+        uses.rewrite(nl, gid, three, &[ig.inputs[0], ig.inputs[1], other]);
         return true;
     }
     false

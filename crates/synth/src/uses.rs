@@ -1,0 +1,84 @@
+//! Per-net use counts: what resynthesis and the rule mapper ask of a
+//! fanout map, kept current in place instead of rebuilt per query.
+
+use synthir_netlist::{topo, GateId, GateKind, Library, NetId, Netlist};
+
+/// How often each net is used: once per gate-input pin reading it (so
+/// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
+/// gate counts, including dead ones an earlier rewrite left for the final
+/// sweep, exactly as [`Netlist::fanout_map`] lists them.
+#[derive(Debug, PartialEq)]
+pub(crate) struct UseCounts {
+    refs: Vec<u32>,
+}
+
+impl UseCounts {
+    pub(crate) fn count(nl: &Netlist) -> Self {
+        let mut refs = vec![0u32; nl.num_nets()];
+        for (_, g) in nl.gates() {
+            for &i in &g.inputs {
+                refs[i.index()] += 1;
+            }
+        }
+        for p in nl.outputs() {
+            for &n in &p.nets {
+                refs[n.index()] += 1;
+            }
+        }
+        UseCounts { refs }
+    }
+
+    /// Whether `net` — read by at least one live gate — has that one
+    /// reader and drives no output port.
+    pub(crate) fn single(&self, net: NetId) -> bool {
+        self.refs[net.index()] == 1
+    }
+
+    /// [`Netlist::rewrite_gate`], moving the uses from the gate's old
+    /// inputs to the new ones.
+    pub(crate) fn rewrite(
+        &mut self,
+        nl: &mut Netlist,
+        gid: GateId,
+        kind: GateKind,
+        inputs: &[NetId],
+    ) {
+        for &i in &nl.gate(gid).inputs {
+            self.refs[i.index()] -= 1;
+        }
+        nl.rewrite_gate(gid, kind, inputs);
+        for &i in inputs {
+            self.refs[i.index()] += 1;
+        }
+    }
+
+    /// The area of the cone gates that would die if every consumer of
+    /// `root` were rewired away: the root's driver, then every cone gate
+    /// whose uses all come from dying gates. Visiting the cone in reverse
+    /// topological order settles each gate's consumers before the gate, so
+    /// one pass decrements the counts (the `deref` walk); a second pass
+    /// restores them. The areas are summed in the cone's topological order,
+    /// so the `f64` total — and every accept/reject decision made on it —
+    /// is the same every run.
+    pub(crate) fn dying_area(&mut self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
+        let cone = topo::cone_gates(nl, root); // topological: inputs first
+        let mut dying = vec![false; cone.len()];
+        for (j, &g) in cone.iter().enumerate().rev() {
+            let gate = nl.gate(g);
+            if gate.output == root || self.refs[gate.output.index()] == 0 {
+                dying[j] = true;
+                for &i in &gate.inputs {
+                    self.refs[i.index()] -= 1;
+                }
+            }
+        }
+        let dead = || cone.iter().zip(&dying).filter(|(_, &d)| d).map(|(&g, _)| g);
+        let area = dead().map(|g| lib.area(nl.gate(g).kind)).sum();
+        for g in dead() {
+            for &i in &nl.gate(g).inputs {
+                self.refs[i.index()] += 1;
+            }
+        }
+        area
+    }
+}
