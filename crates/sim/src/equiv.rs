@@ -1898,6 +1898,19 @@ mod induction_tests {
         nl
     }
 
+    /// `nl` with one flop's `init` value flipped.
+    fn flip_init(nl: &Netlist, pick: usize) -> Netlist {
+        let mut nl = nl.clone();
+        let fs = flops(&nl);
+        let f = fs[pick % fs.len()];
+        let g = nl.gate(f).clone();
+        let GateKind::Dff { reset, init } = g.kind else {
+            unreachable!("sequential gates are flops")
+        };
+        nl.rewrite_gate(f, GateKind::Dff { reset, init: !init }, &g.inputs);
+        nl
+    }
+
     /// `nl` with a 1-bit `cfg` input that, when set, complements one flop's
     /// next state.
     fn with_cfg(nl: &Netlist, pick: usize) -> Netlist {
@@ -1955,9 +1968,15 @@ mod induction_tests {
         let (st, mm) = (below(&mut rng, s), below(&mut rng, 1 << m));
         mutated.out[st][mm] ^= 1 << below(&mut rng, n);
         out.push(pair("mutation", case(&t), case(&mutated), None));
+        let flipped = flip_init(&table(&t), seed as usize);
+        out.push(pair("flipped init", case(&t), flipped, None));
         for k in [depth + 2, INDUCTION_SIM_CYCLES + 6] {
             let (l, r) = late_divergence(&mut rng, m, n, k + 1);
             out.push(pair("late divergence", case(&l), case(&r), Some(true)));
+            // Complemented latches give classes of opposite phase, so a
+            // phase slip in the hypothesis would prove this pair away.
+            let flipped = complement_flops(&case(&r), rng.next() | 1);
+            out.push(pair("late divergence", table(&l), flipped, Some(true)));
         }
         let reach = 2.max(s / 2);
         let l = random_tables(&mut rng, m, n, s + 2, reach);
