@@ -3,8 +3,11 @@
 //! The lowering is polarity-aware: an AND node whose consumers mostly read
 //! the complemented edge becomes a `Nand2` (no inverter), and a node whose
 //! fanins are both complemented becomes a `Nor2`/`Or2` — so the all-AND
-//! normal form does not cost inverter cells or hurt technology mapping on
-//! the way back to gates.
+//! normal form does not cost inverter cells on the way back to gates. The
+//! exported netlist feeds the netlist-level passes of the synthesis flow
+//! (FSM re-encoding, state propagation, resynthesis); technology mapping
+//! imports their result into an AIG again and does not depend on the
+//! gate shapes chosen here.
 
 use crate::graph::{Aig, AigLit, AigNode, FxMap};
 use synthir_netlist::{GateKind, NetId, Netlist, ResetKind};
@@ -83,7 +86,8 @@ pub fn to_netlist(aig: &Aig, keep: &[AigLit]) -> NetlistExport {
     // `w = !(s & d1) & !(!s & d0)` whose two AND children exist only to
     // feed it — denotes `!w = s ? d1 : d0`. The library's `Mux2`/`Xor2`
     // cells are cheaper than the three 2-input gates the generic lowering
-    // would emit, and technology mapping cannot re-derive them. Roots are
+    // would emit, and resynthesis — which prices the cones it collapses by
+    // their cells' area — then sees one gate instead of three. Roots are
     // planned before their children (reverse index order) so chained
     // patterns never absorb a node that another pattern still reads.
     struct MuxPlan {
@@ -129,10 +133,10 @@ pub fn to_netlist(aig: &Aig, keep: &[AigLit]) -> NetlistExport {
     // n-ary tree clustering: a chain of single-fanout ANDs re-fuses into
     // one `And3`/`And4` (complement flavours become NAND/NOR/OR), which
     // restores the n-ary structure espresso-style SOP emission had before
-    // the AIG normalized it to 2-input form — technology mapping patterns
-    // against those shapes and the n-ary cells are cheaper than 2-input
-    // chains. Roots before children again, so a chain is absorbed into
-    // its outermost surviving node.
+    // the AIG normalized it to 2-input form. The n-ary cells are cheaper
+    // than 2-input chains, and the fewer, wider gates keep resynthesis's
+    // cone walks short. Roots before children again, so a chain is
+    // absorbed into its outermost surviving node.
     let mut tree: Vec<Option<Vec<AigLit>>> = vec![None; aig.node_count()];
     let single_plain_use = |i: usize| plain_uses[i] == 1 && compl_uses[i] == 0;
     for i in (0..aig.node_count()).rev() {

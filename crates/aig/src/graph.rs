@@ -320,8 +320,7 @@ impl Aig {
 
     /// The conjunction of two literals, with constant folding, one- and
     /// two-level rewriting, and structural hashing applied at construction
-    /// time — the AIG-native fusion of the netlist `const_fold` + `strash`
-    /// passes.
+    /// time.
     pub fn and(&mut self, a: AigLit, b: AigLit) -> AigLit {
         // Normalize operand order so permuted duplicates hash alike.
         let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };

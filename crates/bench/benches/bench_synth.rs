@@ -1,18 +1,14 @@
-//! End-to-end `compile` benchmark: the rule mapper vs the cut-based
-//! mapper on the shipped `benchmarks/` controllers.
+//! End-to-end `compile` benchmark on the shipped `benchmarks/`
+//! controllers.
 //!
 //! Each KISS2 controller is lowered in the table coding style (the paper's
-//! recommended generator output) and compiled two ways:
-//!
-//! * `aig`  — `SynthOptions::default()`: AIG front half + rule mapper;
-//! * `cuts` — `.with_cut_mapper()`: AIG front half + cut-based technology
-//!   mapping (`--mapper cuts`).
+//! recommended generator output), plus the runtime-programmable lowering
+//! of two of them, and compiled with `SynthOptions::default()`.
 //!
 //! Median wall-clock, final gate count, mapped area, and critical-path
-//! delay for every variant are written to `BENCH_synth.json` at the
-//! workspace root, so both the compile-time trajectory *and* the mapper
-//! area/delay tradeoff are tracked across PRs alongside
-//! `BENCH_espresso.json`.
+//! delay per design are written to `BENCH_synth.json` at the workspace
+//! root, so both the compile-time trajectory *and* the mapped area/delay
+//! are tracked across PRs alongside `BENCH_espresso.json`.
 //!
 //! Run with `cargo bench --bench bench_synth` (add `-- --quick` for the CI
 //! smoke pass; the JSON is written either way).
@@ -64,7 +60,7 @@ fn median_time(rounds: usize, mut f: impl FnMut()) -> Duration {
     samples[samples.len() / 2]
 }
 
-/// One compile variant's measured row.
+/// One design's measured row.
 struct Row {
     ms: f64,
     gates: usize,
@@ -89,64 +85,34 @@ fn bench(c: &mut Criterion) {
     let quick =
         std::env::args().any(|a| a == "--quick") || std::env::var_os("QUICK_BENCH").is_some();
     let lib = Library::vt90();
-    let variants: [(&str, SynthOptions); 2] = [
-        ("aig", SynthOptions::default()),
-        ("cuts", SynthOptions::default().with_cut_mapper()),
-    ];
+    let opts = SynthOptions::default();
     let mut g = c.benchmark_group("bench_synth");
     g.sample_size(if quick { 3 } else { 10 });
 
-    let mut rows: Vec<(String, Vec<(&str, Row)>)> = Vec::new();
+    let mut rows: Vec<(String, Row)> = Vec::new();
     for (name, elab) in controllers() {
-        for (vname, opts) in &variants {
-            g.bench_function(format!("{name}/{vname}"), |b| {
-                b.iter(|| compile(&elab, &lib, opts).unwrap())
-            });
-        }
-        let rounds = if quick { 3 } else { 9 };
-        let measured: Vec<(&str, Row)> = variants
-            .iter()
-            .map(|(vname, opts)| (*vname, measure(&elab, &lib, opts, rounds)))
-            .collect();
-        let aig = &measured[0].1;
-        let cuts = &measured[1].1;
+        g.bench_function(&name, |b| b.iter(|| compile(&elab, &lib, &opts).unwrap()));
+        let r = measure(&elab, &lib, &opts, if quick { 3 } else { 9 });
         println!(
-            "{name}: aig {:.3} ms ({} gates, {:.1} µm², {:.3} ns) | cuts {:.3} ms ({} gates, \
-             {:.1} µm², {:.3} ns) | cut-map area {:+.1}%",
-            aig.ms,
-            aig.gates,
-            aig.area,
-            aig.critical_ns,
-            cuts.ms,
-            cuts.gates,
-            cuts.area,
-            cuts.critical_ns,
-            (cuts.area - aig.area) / aig.area * 100.0,
+            "{name}: {:.3} ms ({} gates, {:.1} µm², {:.3} ns)",
+            r.ms, r.gates, r.area, r.critical_ns,
         );
-        rows.push((name, measured));
+        rows.push((name, r));
     }
     g.finish();
 
     let mut json = String::from(
-        "{\n  \"benchmark\": \"synth::flow::compile: rule mapper (aig) vs cut-based mapper \
-         (cuts)\",\n  \"unit\": \"ms (median \
+        "{\n  \"benchmark\": \"synth::flow::compile\",\n  \"unit\": \"ms (median \
          wall-clock), um2 (mapped area), ns (critical path)\",\n  \"workloads\": {\n",
     );
-    for (i, (name, measured)) in rows.iter().enumerate() {
-        json.push_str(&format!("    \"{name}\": {{\n"));
-        for (j, (vname, r)) in measured.iter().enumerate() {
-            json.push_str(&format!(
-                "      \"{vname}\": {{\"ms\": {:.3}, \"gates\": {}, \"area_um2\": {:.1}, \
-                 \"critical_ns\": {:.4}}}{}\n",
-                r.ms,
-                r.gates,
-                r.area,
-                r.critical_ns,
-                if j + 1 < measured.len() { "," } else { "" }
-            ));
-        }
+    for (i, (name, r)) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    }}{}\n",
+            "    \"{name}\": {{\"ms\": {:.3}, \"gates\": {}, \"area_um2\": {:.1}, \
+             \"critical_ns\": {:.4}}}{}\n",
+            r.ms,
+            r.gates,
+            r.area,
+            r.critical_ns,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -12,14 +12,15 @@ use synthir_core::format_conv::from_kiss2;
 use synthir_core::FsmSpec;
 use synthir_netlist::{verilog, Library};
 use synthir_rtl::{elaborate, Module};
-use synthir_synth::{flow::compile, Mapper, SynthOptions};
+use synthir_synth::{flow::compile, SynthOptions};
 
 /// Usage text for `synthir fsm`.
 pub const USAGE: &str = "\
 usage: synthir fsm <spec.kiss2> [options]
 
 Reads a KISS2 FSM specification, lowers it in a coding style, synthesizes
-it with the partial-evaluating flow, and writes structural Verilog.
+it with the partial-evaluating flow, maps it onto library cells with the
+cut-based technology mapper, and writes structural Verilog.
 
 options:
   --style <s>     coding style: table (default), table-annotated, case,
@@ -29,10 +30,6 @@ options:
   --json          print the synthesis result (cells, area, timing, pass
                   statistics) as JSON instead of prose
   --clock <ns>    clock period for the slack line (default 2.0)
-  --mapper <m>    technology mapper: rules (default; greedy peephole
-                  NAND/NOR/AOI rewrites) or cuts (k-feasible cuts on the
-                  AIG, NPN-matched against the cell library, with
-                  depth-oriented and area-recovery cover selection)
   --no-synth      elaborate only; skip the synthesis flow
   --sat-sweep     enable SAT sweeping inside the AIG cleanup pass
   --verify-passes SAT-check the netlist after every synthesis pass against
@@ -43,7 +40,7 @@ options:
 pub const FLAGS: &[&str] = &["report", "json", "no-synth", "verify-passes", "sat-sweep"];
 
 /// Valued options `synthir fsm` accepts (each documented in [`USAGE`]).
-pub const OPTIONS: &[&str] = &["style", "o", "clock", "mapper"];
+pub const OPTIONS: &[&str] = &["style", "o", "clock"];
 
 /// The FSM coding styles the CLI can lower to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,22 +144,15 @@ pub fn run(args: &Args) -> CmdResult {
         if args.flag("sat-sweep") {
             sopts.sat_sweep = true;
         }
-        if let Some(m) = args.option("mapper") {
-            sopts.mapper = Mapper::parse(m).map_err(|bad| {
-                CliError(format!("unknown mapper `{bad}` (expected rules or cuts)"))
-            })?;
-        }
         let r = compile(&elab, &lib, &sopts)?;
         if json {
             out.push_str(&format!(
                 "{{\n  \"design\": \"{}\",\n  \"states\": {},\n  \"reachable_states\": {},\n  \
-                 \"mapper\": \"{}\",\n  \
                  \"gates\": {},\n  \"flops\": {},\n  \"area_um2\": {:.2},\n  \
                  \"area_sequential_um2\": {:.2},\n  \"critical_ns\": {:.4},\n  \"passes\": {}\n}}\n",
                 crate::report::json_escape(module.name()),
                 spec.state_count(),
                 spec.reachable_states().len(),
-                sopts.mapper.name(),
                 r.netlist.num_gates(),
                 r.netlist.flop_count(),
                 r.area.total(),

@@ -226,9 +226,9 @@ fn simplify(nl: &mut Netlist, gid: GateId) -> Option<Action> {
             }
         }
         Aoi21 | Oai21 | Aoi22 | Oai22 => {
-            // These appear only after techmap, which runs after folding; any
-            // constants remaining here are handled by a conservative rule:
-            // full constant evaluation only.
+            // These appear only after technology mapping, which runs after
+            // folding; any constants remaining here are handled by a
+            // conservative rule: full constant evaluation only.
             if c.iter().all(|v| v.is_some()) {
                 let vals: Vec<bool> = c.iter().map(|v| v.unwrap()).collect();
                 Some(Action::ReplaceConst(gate.kind.eval(&vals)))

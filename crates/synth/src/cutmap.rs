@@ -1,9 +1,9 @@
-//! Cut-based technology mapping on the AIG
-//! (`SynthOptions::mapper = Mapper::Cuts`, CLI `--mapper cuts`).
+//! Cut-based technology mapping on the AIG: the synthesis flow's only
+//! mapping step, run on every compile after resynthesis.
 //!
-//! Where the rule mapper ([`crate::techmap`]) pattern-matches the flat
-//! netlist locally, this pass maps the design *globally* from its
-//! And-Inverter Graph:
+//! The resynthesized netlist is imported into an And-Inverter Graph
+//! (which folds constants and hashes structure on the way in), and the
+//! design is mapped *globally* from it:
 //!
 //! 1. **Cut enumeration** — every AND node gets a bounded set of
 //!    k-feasible priority cuts (k ≤ 4) with per-cut truth tables
@@ -14,10 +14,16 @@
 //!    plus the exact pin permutation/polarities realizing the cut;
 //! 3. **Cover selection** — a depth-oriented first pass (min arrival
 //!    under the library's per-cell delays), then area-flow and
-//!    exact-local-area recovery passes choose one cut per needed node;
+//!    exact-local-area recovery passes choose one cut per needed node.
+//!    Exact-local-area counts references per node *phase*, so it charges
+//!    the polarity inverters the way emission builds them: one per node
+//!    whose unproduced phase has a reader, shared by all of them (the
+//!    accounting of priority-cut mappers; Mishchenko, Cho, Chatterjee,
+//!    Brayton, "Combinational and sequential mapping with priority cuts",
+//!    ICCAD 2007);
 //! 4. **Emission** — the mapped [`Netlist`] is built directly from the
 //!    chosen cuts (ports, flop semantics, and polarity-memoized inverters
-//!    preserved), replacing the export → rule-rewrite detour.
+//!    preserved).
 //!
 //! Because cut truth tables are contextually sound (reconvergent
 //! sub-cones bake in circuit-level don't-cares — see
@@ -130,8 +136,10 @@ enum Real {
     },
     /// A library cell over the cut's leaves.
     Cell {
-        kind: GateKind,
-        spec: CellSpec,
+        /// The cell's entry in [`Cands::cells`] (an index rather than the
+        /// cell itself keeps candidates small: a mapping holds tens of
+        /// thousands of them).
+        cell: u8,
         /// The cell computes the *complement* of the node function.
         out_neg: bool,
     },
@@ -176,20 +184,6 @@ impl Cand {
             .map(|(j, &leaf)| (leaf, self.negs >> j & 1 != 0))
     }
 
-    fn area(&self) -> f64 {
-        match self.real {
-            Real::Cell { spec, .. } => spec.area,
-            _ => 0.0,
-        }
-    }
-
-    fn delay(&self) -> f64 {
-        match self.real {
-            Real::Cell { spec, .. } => spec.delay,
-            _ => 0.0,
-        }
-    }
-
     /// Whether the realization physically produces the node's complement,
     /// given the produced phase of every earlier node: aliases carry their
     /// leaf's net, tie cells count as plain.
@@ -225,9 +219,26 @@ impl Cand {
 struct Cands {
     list: Vec<Cand>,
     start: Vec<u32>,
+    /// The library cells the candidates use.
+    cells: Vec<(GateKind, CellSpec)>,
 }
 
 impl Cands {
+    fn cell(&self, cand: &Cand) -> Option<(GateKind, CellSpec)> {
+        match cand.real {
+            Real::Cell { cell, .. } => Some(self.cells[usize::from(cell)]),
+            _ => None,
+        }
+    }
+
+    fn area(&self, cand: &Cand) -> f64 {
+        self.cell(cand).map_or(0.0, |(_, spec)| spec.area)
+    }
+
+    fn delay(&self, cand: &Cand) -> f64 {
+        self.cell(cand).map_or(0.0, |(_, spec)| spec.delay)
+    }
+
     fn of(&self, i: usize) -> &[Cand] {
         &self.list[self.start[i] as usize..self.start[i + 1] as usize]
     }
@@ -297,11 +308,18 @@ fn map_aig(aig: &Aig, lib: &Library) -> Mapped {
         choice = select(aig, &cands, &inv, Mode::Area, &structural, Some(&cover));
     }
     // Exact-local-area refinement on the final cover.
-    let cover = extract(aig, &cands, &choice, &live);
-    exact_local_area(aig, &cands, &mut choice, cover, &live, &inv);
+    exact_local_area(aig, &cands, &mut choice, &live, &inv);
 
     let cover = extract(aig, &cands, &choice, &live);
-    emit(aig, &cands, &choice, &cover, &live)
+    let mapped = emit(aig, &cands, &choice, &cover, &live);
+    debug_assert!(
+        {
+            let (_, area) = PhaseRefs::of_cover(aig, &cands, &choice, &live, &inv);
+            (area - mapped.netlist.area_report(lib).combinational).abs() < 1e-6 * area.max(1.0)
+        },
+        "the cover's phase accounting disagrees with the emitted area"
+    );
+    mapped
 }
 
 /// Builds the candidate realizations of every AND node: per non-trivial
@@ -313,6 +331,7 @@ fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Cands {
     // maps (arity, table) to a range of `cells`.
     let mut memo: FxMap<(u8, u16), (u32, u32)> = FxMap::default();
     let mut cells: Vec<(Real, [(u8, bool); K])> = Vec::new();
+    let mut kinds: Vec<(GateKind, CellSpec)> = Vec::new();
     let mut list: Vec<Cand> = Vec::new();
     let mut start: Vec<u32> = Vec::with_capacity(aig.node_count() + 1);
     for (i, node) in aig.nodes().iter().enumerate() {
@@ -344,9 +363,13 @@ fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Cands {
                             for v in 0..n {
                                 pins[u.perm[v] as usize] = (v as u8, u.flips >> v & 1 != 0);
                             }
+                            let cell = kinds.iter().position(|&(k, _)| k == m.kind);
+                            let cell = cell.unwrap_or_else(|| {
+                                kinds.push((m.kind, m.spec));
+                                kinds.len() - 1
+                            });
                             let real = Real::Cell {
-                                kind: m.kind,
-                                spec: m.spec,
+                                cell: u8::try_from(cell).expect("at most 256 library cells"),
                                 out_neg: u.negate,
                             };
                             cells.push((real, pins));
@@ -366,7 +389,11 @@ fn candidates(aig: &Aig, cuts: &[Vec<Cut>], index: &NpnIndex) -> Cands {
         debug_assert!(list.len() > first, "every AND node has a matchable cut");
     }
     start.push(list.len() as u32);
-    Cands { list, start }
+    Cands {
+        list,
+        start,
+        cells: kinds,
+    }
 }
 
 /// Structural (AIG-edge) polarity use counts — the seed estimate before
@@ -457,9 +484,9 @@ fn select(
                 arr = arr.max(arrival[l] + if mismatch { inv.delay } else { 0.0 });
                 in_cost += flow[l] + if mismatch { inv.area } else { 0.0 };
             }
-            arr += cand.delay();
+            arr += cands.delay(cand);
             let out_pen = cand.out_fixup(needs, &produced_compl, inv);
-            let af = (cand.area() + out_pen + in_cost) / refs;
+            let af = (cands.area(cand) + out_pen + in_cost) / refs;
             let key = match mode {
                 Mode::Depth => (arr, af),
                 Mode::Area => (af, arr),
@@ -482,8 +509,9 @@ fn select(
                     }
             })
             .fold(0.0, f64::max)
-            + cand.delay();
-        flow[i] = (cand.area() + cand.leaves().map(|(l, _)| flow[l as usize]).sum::<f64>()) / refs;
+            + cands.delay(cand);
+        flow[i] =
+            (cands.area(cand) + cand.leaves().map(|(l, _)| flow[l as usize]).sum::<f64>()) / refs;
         produced_compl[i] = cand.produces_compl(&produced_compl);
     }
     choice
@@ -545,137 +573,167 @@ fn extract(aig: &Aig, cands: &Cands, choice: &[usize], live: &[bool]) -> Cover {
     Cover { uses }
 }
 
+/// Reads of every node phase in a cover, counted the way [`emit`] builds
+/// the netlist, so the area they add up to is the area it emits: a read of
+/// node `n` in phase `p` is one reference to `(n, p)`. A cell holds one
+/// reference per pin while either phase of its node is read, an alias
+/// passes each phase read on to its leaf, and a node pays one inverter —
+/// shared by all its readers — while the phase it does not produce has a
+/// reader (inputs and latch outputs produce the plain phase; tie cells
+/// produce both).
+struct PhaseRefs<'a> {
+    nodes: &'a [AigNode],
+    cands: &'a Cands,
+    inv_area: f64,
+    /// `refs[n][p]`: the readers of node `n` in phase `p` (1 = complement).
+    refs: Vec<[u32; 2]>,
+    /// Every increment, so a trial insertion is undone by decrementing the
+    /// logged entries again.
+    log: Vec<(u32, bool)>,
+}
+
+impl<'a> PhaseRefs<'a> {
+    /// The references of the cover `choice` selects from the roots: output
+    /// ports plus live-latch next/reset cones, as [`extract`] walks them.
+    /// Returns the cover's combinational area with it.
+    fn of_cover(
+        aig: &'a Aig,
+        cands: &'a Cands,
+        choice: &[usize],
+        live: &[bool],
+        inv: &CellSpec,
+    ) -> (PhaseRefs<'a>, f64) {
+        let mut refs = PhaseRefs {
+            nodes: aig.nodes(),
+            cands,
+            inv_area: inv.area,
+            refs: vec![[0; 2]; aig.node_count()],
+            log: Vec::new(),
+        };
+        let mut area = 0.0;
+        for p in aig.output_ports() {
+            for &l in &p.lits {
+                area += refs.ref_lit(choice, l);
+            }
+        }
+        for lat in aig.latches() {
+            if live[lat.output as usize] {
+                area += refs.ref_lit(choice, lat.next);
+                area += refs.ref_lit(choice, lat.reset_lit);
+            }
+        }
+        refs.log.clear();
+        (refs, area)
+    }
+
+    /// Adds one read of `l`; returns the area the cover grows by.
+    fn ref_lit(&mut self, choice: &[usize], l: AigLit) -> f64 {
+        let (n, compl) = (l.node() as usize, l.is_complemented());
+        let before = self.refs[n];
+        self.refs[n][usize::from(compl)] += 1;
+        self.log.push((l.node(), compl));
+        if before[usize::from(compl)] > 0 {
+            return 0.0;
+        }
+        let cands = self.cands;
+        match self.nodes[n] {
+            AigNode::And(..) => {
+                let cand = cands.chosen(n, choice);
+                match cand.real {
+                    Real::Constant(_) => 0.0,
+                    Real::Alias { leaf, neg } => {
+                        self.ref_lit(choice, AigLit::new(leaf, compl ^ neg))
+                    }
+                    Real::Cell { out_neg, .. } => {
+                        let mut area = if compl != out_neg { self.inv_area } else { 0.0 };
+                        if before == [0, 0] {
+                            area += cands.area(cand);
+                            for (leaf, neg) in cand.leaves() {
+                                area += self.ref_lit(choice, AigLit::new(leaf, neg));
+                            }
+                        }
+                        area
+                    }
+                }
+            }
+            AigNode::Const0 => 0.0,
+            AigNode::Input | AigNode::Latch(_) if compl => self.inv_area,
+            AigNode::Input | AigNode::Latch(_) => 0.0,
+        }
+    }
+
+    /// The inverse of [`PhaseRefs::ref_lit`]: removes one read of `l`,
+    /// releasing whatever its last reader held.
+    fn deref_lit(&mut self, choice: &[usize], l: AigLit) {
+        let (n, compl) = (l.node() as usize, l.is_complemented());
+        self.refs[n][usize::from(compl)] -= 1;
+        if self.refs[n][usize::from(compl)] > 0 || !matches!(self.nodes[n], AigNode::And(..)) {
+            return;
+        }
+        let cands = self.cands;
+        let cand = cands.chosen(n, choice);
+        match cand.real {
+            Real::Constant(_) => {}
+            Real::Alias { leaf, neg } => self.deref_lit(choice, AigLit::new(leaf, compl ^ neg)),
+            Real::Cell { .. } => {
+                if self.refs[n] == [0, 0] {
+                    for (leaf, neg) in cand.leaves() {
+                        self.deref_lit(choice, AigLit::new(leaf, neg));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Undoes every increment since the log was last cleared.
+    fn undo(&mut self) {
+        for (n, compl) in self.log.drain(..) {
+            self.refs[n as usize][usize::from(compl)] -= 1;
+        }
+    }
+}
+
 /// Exact-local-area refinement: for each covered node (topological
 /// order), re-choose the candidate whose *incremental* area — cell area,
-/// polarity fix-up inverters, plus the exact area of leaves not otherwise
-/// referenced — is smallest, maintaining cover reference counts by
-/// recursive ref/deref.
-fn exact_local_area(
-    aig: &Aig,
-    cands: &Cands,
-    choice: &mut [usize],
-    cover: Cover,
-    live: &[bool],
-    inv: &CellSpec,
-) {
-    let nodes = aig.nodes();
-    let is_and = |n: usize| matches!(nodes[n], AigNode::And(..));
-    // Reference counts in the same convention `ref_cand`/`deref_cand`
-    // maintain: one count per consumer *pin* (an alias is one pin on its
-    // leaf) plus one per root read — NOT `cover.uses` totals, which
-    // forward an alias's whole consumer count onto its leaf and would
-    // leave leaf refs permanently high once consumers are re-chosen.
-    let mut refs: Vec<u32> = vec![0; aig.node_count()];
-    for p in aig.output_ports() {
-        for &l in &p.lits {
-            refs[l.node() as usize] += 1;
-        }
-    }
-    for lat in aig.latches() {
-        if live[lat.output as usize] {
-            refs[lat.next.node() as usize] += 1;
-            refs[lat.reset_lit.node() as usize] += 1;
-        }
-    }
-    for i in (0..aig.node_count()).rev() {
-        if refs[i] > 0 && is_and(i) {
-            for (leaf, _) in cands.chosen(i, choice).leaves() {
-                refs[leaf as usize] += 1;
-            }
-        }
-    }
-    // The physically produced polarity of every node under the current
-    // choices (leaves precede their consumers, so entries below `i` are
-    // final by the time node `i` is scored; they are updated on commit).
-    let mut produced_compl = vec![false; aig.node_count()];
+/// the inverters [`emit`] will build for it, plus the exact area of
+/// sub-covers not otherwise referenced — is smallest, scored by trial
+/// insertion into the cover's [`PhaseRefs`].
+fn exact_local_area(aig: &Aig, cands: &Cands, choice: &mut [usize], live: &[bool], inv: &CellSpec) {
+    let (mut cover, _) = PhaseRefs::of_cover(aig, cands, choice, live, inv);
     for i in 0..aig.node_count() {
-        if is_and(i) {
-            produced_compl[i] = cands.chosen(i, choice).produces_compl(&produced_compl);
-        }
-    }
-    // Inverters needed to fix a candidate's pin polarities and its output
-    // polarity against what the node's consumers read. Conservative (no
-    // sharing assumed), like the selection passes.
-    let inv_fixups = |i: usize, cand: &Cand, produced_compl: &[bool]| -> f64 {
-        let mut pen = 0.0;
-        for (leaf, neg) in cand.leaves() {
-            if neg != produced_compl[leaf as usize] {
-                pen += inv.area;
-            }
-        }
-        pen + cand.out_fixup(cover.uses[i], produced_compl, inv)
-    };
-
-    /// Increments references of a candidate's leaves, materializing
-    /// newly-needed sub-covers; returns the area added. Every increment is
-    /// appended to `log`, so a trial insertion is undone by decrementing
-    /// the logged nodes again.
-    fn ref_cand(
-        cand: &Cand,
-        nodes: &[AigNode],
-        cands: &Cands,
-        choice: &[usize],
-        refs: &mut [u32],
-        log: &mut Vec<u32>,
-    ) -> f64 {
-        let mut area = cand.area();
-        for (leaf, _) in cand.leaves() {
-            let l = leaf as usize;
-            if refs[l] == 0 && matches!(nodes[l], AigNode::And(..)) {
-                area += ref_cand(cands.chosen(l, choice), nodes, cands, choice, refs, log);
-            }
-            refs[l] += 1;
-            log.push(leaf);
-        }
-        area
-    }
-
-    /// The inverse of [`ref_cand`]: removes a candidate from the cover,
-    /// releasing every sub-cover whose last reference goes with it.
-    fn deref_cand(
-        cand: &Cand,
-        nodes: &[AigNode],
-        cands: &Cands,
-        choice: &[usize],
-        refs: &mut [u32],
-    ) {
-        for (leaf, _) in cand.leaves() {
-            let l = leaf as usize;
-            refs[l] -= 1;
-            if refs[l] == 0 && matches!(nodes[l], AigNode::And(..)) {
-                deref_cand(cands.chosen(l, choice), nodes, cands, choice, refs);
-            }
-        }
-    }
-
-    let mut log: Vec<u32> = Vec::new();
-    for i in 0..aig.node_count() {
-        if refs[i] == 0 || !is_and(i) {
+        let read = cover.refs[i];
+        if read == [0, 0] || !matches!(aig.nodes()[i], AigNode::And(..)) {
             continue;
         }
-        // Temporarily remove the current choice from the cover…
-        let cur = choice[i];
-        deref_cand(cands.chosen(i, choice), nodes, cands, choice, &mut refs);
-        // …score every candidate by trial insertion…
-        let mut best = cur;
+        let phases = [false, true]
+            .into_iter()
+            .filter(|&c| read[usize::from(c)] > 0);
+        let lits = || phases.clone().map(|c| AigLit::new(i as u32, c));
+        // Take the node out of the cover as if each read phase lost its
+        // last reader…
+        cover.refs[i] = read.map(|r| u32::from(r > 0));
+        for l in lits() {
+            cover.deref_lit(choice, l);
+        }
+        // …score every candidate by the area those readers bring back…
+        let mut best = choice[i];
         let mut best_area = f64::INFINITY;
-        for (k, cand) in cands.of(i).iter().enumerate() {
-            let a = ref_cand(cand, nodes, cands, choice, &mut refs, &mut log)
-                + inv_fixups(i, cand, &produced_compl);
-            for l in log.drain(..) {
-                refs[l as usize] -= 1;
-            }
+        for k in 0..cands.of(i).len() {
+            choice[i] = k;
+            let a: f64 = lits().map(|l| cover.ref_lit(choice, l)).sum();
+            cover.undo();
             if a < best_area {
                 best_area = a;
                 best = k;
             }
         }
-        // …and commit the winner.
+        // …and commit the winner, readers restored.
         choice[i] = best;
-        let winner = cands.chosen(i, choice);
-        ref_cand(winner, nodes, cands, choice, &mut refs, &mut log);
-        log.clear();
-        produced_compl[i] = winner.produces_compl(&produced_compl);
+        for l in lits() {
+            cover.ref_lit(choice, l);
+        }
+        cover.log.clear();
+        cover.refs[i] = read;
     }
 }
 
@@ -759,7 +817,8 @@ fn emit(aig: &Aig, cands: &Cands, choice: &[usize], cover: &Cover, live: &[bool]
                     inv_net[i] = Some(net);
                 }
             }
-            Real::Cell { kind, out_neg, .. } => {
+            Real::Cell { cell, out_neg } => {
+                let kind = cands.cells[usize::from(cell)].0;
                 let mut ins = [NetId(0); K];
                 for (net, (leaf, neg)) in ins.iter_mut().zip(cand.leaves()) {
                     *net = resolve(
@@ -857,6 +916,56 @@ mod tests {
         let golden = nl.clone();
         let cells = cut_map(&mut nl, &lib());
         assert_eq!(cells, 1, "{:?}", nl.gate_histogram());
+        let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn inv_and_becomes_nand() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let b = nl.add_input("b", 1)[0];
+        let x = nl.add_gate(GateKind::And2, &[a, b]);
+        let y = nl.add_gate(GateKind::Inv, &[x]);
+        nl.add_output("y", &[y]);
+        cut_map(&mut nl, &lib());
+        assert_eq!(nl.num_gates(), 1);
+        let g = nl.driver(nl.output_nets()[0]).unwrap();
+        assert_eq!(nl.gate(g).kind, GateKind::Nand2);
+    }
+
+    #[test]
+    fn mapping_reduces_area_and_preserves_function() {
+        // (a&b) | (c&d), inverted — classic AOI22.
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 4);
+        let ab = nl.add_gate(GateKind::And2, &[x[0], x[1]]);
+        let cd = nl.add_gate(GateKind::And2, &[x[2], x[3]]);
+        let o = nl.add_gate(GateKind::Or2, &[ab, cd]);
+        let y = nl.add_gate(GateKind::Inv, &[o]);
+        nl.add_output("y", &[y]);
+        let before_area = nl.area_report(&lib()).combinational;
+        let golden = nl.clone();
+        cut_map(&mut nl, &lib());
+        assert!(nl.area_report(&lib()).combinational < before_area);
+        let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn shared_nodes_not_absorbed() {
+        // The And2 feeds both the Inv and an output: one cell per phase
+        // (its complement is a Nand2 or an inverter), never a duplicate.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let b = nl.add_input("b", 1)[0];
+        let x = nl.add_gate(GateKind::And2, &[a, b]);
+        let y = nl.add_gate(GateKind::Inv, &[x]);
+        nl.add_output("y", &[y]);
+        nl.add_output("x", &[x]);
+        let golden = nl.clone();
+        cut_map(&mut nl, &lib());
+        assert_eq!(nl.num_gates(), 2, "{:?}", nl.gate_histogram());
         let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
         assert!(res.is_equivalent());
     }

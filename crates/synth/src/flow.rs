@@ -86,9 +86,9 @@ fn run_pass(
 /// with local rewriting and the optional SAT sweep
 /// ([`SynthOptions::sat_sweep`]) — folds constants and shares logic before
 /// the netlist is handed to FSM re-encoding, optional retiming, state
-/// propagation, resynthesis, and technology mapping. The rule mapper's
-/// output then gets one extra single-sweep [`crate::strash::strash`] over
-/// the post-techmap gates.
+/// propagation and resynthesis. Technology mapping ([`crate::cutmap`])
+/// closes the flow: it imports the result into the AIG once more and
+/// emits library cells from k-feasible cuts.
 ///
 /// # Errors
 ///
@@ -187,47 +187,20 @@ pub fn compile_netlist(
         verifier.check(&nl, "state_propagation")?;
     }
 
-    // 5. Collapse-and-re-cover resynthesis, then clean up again. The
-    // cleanup stays on the flat netlist: resynthesis emits the n-ary
-    // And/Or structure technology mapping patterns against, and an AIG
-    // round-trip here would re-decompose it to 2-input form right before
-    // mapping.
+    // 5. Collapse-and-re-cover resynthesis.
     run_pass(&mut stats, &mut nl, "resynthesize", |nl| {
         crate::resynth::resynthesize(nl, lib)
     });
-    run_pass(
-        &mut stats,
-        &mut nl,
-        "const_fold",
-        crate::constfold::const_fold,
-    );
     verifier.check(&nl, "resynthesize")?;
-    run_pass(&mut stats, &mut nl, "strash", crate::strash::strash);
-    verifier.check(&nl, "strash")?;
 
-    // 6. Technology mapping. The rule mapper rewrites the flat netlist in
-    // place (then shares over the *mapped* gates — AOI conversion can
-    // duplicate cells the pre-map passes never saw); the cut mapper
-    // re-imports the netlist into the AIG and emits the mapped netlist
-    // directly from its chosen cuts, so no post-map strash is needed
-    // (the AIG is already structurally hashed and cells are emitted
-    // at most once per node).
-    match opts.mapper {
-        crate::options::Mapper::Rules => {
-            run_pass(&mut stats, &mut nl, "techmap", |nl| {
-                crate::techmap::techmap(nl)
-            });
-            verifier.check(&nl, "techmap")?;
-            run_pass(&mut stats, &mut nl, "strash_mapped", crate::strash::strash);
-            verifier.check(&nl, "strash_mapped")?;
-        }
-        crate::options::Mapper::Cuts => {
-            run_pass(&mut stats, &mut nl, "cutmap", |nl| {
-                crate::cutmap::cut_map(nl, lib)
-            });
-            verifier.check(&nl, "cutmap")?;
-        }
-    }
+    // 6. Technology mapping: the netlist is re-imported into the AIG
+    // (which folds constants and hashes structure on the way in) and the
+    // mapped netlist is emitted directly from the chosen cuts: at most one
+    // cell, and one shared inverter, per AIG node.
+    run_pass(&mut stats, &mut nl, "cutmap", |nl| {
+        crate::cutmap::cut_map(nl, lib)
+    });
+    verifier.check(&nl, "cutmap")?;
     nl.sweep();
     verifier.check(&nl, "sweep")?;
     nl.validate()

@@ -26,11 +26,10 @@
 //! [`flow::compile`] sequences these passes like a `compile` run of the
 //! commercial tool the paper used, and [`timing`] provides the static
 //! timing side of the methodology. The optimized network is lowered to
-//! library cells by one of two technology mappers
-//! ([`options::Mapper`]): the greedy peephole rule mapper ([`techmap`])
-//! or the cut-based mapper ([`cutmap`]) — k-feasible cuts on the AIG,
-//! NPN-matched against the [`synthir_netlist::Library`] cell metadata,
-//! with depth-oriented and area-recovery cover selection.
+//! library cells by the cut-based technology mapper ([`cutmap`]):
+//! k-feasible cuts on the AIG, NPN-matched against the
+//! [`synthir_netlist::Library`] cell metadata, with depth-oriented and
+//! area-recovery cover selection.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,14 +45,12 @@ pub mod options;
 pub mod resynth;
 pub mod retime;
 pub mod stateprop;
-pub mod strash;
-pub mod techmap;
 pub mod timing;
 mod uses;
 
 pub use cutmap::cut_map;
 pub use flow::{compile, CompileResult, PassStat};
-pub use options::{FsmEncoding, Mapper, SynthOptions};
+pub use options::{FsmEncoding, SynthOptions};
 pub use timing::{sta, TimingReport};
 
 /// Errors produced by the synthesis engine.

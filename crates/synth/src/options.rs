@@ -14,44 +14,6 @@ pub enum FsmEncoding {
     Keep,
 }
 
-/// Which technology mapper [`crate::flow::compile`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum Mapper {
-    /// The greedy peephole rule mapper ([`crate::techmap`]): local
-    /// NAND/NOR/AOI/OAI pattern rewrites on the flat netlist. The
-    /// default, and the A/B baseline the cut mapper is measured against.
-    #[default]
-    Rules,
-    /// The cut-based mapper ([`crate::cutmap`]): k-feasible cut
-    /// enumeration on the AIG, NPN matching against the library's cell
-    /// metadata, and depth/area-flow/exact-local-area cover selection,
-    /// emitting the mapped netlist directly from the chosen cuts.
-    Cuts,
-}
-
-impl Mapper {
-    /// Parses a mapper name (the CLI `--mapper` values).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized input as the error value.
-    pub fn parse(s: &str) -> Result<Mapper, String> {
-        match s {
-            "rules" | "rule" => Ok(Mapper::Rules),
-            "cuts" | "cut" => Ok(Mapper::Cuts),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// The canonical name (`rules` / `cuts`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Mapper::Rules => "rules",
-            Mapper::Cuts => "cuts",
-        }
-    }
-}
-
 /// Options controlling [`crate::flow::compile`].
 ///
 /// The flow itself is fixed (see [`crate::flow::compile_netlist`]); these
@@ -68,9 +30,6 @@ pub struct SynthOptions {
     pub retime: bool,
     /// Encoding used by FSM re-encoding.
     pub fsm_encoding: FsmEncoding,
-    /// Which technology mapper to run: the rule mapper (default) or the
-    /// cut-based mapper.
-    pub mapper: Mapper,
     /// Run SAT sweeping inside the AIG cleanup: candidate equivalences
     /// from random-simulation signatures, proved by the CDCL solver and
     /// merged on proof. Off by default (it trades compile time for the
@@ -113,10 +72,10 @@ impl SynthOptions {
         self
     }
 
-    /// Returns options using the cut-based technology mapper
-    /// ([`Mapper::Cuts`]).
-    pub fn with_cut_mapper(mut self) -> Self {
-        self.mapper = Mapper::Cuts;
+    /// Returns `self` unchanged. The cut-based mapper ([`crate::cutmap`])
+    /// is the flow's only technology mapper, so there is nothing left to
+    /// select; the method stays for callers written when it was optional.
+    pub fn with_cut_mapper(self) -> Self {
         self
     }
 }
@@ -140,15 +99,5 @@ mod tests {
             .with_fsm_encoding(FsmEncoding::OneHot);
         assert!(o.retime);
         assert_eq!(o.fsm_encoding, FsmEncoding::OneHot);
-        assert_eq!(o.mapper, Mapper::Rules);
-        assert_eq!(o.with_cut_mapper().mapper, Mapper::Cuts);
-    }
-
-    #[test]
-    fn mapper_names_round_trip() {
-        for m in [Mapper::Rules, Mapper::Cuts] {
-            assert_eq!(Mapper::parse(m.name()), Ok(m));
-        }
-        assert!(Mapper::parse("bogus").is_err());
     }
 }

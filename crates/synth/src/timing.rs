@@ -7,11 +7,10 @@
 //!
 //! Every delay comes from the [`Library`]'s per-cell metadata table
 //! (`Library::combinational_cells`, flop rows included) — nothing is
-//! hardcoded here — so mapper choices ([`crate::techmap`] vs
-//! [`crate::cutmap`]) show up honestly in the reported area/delay
-//! tradeoff: a mapper that picks a bigger-but-faster cell pays for it in
-//! area and is credited for it in `critical_delay`, from the same rows
-//! the mappers themselves optimized against.
+//! hardcoded here — so the technology mapper's choices ([`crate::cutmap`])
+//! show up honestly in the reported area/delay tradeoff: a bigger-but-faster
+//! cell pays for it in area and is credited for it in `critical_delay`,
+//! from the same rows the mapper itself optimized against.
 
 use synthir_netlist::{topo, Library, NetId, Netlist};
 

@@ -1,7 +1,7 @@
-//! Per-net use counts: what resynthesis and the rule mapper ask of a
-//! fanout map, kept current in place instead of rebuilt per query.
+//! Per-net use counts: what resynthesis asks of a fanout map, kept current
+//! in place instead of rebuilt per query.
 
-use synthir_netlist::{topo, GateId, GateKind, Library, NetId, Netlist};
+use synthir_netlist::{topo, Library, NetId, Netlist};
 
 /// How often each net is used: once per gate-input pin reading it (so
 /// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
@@ -26,30 +26,6 @@ impl UseCounts {
             }
         }
         UseCounts { refs }
-    }
-
-    /// Whether `net` — read by at least one live gate — has that one
-    /// reader and drives no output port.
-    pub(crate) fn single(&self, net: NetId) -> bool {
-        self.refs[net.index()] == 1
-    }
-
-    /// [`Netlist::rewrite_gate`], moving the uses from the gate's old
-    /// inputs to the new ones.
-    pub(crate) fn rewrite(
-        &mut self,
-        nl: &mut Netlist,
-        gid: GateId,
-        kind: GateKind,
-        inputs: &[NetId],
-    ) {
-        for &i in &nl.gate(gid).inputs {
-            self.refs[i.index()] -= 1;
-        }
-        nl.rewrite_gate(gid, kind, inputs);
-        for &i in inputs {
-            self.refs[i.index()] += 1;
-        }
     }
 
     /// The area of the cone gates that would die if every consumer of

@@ -59,13 +59,8 @@ fn shipped_controllers_compile_repeatably() {
             ("annotated table", spec.to_table_module(true)),
             ("programmable", spec.to_programmable_module()),
         ] {
-            for opts in [
-                SynthOptions::default(),
-                SynthOptions::default().with_cut_mapper(),
-            ] {
-                let label = format!("{name} {style} ({})", opts.mapper.name());
-                assert_repeatable(&label, &module, &opts);
-            }
+            let label = format!("{name} {style}");
+            assert_repeatable(&label, &module, &SynthOptions::default());
         }
     }
 }

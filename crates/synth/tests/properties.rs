@@ -54,15 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn strash_preserves_function(seed in any::<u64>()) {
-        let golden = random_netlist(5, 24, seed);
-        let mut opt = golden.clone();
-        synthir_synth::strash::strash(&mut opt);
-        let res = check_comb_equiv(&golden, &opt, &EquivOptions::new()).unwrap();
-        prop_assert!(res.is_equivalent(), "{res:?}");
-    }
-
-    #[test]
     fn resynthesis_preserves_function(seed in any::<u64>()) {
         let golden = random_netlist(6, 20, seed);
         let mut opt = golden.clone();
@@ -72,10 +63,10 @@ proptest! {
     }
 
     #[test]
-    fn techmap_preserves_function(seed in any::<u64>()) {
+    fn cutmap_preserves_function(seed in any::<u64>()) {
         let golden = random_netlist(5, 24, seed);
         let mut opt = golden.clone();
-        synthir_synth::techmap::techmap(&mut opt);
+        synthir_synth::cut_map(&mut opt, &synthir_netlist::Library::vt90());
         let res = check_comb_equiv(&golden, &opt, &EquivOptions::new()).unwrap();
         prop_assert!(res.is_equivalent(), "{res:?}");
     }

@@ -19,7 +19,8 @@
 //! * [`synth`] — the synthesis flow, its front half running on the AIG
 //!   core ([`synth::aigopt`]): cleanup/rewriting/sweeping,
 //!   state propagation and folding, resynthesis, FSM re-encoding,
-//!   retiming, techmap, STA (with an opt-in per-pass SAT self-check,
+//!   retiming, cut-based technology mapping on the AIG, STA (with an
+//!   opt-in per-pass SAT self-check,
 //!   [`synth::SynthOptions::verify_each_pass`]);
 //! * [`sat`] — a dependency-free CDCL SAT solver;
 //! * [`sim`] — simulation and equivalence checking (BDD, random, and
