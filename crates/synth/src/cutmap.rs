@@ -988,6 +988,43 @@ mod tests {
     }
 
     #[test]
+    fn and_tree_widens() {
+        // A skewed chain ((a&b)&c)&d widens to one And4 like a balanced tree.
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 4);
+        let t1 = nl.add_gate(GateKind::And2, &[x[0], x[1]]);
+        let t2 = nl.add_gate(GateKind::And2, &[t1, x[2]]);
+        let y = nl.add_gate(GateKind::And2, &[t2, x[3]]);
+        nl.add_output("y", &[y]);
+        let golden = nl.clone();
+        cut_map(&mut nl, &lib());
+        assert_eq!(nl.num_gates(), 1, "{:?}", nl.gate_histogram());
+        let g = nl.driver(nl.output_nets()[0]).unwrap();
+        assert_eq!(nl.gate(g).kind, GateKind::And4);
+        let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn aoi21_pattern() {
+        // Nor2(c, a&b) is !(a&b | c): one Aoi21.
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let b = nl.add_input("b", 1)[0];
+        let c = nl.add_input("c", 1)[0];
+        let ab = nl.add_gate(GateKind::And2, &[a, b]);
+        let y = nl.add_gate(GateKind::Nor2, &[c, ab]);
+        nl.add_output("y", &[y]);
+        let golden = nl.clone();
+        cut_map(&mut nl, &lib());
+        assert_eq!(nl.num_gates(), 1, "{:?}", nl.gate_histogram());
+        let g = nl.driver(nl.output_nets()[0]).unwrap();
+        assert_eq!(nl.gate(g).kind, GateKind::Aoi21);
+        let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent());
+    }
+
+    #[test]
     fn xor_survives_as_a_cell() {
         let mut nl = Netlist::new("t");
         let a = nl.add_input("a", 1)[0];
