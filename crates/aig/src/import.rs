@@ -63,7 +63,7 @@ pub struct NetlistImport {
 /// of construction.
 ///
 /// Undriven internal nets import as constant false, matching the
-/// simulator and BDD conventions.
+/// simulator convention.
 ///
 /// # Errors
 ///
@@ -89,7 +89,7 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
         }
     }
     // Undriven nets that are not primary inputs read as constant false
-    // (the simulator/BDD convention).
+    // (the simulator convention).
     for (_, g) in nl.gates() {
         for &i in &g.inputs {
             if nl.driver(i).is_none() && !imp.lits.contains(i) {

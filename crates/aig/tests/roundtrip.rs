@@ -1,12 +1,14 @@
 //! Property tests: `Netlist -> Aig -> Netlist` round trips (with rewriting
 //! and SAT sweeping applied) are proved equivalent to the original by the
-//! workspace's independent equivalence engines — SAT miters and BDDs for
-//! combinational designs, BMC plus random lockstep for sequential ones.
+//! SAT checks (miters for combinational designs, induction plus BMC for
+//! sequential ones), and cross-checked by the netlist simulators, which
+//! share no code with the AIG: exhaustive [`CombSim`] evaluation and a deep
+//! random [`SeqSim`] lockstep.
 
 use std::collections::HashMap;
 use synthir_aig::{from_netlist, optimize, to_netlist, SweepOptions};
 use synthir_netlist::{GateKind, NetId, Netlist, ResetKind};
-use synthir_sim::{check_comb_equiv, check_seq_equiv, EquivEngine, EquivOptions};
+use synthir_sim::{check_comb_equiv, check_seq_equiv, CombSim, EquivOptions, SeqSim};
 
 /// Deterministic xorshift for the generators.
 struct Rng(u64);
@@ -102,10 +104,36 @@ fn random_seq_netlist(n_in: usize, flops: usize, gates: usize, seed: u64) -> Net
     nl
 }
 
-fn sat_opts() -> EquivOptions {
-    let mut o = EquivOptions::new();
-    o.engine = EquivEngine::Sat;
-    o
+/// Every net value of `nl` on all 2^n assignments of its `x` bus, 64
+/// minterms per word, read at the `y` bus.
+fn exhaustive_outputs(nl: &Netlist) -> Vec<u64> {
+    let sim = CombSim::new(nl).unwrap();
+    let x = &nl.input("x").unwrap().nets;
+    let y = &nl.output("y").unwrap().nets;
+    let mut out = Vec::new();
+    for w in 0..(1u64 << x.len()).div_ceil(64) {
+        let word = |i: usize| (0..64).fold(0u64, |v, k| v | ((w * 64 + k) >> i & 1) << k);
+        let sources: Vec<(NetId, u64)> = x.iter().enumerate().map(|(i, &n)| (n, word(i))).collect();
+        let vals = sim.eval_with(nl, &sources);
+        out.extend(y.iter().map(|n| vals[n.index()]));
+    }
+    out
+}
+
+/// Cycles of the random lockstep that probes past the BMC depth.
+const LOCKSTEP_CYCLES: usize = 256;
+
+/// Both designs from reset through [`SeqSim`] on the same random `x`
+/// sequence (`rst` held low) for [`LOCKSTEP_CYCLES`] cycles: `true` when
+/// every output agrees every cycle.
+fn lockstep_agrees(l: &Netlist, r: &Netlist, seed: u64) -> bool {
+    let (mut ls, mut rs) = (SeqSim::new(l).unwrap(), SeqSim::new(r).unwrap());
+    let mask = (1u128 << l.input("x").unwrap().nets.len()) - 1;
+    let mut rng = Rng(seed | 1);
+    (0..LOCKSTEP_CYCLES).all(|_| {
+        let inputs = HashMap::from([("x".to_string(), u128::from(rng.next()) & mask)]);
+        ls.step(&inputs) == rs.step(&inputs)
+    })
 }
 
 #[test]
@@ -114,14 +142,15 @@ fn comb_round_trip_is_equivalent() {
         let nl = random_comb_netlist(6, 3, 24, 0xC0 + seed);
         let imp = from_netlist(&nl).unwrap();
         let exp = to_netlist(&imp.aig, &[]);
-        // The SAT engine proves the plain round trip…
-        let res = check_comb_equiv(&nl, &exp.netlist, &sat_opts()).unwrap();
+        // SAT proves the plain round trip…
+        let res = check_comb_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
         assert!(res.is_equivalent(), "seed {seed}: plain round trip");
-        // …and the BDD engine independently agrees (6-bit interface).
-        let mut bdd = EquivOptions::new();
-        bdd.engine = EquivEngine::Bdd;
-        let res = check_comb_equiv(&nl, &exp.netlist, &bdd).unwrap();
-        assert!(res.is_equivalent(), "seed {seed}: bdd disagrees");
+        // …and exhaustive simulation independently agrees (6-bit interface).
+        assert_eq!(
+            exhaustive_outputs(&nl),
+            exhaustive_outputs(&exp.netlist),
+            "seed {seed}: simulation disagrees"
+        );
     }
 }
 
@@ -136,7 +165,7 @@ fn comb_round_trip_with_rewrite_and_sweep_is_equivalent() {
             "seed {seed}: optimization grew the graph"
         );
         let exp = to_netlist(&opt.aig, &[]);
-        let res = check_comb_equiv(&nl, &exp.netlist, &sat_opts()).unwrap();
+        let res = check_comb_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
         assert!(res.is_equivalent(), "seed {seed}: optimized round trip");
     }
 }
@@ -164,13 +193,14 @@ fn seq_round_trip_preserves_flop_semantics() {
                 "seed {seed}: flop kind {kind:?} appeared from nowhere"
             );
         }
-        // BMC proves the first cycles exactly; random lockstep probes deep.
-        let res = check_seq_equiv(&nl, &exp.netlist, &sat_opts()).unwrap();
-        assert!(res.is_equivalent(), "seed {seed}: BMC found a difference");
-        let mut rnd = EquivOptions::new();
-        rnd.engine = EquivEngine::Random;
-        let res = check_seq_equiv(&nl, &exp.netlist, &rnd).unwrap();
-        assert!(res.is_equivalent(), "seed {seed}: lockstep divergence");
+        // SAT proves it (by induction, or BMC over the first cycles);
+        // random lockstep probes deep.
+        let res = check_seq_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent(), "seed {seed}: SAT found a difference");
+        assert!(
+            lockstep_agrees(&nl, &exp.netlist, seed),
+            "seed {seed}: lockstep divergence"
+        );
     }
 }
 
@@ -181,12 +211,12 @@ fn seq_round_trip_with_optimization_is_equivalent() {
         let imp = from_netlist(&nl).unwrap();
         let (opt, _) = optimize(&imp.aig, &[], Some(&SweepOptions::default()));
         let exp = to_netlist(&opt.aig, &[]);
-        let res = check_seq_equiv(&nl, &exp.netlist, &sat_opts()).unwrap();
+        let res = check_seq_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
         assert!(res.is_equivalent(), "seed {seed}: optimized sequential");
-        let mut rnd = EquivOptions::new();
-        rnd.engine = EquivEngine::Random;
-        let res = check_seq_equiv(&nl, &exp.netlist, &rnd).unwrap();
-        assert!(res.is_equivalent(), "seed {seed}: lockstep divergence");
+        assert!(
+            lockstep_agrees(&nl, &exp.netlist, seed),
+            "seed {seed}: lockstep divergence"
+        );
     }
 }
 
@@ -212,8 +242,8 @@ fn round_trip_preserves_ports_and_kept_nets() {
 
 #[test]
 fn deep_chain_import_does_not_overflow_the_stack() {
-    // 10k-gate inverter chain: the shared visit_cone walk must stay
-    // iterative end to end.
+    // 10k-gate inverter chain: the import's topological walk and the SAT
+    // miter must stay iterative end to end.
     let mut nl = Netlist::new("chain");
     let a = nl.add_input("a", 1)[0];
     let mut n = a;
@@ -225,6 +255,6 @@ fn deep_chain_import_does_not_overflow_the_stack() {
     // The whole chain folds to a single buffered literal.
     assert_eq!(imp.aig.and_count(), 0);
     let exp = to_netlist(&imp.aig, &[]);
-    let res = check_comb_equiv(&nl, &exp.netlist, &sat_opts()).unwrap();
+    let res = check_comb_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
     assert!(res.is_equivalent());
 }

@@ -12,10 +12,9 @@ commands:
   fsm    <spec.kiss2>   lower + synthesize a KISS2 FSM, emit Verilog/report
   pla    <in.pla>       minimize an espresso-format PLA with the URP kernel
   ucode  <prog.uasm>    assemble microcode, synthesize its sequencer
-  equiv  <spec.kiss2>   equivalence-check two lowerings (program-then-
-                        compare against the programmable baseline), or two
-                        .pla files combinationally; --engine picks the
-                        prover (auto/bdd/random/sat)
+  equiv  <spec.kiss2>   equivalence-check two lowerings (SAT proof, or
+                        program-then-compare against the programmable
+                        baseline), or two .pla files combinationally
   help   [command]      show usage
 
 Run `synthir help <command>` for per-command options.

@@ -7,22 +7,21 @@
 //! * for KISS2 specs, two *bound* styles (`table`, `table-annotated`,
 //!   `case`) are compared with [`synthir_sim::check_seq_equiv`] — reset
 //!   both, drive identical input sequences, compare every output, every
-//!   cycle — using the engine selected by `--engine` (random lockstep, or
-//!   exact SAT-based bounded model checking);
+//!   cycle — as a SAT proof: induction, else bounded model checking to
+//!   `--depth` cycles;
 //! * against the `programmable` style the check becomes
 //!   *program-then-compare*: the flexible design's tables are first written
 //!   through its config port (one word per cycle), the state register is
 //!   re-reset, and only then does the lockstep comparison start — the
 //!   hardware analogue of binding the generator parameters;
 //! * for a pair of `.pla` files, the ON-set covers are lowered to
-//!   two-level gate networks and checked combinationally. This is where
-//!   the engine choice matters most: the BDD engine refuses interfaces
-//!   beyond 24 input bits, random simulation cannot prove anything, and
-//!   the SAT engine proves equivalence (or produces a concrete
-//!   counterexample) at any width.
+//!   two-level gate networks and checked combinationally by a SAT miter,
+//!   which proves equivalence (or produces a concrete counterexample) at
+//!   any width.
 //!
-//! `--vcd` dumps the comparison run of the left design as a waveform for
-//! debugging failures.
+//! `--vcd` dumps the left design as a waveform for debugging: the
+//! program-then-compare run, or on a bound pair the counterexample's input
+//! prefix replayed up to the failing cycle.
 
 use crate::args::Args;
 use crate::fsm::Style;
@@ -36,7 +35,7 @@ use synthir_netlist::{GateKind, Library, NetId, Netlist};
 use synthir_rtl::elaborate;
 use synthir_sim::vcd::VcdRecorder;
 use synthir_sim::{
-    check_comb_equiv, check_seq_equiv, EquivEngine, EquivOptions, EquivResult, SeqSim,
+    check_comb_equiv, check_seq_equiv, Counterexample, EquivOptions, EquivResult, SeqSim,
 };
 use synthir_synth::{flow::compile, flow::compile_netlist, SynthOptions};
 
@@ -52,27 +51,34 @@ check programs the config tables first, then compares (program-then-
 compare). Two .pla operands are compared combinationally (ON-set covers
 under f-type semantics).
 
+Every check between bound styles or .pla files is a SAT proof: a miter
+for .pla pairs; for bound styles an induction proof, else a bounded model
+check from reset to --depth cycles. Program-then-compare is a random
+lockstep run and proves nothing beyond the cycles it ran.
+
 options:
-  --engine <e>     auto (default), bdd, random, or sat. bdd proves but is
-                   limited to 24 shared input bits; random proves nothing;
-                   sat proves at any width (miter / bounded model check)
   --left <style>   left coding style (default table; .kiss2 only)
   --right <style>  right coding style (default programmable; .kiss2 only)
-  --cycles <n>     comparison cycles for random lockstep (default 256;
-                   .kiss2 only — the .pla random engine uses 64 pattern
-                   words of 64 patterns each)
-  --depth <k>      unrolling depth for the sat sequential engine
-                   (default 8; .kiss2 only)
-  --seed <s>       RNG seed for input sequences (default 0x5EED)
+  --cycles <n>     program-then-compare lockstep cycles, and the length of
+                   the --vcd run on an equivalent bound pair (default 256;
+                   .kiss2 only)
+  --depth <k>      bounded-model-check depth for bound styles (default 8;
+                   .kiss2 only)
+  --seed <s>       seed of the random input sequences and of the induction
+                   prover's simulation, which cannot change a verdict
+                   (default 0x5EED; .kiss2 only)
   --synth          compare synthesized netlists instead of elaborations
-  --vcd <file>     dump the left design's comparison run as VCD (.kiss2)
+  --vcd <file>     dump the left design as VCD (.kiss2 only): the
+                   program-then-compare run; on a bound pair the
+                   counterexample's inputs up to the failing cycle when
+                   INEQUIVALENT, else a seeded --cycles run
 ";
 
 /// Boolean flags `synthir equiv` accepts (each documented in [`USAGE`]).
 pub const FLAGS: &[&str] = &["synth"];
 
 /// Valued options `synthir equiv` accepts (each documented in [`USAGE`]).
-pub const OPTIONS: &[&str] = &["engine", "left", "right", "cycles", "depth", "seed", "vcd"];
+pub const OPTIONS: &[&str] = &["left", "right", "cycles", "depth", "seed", "vcd"];
 
 /// The verdict line printed on success.
 pub const EQUIVALENT: &str = "EQUIVALENT";
@@ -97,14 +103,9 @@ pub fn run(args: &Args) -> CmdResult {
             )))
         }
     };
-    let engine = match args.option("engine") {
-        None => EquivEngine::Auto,
-        Some(s) => EquivEngine::parse(s)
-            .ok_or_else(|| CliError(format!("unknown engine `{s}` (auto, bdd, random, sat)")))?,
-    };
     let is_pla = |p: &str| p.ends_with(".pla");
     match (is_pla(left_path), is_pla(right_path)) {
-        (true, true) => return run_pla_pair(args, left_path, right_path, engine),
+        (true, true) => return run_pla_pair(args, left_path, right_path),
         (false, false) => {}
         _ => {
             return Err(CliError(
@@ -167,10 +168,8 @@ pub fn run(args: &Args) -> CmdResult {
         left_style == Style::Programmable,
         right_style == Style::Programmable,
     );
-    let verdict = if programmable.0 || programmable.1 {
-        if engine != EquivEngine::Auto {
-            out.push_str("note: --engine is ignored for program-then-compare (lockstep)\n");
-        }
+    let lockstep = programmable.0 || programmable.1;
+    let verdict = if lockstep {
         lockstep_with_programming(
             &left_nl,
             &left_spec,
@@ -184,32 +183,37 @@ pub fn run(args: &Args) -> CmdResult {
         )?
     } else {
         let mut opts = EquivOptions::new();
-        opts.cycles = cycles;
         opts.seed = seed;
-        opts.engine = engine;
         opts.bmc_depth = depth;
         let res = check_seq_equiv(&left_nl, &right_nl, &opts)?;
-        if let Some(vcd) = args.option("vcd") {
-            record_vcd(&left_nl, cycles, seed, vcd)?;
-        }
+        let vcd = args.option("vcd");
         match res {
-            EquivResult::Equivalent => None,
-            EquivResult::Inequivalent(cex) => Some(format!(
-                "output `{}` differs: left {:#x} vs right {:#x} (inputs {:?})",
-                cex.output, cex.left, cex.right, cex.inputs
-            )),
+            EquivResult::Equivalent => {
+                if let Some(path) = vcd {
+                    record_vcd(&left_nl, cycles, seed, path)?;
+                }
+                None
+            }
+            EquivResult::Inequivalent(cex) => {
+                if let Some(path) = vcd {
+                    record_counterexample(&left_nl, &cex, path)?;
+                }
+                Some(format!(
+                    "output `{}` differs: left {:#x} vs right {:#x} (inputs {:?})",
+                    cex.output, cex.left, cex.right, cex.inputs
+                ))
+            }
         }
     };
 
-    // Only claim a proof when the BMC engine actually ran: the
-    // program-then-compare path ignores --engine and is random lockstep.
-    let bmc_ran = engine == EquivEngine::Sat && !programmable.0 && !programmable.1;
+    // Only the bound pair is a proof: program-then-compare is a random
+    // lockstep run.
     match verdict {
         None => {
-            out.push_str(&if bmc_ran {
-                format!("{EQUIVALENT} for all input sequences up to {depth} cycles (BMC proof)\n")
-            } else {
+            out.push_str(&if lockstep {
                 format!("{EQUIVALENT} over {cycles} cycles (seed {seed:#x})\n")
+            } else {
+                format!("{EQUIVALENT} for all input sequences up to {depth} cycles (BMC proof)\n")
             });
             Ok(out)
         }
@@ -218,10 +222,10 @@ pub fn run(args: &Args) -> CmdResult {
 }
 
 /// The `.pla`-pair path: lower both ON-set covers to two-level gate
-/// networks over a shared `in`/`out` bus interface and check
-/// combinationally with the selected engine.
-fn run_pla_pair(args: &Args, left_path: &str, right_path: &str, engine: EquivEngine) -> CmdResult {
-    for opt in ["left", "right", "vcd", "cycles", "depth"] {
+/// networks over a shared `in`/`out` bus interface and prove them
+/// equivalent (or not) with a combinational SAT miter.
+fn run_pla_pair(args: &Args, left_path: &str, right_path: &str) -> CmdResult {
+    for opt in ["left", "right", "vcd", "cycles", "depth", "seed"] {
         if args.option(opt).is_some() {
             return Err(CliError(format!("--{opt} does not apply to .pla operands")));
         }
@@ -265,19 +269,9 @@ fn run_pla_pair(args: &Args, left_path: &str, right_path: &str, engine: EquivEng
         right_nl.num_gates(),
     );
 
-    let mut opts = EquivOptions::new();
-    opts.engine = engine;
-    opts.seed = args.option_parsed("seed", 0x5EED)?;
-    match check_comb_equiv(&left_nl, &right_nl, &opts)? {
+    match check_comb_equiv(&left_nl, &right_nl, &EquivOptions::new())? {
         EquivResult::Equivalent => {
-            out.push_str(&match engine {
-                EquivEngine::Random => format!(
-                    "NO DIFFERENCE FOUND over {} random words — the random \
-                     engine cannot prove equivalence\n",
-                    opts.random_words
-                ),
-                _ => format!("{EQUIVALENT} (proved, engine {engine})\n"),
-            });
+            out.push_str(&format!("{EQUIVALENT} (proved by SAT)\n"));
             Ok(out)
         }
         EquivResult::Inequivalent(cex) => Err(CliError(format!(
@@ -401,14 +395,13 @@ fn lockstep_with_programming(
         }
     }
     if let (Some(rec), Some(path)) = (recorder, vcd) {
-        std::fs::write(path, rec.finish())
-            .map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
+        write_file(path, rec.finish())?;
     }
     Ok(verdict)
 }
 
-/// Records a standalone run of one design for `--vcd` in the bound-vs-bound
-/// case (the equivalence itself is checked by `check_seq_equiv`).
+/// Records a seeded standalone run of one design for `--vcd` on an
+/// equivalent bound pair (the proof itself came from `check_seq_equiv`).
 fn record_vcd(nl: &Netlist, cycles: usize, seed: u64, path: &str) -> Result<(), CliError> {
     let in_width = nl
         .inputs()
@@ -427,12 +420,34 @@ fn record_vcd(nl: &Netlist, cycles: usize, seed: u64, path: &str) -> Result<(), 
         m.insert("in".to_string(), (splitmix_next(&mut rng) & mask) as u128);
         m
     })?;
-    std::fs::write(path, text).map_err(|e| CliError(format!("cannot write `{path}`: {e}")))?;
-    Ok(())
+    write_file(path, text)
 }
 
-/// One SplitMix64 step — the same generator as the sim crate's random
-/// equivalence checks, so VCD dumps and lockstep runs share stimulus.
+/// Replays a bound pair's counterexample through one design for `--vcd`:
+/// its `name@t` input prefix, cycle by cycle, so the dump's last timestep
+/// is the reported `__cycle`.
+fn record_counterexample(nl: &Netlist, cex: &Counterexample, path: &str) -> Result<(), CliError> {
+    let last = cex.inputs.get("__cycle").map(|&c| c as usize);
+    let last = last.expect("sequential counterexamples report their `__cycle`");
+    let mut frames = vec![HashMap::new(); last + 1];
+    for (key, &v) in &cex.inputs {
+        let Some((name, t)) = key.rsplit_once('@') else {
+            continue;
+        };
+        if let Some(frame) = t.parse().ok().and_then(|t: usize| frames.get_mut(t)) {
+            frame.insert(name.to_string(), v);
+        }
+    }
+    let text = synthir_sim::vcd::record_run(nl, last + 1, |t| std::mem::take(&mut frames[t]))?;
+    write_file(path, text)
+}
+
+fn write_file(path: &str, text: String) -> Result<(), CliError> {
+    std::fs::write(path, text).map_err(|e| CliError(format!("cannot write `{path}`: {e}")))
+}
+
+/// One SplitMix64 step — the stimulus generator of the lockstep and
+/// `--vcd` runs.
 fn splitmix_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -456,12 +471,7 @@ mod tests {
     }
 
     fn parse(raw: &[&str]) -> Args {
-        Args::parse(
-            raw,
-            &["synth"],
-            &["engine", "left", "right", "cycles", "depth", "seed", "vcd"],
-        )
-        .unwrap()
+        Args::parse(raw, FLAGS, OPTIONS).unwrap()
     }
 
     #[test]
@@ -526,6 +536,33 @@ mod tests {
         assert!(out.contains(EQUIVALENT), "{out}");
     }
 
+    /// On an inequivalent bound pair `--vcd` replays the counterexample:
+    /// one timestep per cycle up to the reported `__cycle`, so the dump
+    /// ends at `#(__cycle + 1)`, and it is written before the error.
+    #[test]
+    fn vcd_replays_the_counterexample_of_a_bound_pair() {
+        let a = write_temp("cli_eq_vcd_cex_a.kiss2", TOGGLE);
+        let b = write_temp("cli_eq_vcd_cex_b.kiss2", BROKEN);
+        let vcd = std::env::temp_dir().join("cli_eq_vcd_cex.vcd");
+        let _ = std::fs::remove_file(&vcd);
+        let vcd_s = vcd.to_string_lossy().into_owned();
+        let e = run(&parse(&[
+            &a, &b, "--left", "table", "--right", "table", "--vcd", &vcd_s,
+        ]))
+        .unwrap_err()
+        .to_string();
+        assert!(e.contains("INEQUIVALENT"), "{e}");
+        let cycle: usize = e
+            .split("\"__cycle\": ")
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no __cycle in {e}"));
+        let text = std::fs::read_to_string(&vcd).unwrap();
+        let last = text.lines().last().unwrap();
+        assert_eq!(last, format!("#{}", cycle + 1), "{text}");
+    }
+
     #[test]
     fn interface_mismatch_is_an_error() {
         let a = write_temp("cli_eq_w1.kiss2", TOGGLE);
@@ -538,28 +575,23 @@ mod tests {
     fn bmc_engine_on_kiss2_bound_styles() {
         let p = write_temp("cli_eq_bmc.kiss2", TOGGLE);
         let out = run(&parse(&[
-            &p, "--left", "table", "--right", "case", "--engine", "sat", "--depth", "5",
+            &p, "--left", "table", "--right", "case", "--depth", "5",
         ]))
         .unwrap();
         assert!(out.contains("BMC proof"), "{out}");
         // A behavioural difference is caught within the unrolling.
         let a = write_temp("cli_eq_bmc_a.kiss2", TOGGLE);
         let b = write_temp("cli_eq_bmc_b.kiss2", BROKEN);
-        let e = run(&parse(&[
-            &a, &b, "--left", "table", "--right", "table", "--engine", "sat",
-        ]))
-        .unwrap_err();
+        let e = run(&parse(&[&a, &b, "--left", "table", "--right", "table"])).unwrap_err();
         assert!(e.to_string().contains("INEQUIVALENT"), "{e}");
     }
 
-    /// `--engine sat` on the program-then-compare path is ignored (with a
-    /// note) — the verdict must not overclaim a BMC proof for what was a
-    /// random lockstep run.
+    /// The program-then-compare path is a random lockstep run: its verdict
+    /// must not overclaim a BMC proof.
     #[test]
     fn programmable_path_never_claims_a_bmc_proof() {
         let p = write_temp("cli_eq_noclaim.kiss2", TOGGLE);
-        let out = run(&parse(&[&p, "--right", "programmable", "--engine", "sat"])).unwrap();
-        assert!(out.contains("--engine is ignored"), "{out}");
+        let out = run(&parse(&[&p, "--right", "programmable"])).unwrap();
         assert!(!out.contains("BMC proof"), "{out}");
         assert!(out.contains(EQUIVALENT), "{out}");
     }
@@ -574,16 +606,11 @@ mod tests {
     fn pla_pairs_are_checked_combinationally() {
         let a = write_temp("cli_eq_maj_a.pla", PLA_A);
         let b = write_temp("cli_eq_maj_b.pla", PLA_B);
-        for engine in ["auto", "bdd", "sat"] {
-            let out = run(&parse(&[&a, &b, "--engine", engine])).unwrap();
-            assert!(out.contains(EQUIVALENT), "{engine}: {out}");
-        }
+        let out = run(&parse(&[&a, &b])).unwrap();
+        assert!(out.contains("EQUIVALENT (proved by SAT)"), "{out}");
         let c = write_temp("cli_eq_and3.pla", PLA_C);
-        let e = run(&parse(&[&a, &c, "--engine", "sat"])).unwrap_err();
+        let e = run(&parse(&[&a, &c])).unwrap_err();
         assert!(e.to_string().contains("INEQUIVALENT"), "{e}");
-        // Random reports the honest non-verdict.
-        let out = run(&parse(&[&a, &b, "--engine", "random"])).unwrap();
-        assert!(out.contains("cannot prove"), "{out}");
     }
 
     #[test]
@@ -595,7 +622,12 @@ mod tests {
         // And kiss2-only options do not apply to PLA pairs — including the
         // sequential knobs, which would otherwise be silently ignored.
         let c = write_temp("cli_eq_mix2.pla", PLA_B);
-        for bad in [["--left", "table"], ["--depth", "3"], ["--cycles", "9"]] {
+        for bad in [
+            ["--left", "table"],
+            ["--depth", "3"],
+            ["--cycles", "9"],
+            ["--seed", "1"],
+        ] {
             let e = run(&parse(&[&b, &c, bad[0], bad[1]])).unwrap_err();
             assert!(e.to_string().contains("does not apply"), "{bad:?}: {e}");
         }
@@ -606,19 +638,23 @@ mod tests {
     #[test]
     fn zero_depth_or_cycles_is_an_error() {
         let p = write_temp("cli_eq_zero.kiss2", TOGGLE);
-        for (opt, engine) in [("--depth", "sat"), ("--cycles", "random")] {
+        for opt in ["--depth", "--cycles"] {
             let e = run(&parse(&[
-                &p, "--left", "table", "--right", "case", "--engine", engine, opt, "0",
+                &p, "--left", "table", "--right", "case", opt, "0",
             ]))
             .unwrap_err();
             assert!(e.to_string().contains(opt), "{opt}: {e}");
         }
     }
 
+    /// SAT is the only prover, so there is no `--engine` to pick one: the
+    /// option is refused as unknown rather than silently ignored.
     #[test]
     fn unknown_engine_is_an_error() {
         let a = write_temp("cli_eq_engine.kiss2", TOGGLE);
-        let e = run(&parse(&[&a, "--engine", "quantum"])).unwrap_err();
-        assert!(e.to_string().contains("unknown engine"), "{e}");
+        for engine in ["sat", "bdd"] {
+            let e = Args::parse(&[a.as_str(), "--engine", engine], FLAGS, OPTIONS).unwrap_err();
+            assert!(e.to_string().contains("unknown option `--engine`"), "{e}");
+        }
     }
 }

@@ -113,35 +113,17 @@ fn pla_benchmarks_minimize() {
 }
 
 fn equiv_args(raw: &[&str]) -> Args {
-    Args::parse(
-        raw,
-        &["synth"],
-        &["engine", "left", "right", "cycles", "depth", "seed", "vcd"],
-    )
-    .unwrap()
+    Args::parse(raw, equiv::FLAGS, equiv::OPTIONS).unwrap()
 }
 
-/// The wide pair: 32 shared input bits, beyond the BDD engine's 24-bit
-/// limit. The SAT engine proves equivalence, the BDD engine refuses, and
-/// the random engine cannot prove (it reports only the absence of a found
-/// difference).
+/// The wide pair: 32 shared input bits, far beyond exhaustive enumeration.
+/// The SAT miter, the only prover, proves equivalence.
 #[test]
 fn wide_pla_pair_is_proved_by_sat_only() {
     let a = bench_path("wide_ctrl_a.pla");
     let b = bench_path("wide_ctrl_b.pla");
-
-    let out = equiv::run(&equiv_args(&[&a, &b, "--engine", "sat"])).unwrap();
-    assert!(out.contains("EQUIVALENT (proved, engine sat)"), "{out}");
-
-    // Auto routes to SAT beyond the BDD limit and still proves.
     let out = equiv::run(&equiv_args(&[&a, &b])).unwrap();
-    assert!(out.contains("proved"), "{out}");
-
-    let err = equiv::run(&equiv_args(&[&a, &b, "--engine", "bdd"])).unwrap_err();
-    assert!(err.to_string().contains("engine limit"), "{err}");
-
-    let out = equiv::run(&equiv_args(&[&a, &b, "--engine", "random"])).unwrap();
-    assert!(out.contains("cannot prove"), "{out}");
+    assert!(out.contains("EQUIVALENT (proved by SAT)"), "{out}");
 }
 
 /// Injecting an inequivalence (dropping one product term) yields a concrete
@@ -165,30 +147,29 @@ fn wide_pla_injected_inequivalence_yields_counterexample() {
     std::fs::write(&path, broken + "\n").unwrap();
     let path = path.to_string_lossy().into_owned();
 
-    let err = equiv::run(&equiv_args(&[&a, &path, "--engine", "sat"])).unwrap_err();
+    let err = equiv::run(&equiv_args(&[&a, &path])).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("INEQUIVALENT"), "{msg}");
     assert!(msg.contains("inputs"), "{msg}");
 }
 
 /// The wide pair stays equivalent through the full synthesis flow
-/// (`--synth`), SAT-checked — partial evaluation is sound at widths the
-/// BDD engine cannot reach.
+/// (`--synth`), SAT-checked — partial evaluation is sound at widths no
+/// exhaustive check can reach.
 #[test]
 fn wide_pla_pair_survives_synthesis() {
     let a = bench_path("wide_ctrl_a.pla");
     let b = bench_path("wide_ctrl_b.pla");
-    let out = equiv::run(&equiv_args(&[&a, &b, "--engine", "sat", "--synth"])).unwrap();
+    let out = equiv::run(&equiv_args(&[&a, &b, "--synth"])).unwrap();
     assert!(out.contains("proved"), "{out}");
 }
 
-/// BMC (`--engine sat`) agrees with random lockstep on the KISS2
-/// benchmarks' bound styles.
+/// The SAT check proves the KISS2 benchmarks' bound styles equivalent.
 #[test]
 fn kiss2_benchmarks_bmc_proves_bound_styles() {
     for path in kiss2_benchmarks() {
         let out = equiv::run(&equiv_args(&[
-            &path, "--left", "table", "--right", "case", "--engine", "sat", "--depth", "5",
+            &path, "--left", "table", "--right", "case", "--depth", "5",
         ]))
         .unwrap();
         assert!(out.contains("BMC proof"), "{path}: {out}");
@@ -216,8 +197,8 @@ fn ucode_benchmark_assembles_and_synthesizes() {
 }
 
 /// On every shipped controller the compiled netlist is proved equivalent to
-/// its elaborated, unsynthesized netlist by the SAT engine (BMC from
-/// reset), and its area stays within a recorded per-controller ceiling —
+/// its elaborated, unsynthesized netlist by the SAT check (induction, else
+/// BMC from reset), and its area stays within a recorded per-controller ceiling —
 /// the default flow's area in `BENCH_synth.json` when the ceilings were
 /// taken. The verified flow (`verify_each_pass`) stays green with the AIG
 /// passes (SAT sweeping included) in the loop.
@@ -226,12 +207,11 @@ fn compiled_benchmarks_match_elaboration_within_area_ceilings() {
     use synthir_core::format_conv::from_kiss2;
     use synthir_netlist::Library;
     use synthir_rtl::elaborate;
-    use synthir_sim::{check_seq_equiv, EquivEngine, EquivOptions};
+    use synthir_sim::{check_seq_equiv, EquivOptions};
     use synthir_synth::{compile, SynthOptions};
 
     let lib = Library::vt90();
-    let mut eopts = EquivOptions::new();
-    eopts.engine = EquivEngine::Sat;
+    let eopts = EquivOptions::new();
     for path in kiss2_benchmarks() {
         let name = std::path::Path::new(&path).file_stem().unwrap();
         let ceiling = match name.to_str().unwrap() {
@@ -267,10 +247,10 @@ fn compiled_benchmarks_match_elaboration_within_area_ceilings() {
 }
 
 /// Every shipped controller — KISS2 table and programmable lowerings, and
-/// the PLAs — compiles to a netlist the exact engines prove equivalent to
-/// its elaboration (SAT for sequential designs, SAT *and* BDD for
-/// combinational ones within the BDD width limit), and no larger than the
-/// area the former peephole rule mapper reached on it, recorded per design.
+/// the PLAs — compiles to a netlist SAT proves equivalent to its
+/// elaboration (for the PLAs narrow enough, exhaustive simulation agrees),
+/// and no larger than the area the former peephole rule mapper reached on
+/// it, recorded per design.
 #[test]
 fn cut_mapper_matches_rule_mapper_on_every_controller() {
     use synthir_cli::equiv::pla_netlist;
@@ -278,7 +258,7 @@ fn cut_mapper_matches_rule_mapper_on_every_controller() {
     use synthir_logic::pla::Pla;
     use synthir_netlist::Library;
     use synthir_rtl::elaborate;
-    use synthir_sim::{check_comb_equiv, check_seq_equiv, EquivEngine, EquivOptions};
+    use synthir_sim::{check_comb_equiv, check_seq_equiv, CombSim, EquivOptions};
     use synthir_synth::{compile, flow::compile_netlist, CompileResult, SynthOptions};
 
     // The rule mapper's area (µm²) on each design.
@@ -319,10 +299,21 @@ fn cut_mapper_matches_rule_mapper_on_every_controller() {
 
     let lib = Library::vt90();
     let opts = SynthOptions::default();
-    let mut sat = EquivOptions::new();
-    sat.engine = EquivEngine::Sat;
-    let mut bdd = EquivOptions::new();
-    bdd.engine = EquivEngine::Bdd;
+    let sat = EquivOptions::new();
+    // Every output bit on all 2^n values of the `in` bus, 64 per word.
+    let exhaustive = |nl: &synthir_netlist::Netlist| -> Vec<u64> {
+        let sim = CombSim::new(nl).unwrap();
+        let ins = &nl.input("in").unwrap().nets;
+        let outs = &nl.output("out").unwrap().nets;
+        let mut words = Vec::new();
+        for w in 0..(1u64 << ins.len()).div_ceil(64) {
+            let word = |i: usize| (0..64).fold(0u64, |v, k| v | ((w * 64 + k) >> i & 1) << k);
+            let sources: Vec<_> = ins.iter().enumerate().map(|(i, &n)| (n, word(i))).collect();
+            let vals = sim.eval_with(nl, &sources);
+            words.extend(outs.iter().map(|o| vals[o.index()]));
+        }
+        words
+    };
 
     // KISS2 controllers, bound and programmable lowerings: sequential SAT
     // proof against the elaboration.
@@ -343,8 +334,8 @@ fn cut_mapper_matches_rule_mapper_on_every_controller() {
         }
     }
 
-    // PLA controllers: combinational SAT proof, plus the BDD engine
-    // wherever the interface fits under its 24-bit limit.
+    // PLA controllers: combinational SAT proof, plus exhaustive simulation
+    // wherever the interface is narrow enough to enumerate.
     let dir = format!("{}/../../benchmarks", env!("CARGO_MANIFEST_DIR"));
     let mut plas: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
@@ -364,11 +355,10 @@ fn cut_mapper_matches_rule_mapper_on_every_controller() {
             res.is_equivalent(),
             "{name}: compile changed behaviour (SAT)"
         );
-        if pla.num_inputs <= 24 {
-            let res = check_comb_equiv(&nl, &r.netlist, &bdd).unwrap();
+        if pla.num_inputs <= 16 {
             assert!(
-                res.is_equivalent(),
-                "{name}: compile changed behaviour (BDD)"
+                exhaustive(&nl) == exhaustive(&r.netlist),
+                "{name}: compile changed behaviour (simulation)"
             );
         }
         within(&name, &r);

@@ -14,8 +14,6 @@
 //!   covers over up to 64 variables,
 //! * [`espresso`] — an espresso-style two-level minimizer
 //!   (EXPAND / IRREDUNDANT / REDUCE),
-//! * [`Bdd`] — a small reduced-ordered BDD manager used for equivalence
-//!   checking and reachability,
 //! * [`ValueSet`] — the *state propagation and folding* domain of the paper:
 //!   the set of `k` values (`1 <= k <= 2^n`) an `n`-bit signal is known to
 //!   take.
@@ -53,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bdd;
 pub mod bitvec;
 pub mod cover;
 pub mod cube;
@@ -65,7 +62,6 @@ pub mod truthtable;
 mod urp;
 pub mod valueset;
 
-pub use bdd::{Bdd, BddRef};
 pub use bitvec::BitVec;
 pub use cover::Cover;
 pub use cube::Cube;

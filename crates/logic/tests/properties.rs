@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use synthir_logic::espresso::{minimize, EspressoOptions};
-use synthir_logic::{Bdd, BitVec, Cover, Cube, TruthTable, ValueSet};
+use synthir_logic::{BitVec, Cover, Cube, TruthTable, ValueSet};
 
 /// An arbitrary truth table over `n` variables, from a random u64 seed.
 fn tt_from_seed(n: usize, seed: u64) -> TruthTable {
@@ -109,36 +109,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bdd_matches_truth_table(n in 1usize..7, seed in any::<u64>()) {
-        let tt = tt_from_seed(n, seed);
-        let mut bdd = Bdd::new();
-        let f = bdd.from_truth_table(&tt);
-        for m in 0..tt.num_minterms() {
-            prop_assert_eq!(bdd.eval(f, m as u64), tt.eval(m));
-        }
-        prop_assert_eq!(bdd.sat_count(f, n as u32), tt.count_ones() as u128);
-    }
-
-    #[test]
-    fn bdd_canonical_for_equal_functions(n in 1usize..6, seed in any::<u64>()) {
-        let tt = tt_from_seed(n, seed);
-        let mut bdd = Bdd::new();
-        let f = bdd.from_truth_table(&tt);
-        // Build the same function through a different route: OR of minterms.
-        let mut g = bdd.constant(false);
-        for m in tt.iter_ones() {
-            let mut term = bdd.constant(true);
-            for v in 0..n {
-                let var = bdd.var(v as u32);
-                let lit = if m >> v & 1 != 0 { var } else { bdd.not(var) };
-                term = bdd.and(term, lit);
-            }
-            g = bdd.or(g, term);
-        }
-        prop_assert_eq!(f, g);
     }
 
     #[test]

@@ -4,62 +4,6 @@ use crate::netgraph::{GateId, NetId, Netlist};
 use crate::NetlistError;
 use std::collections::HashSet;
 
-/// Iterative post-order walk over the combinational cone feeding `targets`.
-///
-/// Every reachable net is reported to `visit` exactly once, *after* all the
-/// inputs of its driving gate have been reported — so a visitor can build
-/// bottom-up structures (BDDs, CNF literals, AIG nodes) without recursion
-/// and without its own traversal bookkeeping. Three kinds of nets arrive:
-///
-/// * `visit(nl, net, Some(gate))` — a net driven by `gate` (constants
-///   included). Nets driven by **sequential** gates are reported as leaves:
-///   the walk does not descend through a flop's D/reset pins, matching
-///   every cone-based engine in the workspace (BDD, CNF, AIG import).
-/// * `visit(nl, net, None)` — an undriven net that is not seeded (primary
-///   inputs the caller did not seed, or dangling nets).
-///
-/// `seeded` is consulted before a net is expanded; returning `true` skips
-/// the net entirely (the caller already has a value for it — typical for
-/// primary inputs, bound constants, and BMC state literals).
-///
-/// The walk uses an explicit stack, so arbitrarily deep netlists (e.g. a
-/// 10k-gate inverter chain) cannot overflow the call stack.
-///
-/// # Errors
-///
-/// Propagates the first error returned by `visit`.
-pub fn visit_cone<E>(
-    nl: &Netlist,
-    targets: &[NetId],
-    mut seeded: impl FnMut(NetId) -> bool,
-    mut visit: impl FnMut(&Netlist, NetId, Option<GateId>) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut done: HashSet<NetId> = HashSet::new();
-    let mut stack: Vec<(NetId, bool)> = targets.iter().rev().map(|&n| (n, false)).collect();
-    while let Some((net, expanded)) = stack.pop() {
-        if done.contains(&net) || (!expanded && seeded(net)) {
-            continue;
-        }
-        let Some(g) = nl.driver(net) else {
-            done.insert(net);
-            visit(nl, net, None)?;
-            continue;
-        };
-        if expanded || nl.gate(g).kind.is_sequential() {
-            done.insert(net);
-            visit(nl, net, Some(g))?;
-            continue;
-        }
-        stack.push((net, true));
-        for &i in &nl.gate(g).inputs {
-            if !done.contains(&i) {
-                stack.push((i, false));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Returns the live gates in a topological order of the combinational
 /// dependency graph: a gate appears after the drivers of all its inputs.
 /// Flops are ordered first (their outputs are combinational sources; their

@@ -3,10 +3,9 @@
 //! A small, dependency-free CDCL SAT solver, built for the miter-based
 //! equivalence checks in `synthir-sim`.
 //!
-//! The BDD engine in the simulator proves combinational equivalence only up
-//! to 24 shared input bits; beyond that, exact checking needs a SAT solver
-//! over a Tseitin encoding of the miter. This crate provides exactly the
-//! solver core that workflow needs — nothing more:
+//! Every equivalence check is decided by a SAT solver over a Tseitin
+//! encoding of the miter, at any interface width. This crate provides
+//! exactly the solver core that workflow needs — nothing more:
 //!
 //! * two-watched-literal unit propagation,
 //! * first-UIP conflict analysis with local clause minimization,

@@ -10,59 +10,20 @@ use crate::seq::SeqSim;
 use crate::SimError;
 use std::collections::HashMap;
 use synthir_aig::{from_netlist, satisfy, satisfy_within, Aig, AigLit, AigNode};
-use synthir_logic::{Bdd, BddRef};
 use synthir_netlist::{NetId, Netlist};
 
-/// The widest shared interface (in input bits) the BDD engine accepts.
-pub const BDD_MAX_INPUT_BITS: usize = 24;
-
-/// Which engine performs an equivalence check.
+/// The equivalence prover. SAT is the only one: combinational checks are a
+/// one-frame AIG miter, sequential checks an induction proof backed by
+/// bounded model checking.
+///
+/// Kept, together with [`EquivOptions::engine`], only so callers that still
+/// assign `EquivEngine::Sat` (the `perfbench` harness) keep compiling; both
+/// go once those assignments do.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EquivEngine {
-    /// Pick automatically: BDD up to [`BDD_MAX_INPUT_BITS`] shared input
-    /// bits, SAT beyond (combinational); for sequential checks, random
-    /// lockstep up to the limit, the sequential SAT check (see
-    /// [`EquivEngine::Sat`]) plus random lockstep beyond.
+    /// CDCL SAT on an AIG miter.
     #[default]
-    Auto,
-    /// BDD-based exact checking. Refuses interfaces wider than
-    /// [`BDD_MAX_INPUT_BITS`] input bits and sequential checks.
-    Bdd,
-    /// Random simulation. Finds counterexamples but proves nothing.
-    Random,
-    /// CDCL SAT on a miter (combinational). Sequential checks first try an
-    /// unbounded induction proof and otherwise unroll `k` cycles (bounded
-    /// model checking). Exact at any width.
     Sat,
-}
-
-impl EquivEngine {
-    /// Parses an engine name (`auto`, `bdd`, `random`, `sat`).
-    pub fn parse(s: &str) -> Option<EquivEngine> {
-        match s {
-            "auto" => Some(EquivEngine::Auto),
-            "bdd" => Some(EquivEngine::Bdd),
-            "random" => Some(EquivEngine::Random),
-            "sat" => Some(EquivEngine::Sat),
-            _ => None,
-        }
-    }
-
-    /// The canonical engine name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EquivEngine::Auto => "auto",
-            EquivEngine::Bdd => "bdd",
-            EquivEngine::Random => "random",
-            EquivEngine::Sat => "sat",
-        }
-    }
-}
-
-impl std::fmt::Display for EquivEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// Options for equivalence checking.
@@ -73,41 +34,36 @@ pub struct EquivOptions {
     pub bind_left: HashMap<String, u128>,
     /// Constant bindings for the right design.
     pub bind_right: HashMap<String, u128>,
-    /// Number of random pattern words (64 patterns each) for random checks.
-    pub random_words: usize,
-    /// Number of clock cycles per sequential run.
-    pub cycles: usize,
-    /// RNG seed.
+    /// Seed of the induction prover's random simulation. It only steers
+    /// which candidate classes the prover tries, so it cannot change a
+    /// verdict.
     pub seed: u64,
-    /// Engine selection.
-    pub engine: EquivEngine,
-    /// Unrolling depth for SAT-based sequential checks (bounded model
-    /// checking): outputs are compared exactly for this many cycles from
-    /// reset whenever the induction prover cannot prove them equal at
-    /// every depth.
+    /// Unrolling depth for sequential checks (bounded model checking):
+    /// outputs are compared exactly for this many cycles from reset
+    /// whenever the induction prover cannot prove them equal at every
+    /// depth.
     pub bmc_depth: usize,
+    /// Always [`EquivEngine::Sat`], the only engine (see [`EquivEngine`]).
+    pub engine: EquivEngine,
 }
 
 impl EquivOptions {
-    /// Reasonable defaults: 64 random words (4096 patterns), 256 cycles,
-    /// automatic engine selection, 8-cycle BMC unrolling.
+    /// Reasonable defaults: no bindings, 8-cycle BMC unrolling.
     pub fn new() -> Self {
         EquivOptions {
             bind_left: HashMap::new(),
             bind_right: HashMap::new(),
-            random_words: 64,
-            cycles: 256,
             seed: 0x5EED,
-            engine: EquivEngine::Auto,
             bmc_depth: 8,
+            engine: EquivEngine::Sat,
         }
     }
 }
 
 impl Default for EquivOptions {
     /// Identical to [`EquivOptions::new`] — a zero-filled struct would
-    /// silently mean "0 random patterns, 1-cycle BMC", which reads as a
-    /// much stronger check than it is.
+    /// silently mean a 1-cycle BMC, which reads as a much stronger check
+    /// than it is.
     fn default() -> Self {
         Self::new()
     }
@@ -129,10 +85,10 @@ pub struct Counterexample {
 /// The verdict of an equivalence check.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EquivResult {
-    /// No difference found: a proof from the BDD and SAT engines, a proof
-    /// for at least [`EquivOptions::bmc_depth`] cycles from sequential SAT
-    /// checks (for every depth when induction proved it; the verdict does
-    /// not say which), and high confidence only from random simulation.
+    /// A proof: for every input of a combinational check, and for every
+    /// input sequence of at least [`EquivOptions::bmc_depth`] cycles from
+    /// reset of a sequential check (for every depth when induction proved
+    /// it; the verdict does not say which).
     Equivalent,
     /// A concrete counterexample.
     Inequivalent(Box<Counterexample>),
@@ -225,23 +181,14 @@ fn shared_interface(
     Ok(Interface { inputs, outputs })
 }
 
-/// Checks combinational equivalence.
-///
-/// Engine selection follows [`EquivOptions::engine`]:
-///
-/// * [`EquivEngine::Auto`] — BDD up to [`BDD_MAX_INPUT_BITS`] shared input
-///   bits, SAT beyond, so the verdict is a *proof* at any width;
-/// * [`EquivEngine::Bdd`] — BDD only; wider interfaces are an
-///   [`SimError::EngineLimit`] error rather than a silent downgrade;
-/// * [`EquivEngine::Random`] — random simulation (finds bugs, proves
-///   nothing);
-/// * [`EquivEngine::Sat`] — CDCL SAT on an AIG miter of the two designs.
+/// Checks combinational equivalence: one AIG miter of the two designs,
+/// decided by CDCL SAT, so the verdict is a proof at any interface width.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] for invalid netlists (including any netlist with
-/// flops), incompatible interfaces, bindings naming unknown or over-wide
-/// ports, or an engine that cannot handle the interface.
+/// flops), incompatible interfaces, or bindings naming unknown or over-wide
+/// ports.
 pub fn check_comb_equiv(
     left: &Netlist,
     right: &Netlist,
@@ -258,224 +205,8 @@ pub fn check_comb_equiv(
         }
     }
     let iface = shared_interface(left, right, opts)?;
-    let total_bits: usize = iface.inputs.iter().map(|(_, w)| w).sum();
-    let sat = || {
-        let designs = import_pair(left, right, opts)?;
-        check_sat(left, right, &designs, &iface, opts, None)
-    };
-    match opts.engine {
-        EquivEngine::Auto => {
-            if total_bits <= BDD_MAX_INPUT_BITS {
-                check_comb_bdd(left, right, &iface, opts)
-            } else {
-                sat()
-            }
-        }
-        EquivEngine::Bdd => {
-            if total_bits <= BDD_MAX_INPUT_BITS {
-                check_comb_bdd(left, right, &iface, opts)
-            } else {
-                Err(SimError::EngineLimit {
-                    context: format!(
-                        "BDD engine is limited to {BDD_MAX_INPUT_BITS} shared input bits, \
-                         interface has {total_bits} (use the sat engine)"
-                    ),
-                })
-            }
-        }
-        EquivEngine::Random => check_comb_random(left, right, &iface, opts),
-        EquivEngine::Sat => sat(),
-    }
-}
-
-/// Builds the BDD of a net's combinational cone.
-///
-/// The traversal is the shared [`synthir_netlist::topo::visit_cone`]
-/// worklist walk, not recursion:
-/// deep netlists (e.g. a 10k-gate inverter chain) would overflow the call
-/// stack with a per-gate recursive descent.
-fn net_bdd(
-    nl: &Netlist,
-    bdd: &mut Bdd,
-    input_vars: &HashMap<NetId, u32>,
-    cache: &mut HashMap<NetId, BddRef>,
-    net: NetId,
-) -> BddRef {
-    // The cache doubles as the seeded-set (it memoizes across the per-bit
-    // calls), so both closures need it: share it through a RefCell.
-    let cell = std::cell::RefCell::new(std::mem::take(cache));
-    let result: Result<(), std::convert::Infallible> = synthir_netlist::topo::visit_cone(
-        nl,
-        &[net],
-        |n| cell.borrow().contains_key(&n),
-        |nl, n, driver| {
-            let mut cache = cell.borrow_mut();
-            if let Some(&v) = input_vars.get(&n) {
-                let r = bdd.var(v);
-                cache.insert(n, r);
-                return Ok(());
-            }
-            let Some(g) = driver else {
-                // Undriven non-input net: constant 0.
-                cache.insert(n, BddRef::ZERO);
-                return Ok(());
-            };
-            let gate = nl.gate(g);
-            let ins: Vec<BddRef> = gate.inputs.iter().map(|i| cache[i]).collect();
-            let r = apply_gate(bdd, gate.kind, &ins);
-            cache.insert(n, r);
-            Ok(())
-        },
-    );
-    let Ok(()) = result;
-    *cache = cell.into_inner();
-    cache[&net]
-}
-
-fn apply_gate(bdd: &mut Bdd, kind: synthir_netlist::GateKind, ins: &[BddRef]) -> BddRef {
-    use synthir_netlist::GateKind::*;
-    match kind {
-        Const0 => BddRef::ZERO,
-        Const1 => BddRef::ONE,
-        Buf => ins[0],
-        Inv => bdd.not(ins[0]),
-        And2 | And3 | And4 => fold(bdd, ins, Bdd::and),
-        Or2 | Or3 | Or4 => fold(bdd, ins, Bdd::or),
-        Nand2 | Nand3 | Nand4 => {
-            let a = fold(bdd, ins, Bdd::and);
-            bdd.not(a)
-        }
-        Nor2 | Nor3 | Nor4 => {
-            let a = fold(bdd, ins, Bdd::or);
-            bdd.not(a)
-        }
-        Xor2 => bdd.xor(ins[0], ins[1]),
-        Xnor2 => {
-            let x = bdd.xor(ins[0], ins[1]);
-            bdd.not(x)
-        }
-        Mux2 => bdd.ite(ins[0], ins[2], ins[1]),
-        Aoi21 => {
-            let ab = bdd.and(ins[0], ins[1]);
-            let o = bdd.or(ab, ins[2]);
-            bdd.not(o)
-        }
-        Oai21 => {
-            let ab = bdd.or(ins[0], ins[1]);
-            let a = bdd.and(ab, ins[2]);
-            bdd.not(a)
-        }
-        Aoi22 => {
-            let ab = bdd.and(ins[0], ins[1]);
-            let cd = bdd.and(ins[2], ins[3]);
-            let o = bdd.or(ab, cd);
-            bdd.not(o)
-        }
-        Oai22 => {
-            let ab = bdd.or(ins[0], ins[1]);
-            let cd = bdd.or(ins[2], ins[3]);
-            let a = bdd.and(ab, cd);
-            bdd.not(a)
-        }
-        Dff { .. } => unreachable!("flop-free netlists only (checked by check_comb_equiv)"),
-    }
-}
-
-fn fold(bdd: &mut Bdd, ins: &[BddRef], f: fn(&mut Bdd, BddRef, BddRef) -> BddRef) -> BddRef {
-    let mut acc = ins[0];
-    for &i in &ins[1..] {
-        acc = f(bdd, acc, i);
-    }
-    acc
-}
-
-fn assign_vars(
-    nl: &Netlist,
-    binds: &HashMap<String, u128>,
-    bdd: &mut Bdd,
-    var_of: &HashMap<String, u32>,
-) -> HashMap<NetId, BddRef> {
-    let mut seeds: HashMap<NetId, BddRef> = HashMap::new();
-    for p in nl.inputs() {
-        if let Some(&v) = binds.get(&p.name) {
-            for (i, &n) in p.nets.iter().enumerate() {
-                seeds.insert(n, bdd.constant(v >> i & 1 != 0));
-            }
-        } else {
-            let base = var_of[&p.name];
-            for (i, &n) in p.nets.iter().enumerate() {
-                let r = bdd.var(base + i as u32);
-                seeds.insert(n, r);
-            }
-        }
-    }
-    seeds
-}
-
-fn check_comb_bdd(
-    left: &Netlist,
-    right: &Netlist,
-    iface: &Interface,
-    opts: &EquivOptions,
-) -> Result<EquivResult, SimError> {
-    let mut bdd = Bdd::new();
-    // Assign shared variable numbers per interface input bit.
-    let mut var_of: HashMap<String, u32> = HashMap::new();
-    let mut next = 0u32;
-    for (name, w) in &iface.inputs {
-        var_of.insert(name.clone(), next);
-        next += *w as u32;
-    }
-    let build = |nl: &Netlist, binds: &HashMap<String, u128>, bdd: &mut Bdd| {
-        let mut cache: HashMap<NetId, BddRef> = assign_vars(nl, binds, bdd, &var_of);
-        // Input nets are cached directly; treat them as "input vars" absent.
-        let input_vars: HashMap<NetId, u32> = HashMap::new();
-        let mut outs = HashMap::new();
-        for p in nl.outputs() {
-            let refs: Vec<BddRef> = p
-                .nets
-                .iter()
-                .map(|&n| net_bdd(nl, bdd, &input_vars, &mut cache, n))
-                .collect();
-            outs.insert(p.name.clone(), refs);
-        }
-        outs
-    };
-    let louts = build(left, &opts.bind_left, &mut bdd);
-    let routs = build(right, &opts.bind_right, &mut bdd);
-    for (name, w) in &iface.outputs {
-        let l = &louts[name];
-        let r = &routs[name];
-        for bit in 0..*w {
-            let diff = bdd.xor(l[bit], r[bit]);
-            if let Some(m) = bdd.any_sat(diff) {
-                // Decode the counterexample.
-                let mut inputs = HashMap::new();
-                for (iname, iw) in &iface.inputs {
-                    let base = var_of[iname];
-                    let mut v = 0u128;
-                    for i in 0..*iw {
-                        if m >> (base + i as u32) & 1 != 0 {
-                            v |= 1 << i;
-                        }
-                    }
-                    inputs.insert(iname.clone(), v);
-                }
-                let eval = |nl: &Netlist, binds: &HashMap<String, u128>| {
-                    eval_once(nl, &inputs, binds, name)
-                };
-                let lv = eval(left, &opts.bind_left);
-                let rv = eval(right, &opts.bind_right);
-                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                    inputs,
-                    output: name.clone(),
-                    left: lv,
-                    right: rv,
-                })));
-            }
-        }
-    }
-    Ok(EquivResult::Equivalent)
+    let designs = import_pair(left, right, opts)?;
+    check_sat(left, right, &designs, &iface, opts, None)
 }
 
 fn eval_once(
@@ -505,73 +236,6 @@ fn eval_once(
         }
     }
     v
-}
-
-fn check_comb_random(
-    left: &Netlist,
-    right: &Netlist,
-    iface: &Interface,
-    opts: &EquivOptions,
-) -> Result<EquivResult, SimError> {
-    let lsim = CombSim::new(left)?;
-    let rsim = CombSim::new(right)?;
-    let mut rng = SplitMix::new(opts.seed);
-    for _ in 0..opts.random_words.max(1) {
-        // One random word per interface input bit.
-        let mut words: HashMap<(String, usize), u64> = HashMap::new();
-        for (name, w) in &iface.inputs {
-            for i in 0..*w {
-                words.insert((name.clone(), i), rng.next());
-            }
-        }
-        let make_sources = |nl: &Netlist, binds: &HashMap<String, u128>| {
-            let mut sources: Vec<(NetId, u64)> = Vec::new();
-            for p in nl.inputs() {
-                if let Some(&v) = binds.get(&p.name) {
-                    for (i, &n) in p.nets.iter().enumerate() {
-                        sources.push((n, if v >> i & 1 != 0 { u64::MAX } else { 0 }));
-                    }
-                } else {
-                    for (i, &n) in p.nets.iter().enumerate() {
-                        sources.push((n, *words.get(&(p.name.clone(), i)).unwrap_or(&0)));
-                    }
-                }
-            }
-            sources
-        };
-        let lvals = lsim.eval_with(left, &make_sources(left, &opts.bind_left));
-        let rvals = rsim.eval_with(right, &make_sources(right, &opts.bind_right));
-        for (name, w) in &iface.outputs {
-            let lport = left.output(name).expect("exists");
-            let rport = right.output(name).expect("exists");
-            for bit in 0..*w {
-                let lw = lvals[lport.nets[bit].index()];
-                let rw = rvals[rport.nets[bit].index()];
-                if lw != rw {
-                    let k = (lw ^ rw).trailing_zeros() as usize;
-                    let mut inputs = HashMap::new();
-                    for (iname, iw) in &iface.inputs {
-                        let mut v = 0u128;
-                        for i in 0..*iw {
-                            if words[&(iname.clone(), i)] >> k & 1 != 0 {
-                                v |= 1 << i;
-                            }
-                        }
-                        inputs.insert(iname.clone(), v);
-                    }
-                    let lv = eval_once(left, &inputs, &opts.bind_left, name);
-                    let rv = eval_once(right, &inputs, &opts.bind_right, name);
-                    return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                        inputs,
-                        output: name.clone(),
-                        left: lv,
-                        right: rv,
-                    })));
-                }
-            }
-        }
-    }
-    Ok(EquivResult::Equivalent)
 }
 
 /// One imported design of a SAT check: its graph, its input bindings, and
@@ -684,8 +348,7 @@ fn iface_outputs<'a>(d: &'a Design, iface: &'a Interface) -> impl Iterator<Item 
 /// otherwise the solver either proves it unsatisfiable or returns inputs
 /// that are replayed through the simulators. `bmc_depth: None` is the
 /// combinational check (one frame, no latches); `Some(k)` unrolls `k`
-/// cycles from reset with a shared `rst` input held at 0, as in the random
-/// lockstep check.
+/// cycles from reset with a shared `rst` input held at 0.
 fn check_sat(
     left: &Netlist,
     right: &Netlist,
@@ -807,20 +470,30 @@ fn check_sat(
     ))
 }
 
-/// The sequential SAT check: the induction prover first; when it cannot
-/// prove, BMC to [`EquivOptions::bmc_depth`] decides, so every verdict and
-/// every counterexample is the one BMC alone returns.
-fn check_seq_sat(
+/// Checks sequential equivalence: both designs start from reset (flops at
+/// their `init` values) and see the same inputs every cycle, with a shared
+/// `rst` input held low.
+///
+/// An induction prover (signal correspondence with speculative reduction)
+/// runs first; when it proves the outputs equal in every reachable state,
+/// the designs are equivalent at every depth. Otherwise an exact [`EquivOptions::bmc_depth`]-cycle bounded model check
+/// decides, so every counterexample — and every verdict — is the one
+/// bounded model checking alone returns.
+///
+/// # Errors
+///
+/// Returns [`SimError`] for invalid netlists or incompatible interfaces.
+pub fn check_seq_equiv(
     left: &Netlist,
     right: &Netlist,
-    iface: &Interface,
     opts: &EquivOptions,
 ) -> Result<EquivResult, SimError> {
+    let iface = shared_interface(left, right, opts)?;
     let designs = import_pair(left, right, opts)?;
-    if prove_by_induction(&designs, iface, opts) {
+    if prove_by_induction(&designs, &iface, opts) {
         return Ok(EquivResult::Equivalent);
     }
-    check_sat(left, right, &designs, iface, opts, Some(opts.bmc_depth))
+    check_sat(left, right, &designs, &iface, opts, Some(opts.bmc_depth))
 }
 
 /// Cycles from reset the prover simulates (64 random patterns each) before
@@ -1186,116 +859,6 @@ fn refine_to_fixpoint(
     false
 }
 
-/// Checks sequential equivalence: both designs start from reset (flops at
-/// their `init` values) and see the same inputs every cycle, with a shared
-/// `rst` input held low.
-///
-/// Engine selection follows [`EquivOptions::engine`]:
-///
-/// * [`EquivEngine::Auto`] — random lockstep for narrow interfaces; beyond
-///   [`BDD_MAX_INPUT_BITS`] shared input bits (where random stimulus stops
-///   covering the space) the sequential SAT check below runs first, then
-///   random lockstep probes deeper cycles;
-/// * [`EquivEngine::Random`] — random lockstep only: identical random input
-///   sequences for [`EquivOptions::cycles`] cycles;
-/// * [`EquivEngine::Sat`] — the sequential SAT check only. An induction
-///   prover (signal correspondence with speculative reduction) runs first;
-///   when it proves the outputs equal in every reachable state, the designs
-///   are equivalent at every depth. Otherwise an exact
-///   [`EquivOptions::bmc_depth`]-cycle bounded model check decides, so
-///   every counterexample — and every verdict — is the one bounded model
-///   checking alone returns;
-/// * [`EquivEngine::Bdd`] — unsupported for sequential checks
-///   ([`SimError::EngineLimit`]).
-///
-/// # Errors
-///
-/// Returns [`SimError`] for invalid netlists or incompatible interfaces.
-pub fn check_seq_equiv(
-    left: &Netlist,
-    right: &Netlist,
-    opts: &EquivOptions,
-) -> Result<EquivResult, SimError> {
-    let iface = shared_interface(left, right, opts)?;
-    let total_bits: usize = iface.inputs.iter().map(|(_, w)| w).sum();
-    match opts.engine {
-        EquivEngine::Bdd => {
-            return Err(SimError::EngineLimit {
-                context: "BDD engine does not support sequential equivalence \
-                          (use sat, random or auto)"
-                    .into(),
-            })
-        }
-        EquivEngine::Sat => {
-            return check_seq_sat(left, right, &iface, opts);
-        }
-        EquivEngine::Auto => {
-            if total_bits > BDD_MAX_INPUT_BITS {
-                let res = check_seq_sat(left, right, &iface, opts)?;
-                if !res.is_equivalent() {
-                    return Ok(res);
-                }
-                // Fall through: random lockstep probes beyond the bound.
-            }
-        }
-        EquivEngine::Random => {}
-    }
-    check_seq_random(left, right, &iface, opts)
-}
-
-/// Random lockstep comparison over [`EquivOptions::cycles`] cycles.
-fn check_seq_random(
-    left: &Netlist,
-    right: &Netlist,
-    iface: &Interface,
-    opts: &EquivOptions,
-) -> Result<EquivResult, SimError> {
-    let mut lsim = SeqSim::new(left)?;
-    let mut rsim = SeqSim::new(right)?;
-    let mut rng = SplitMix::new(opts.seed);
-    for cycle in 0..opts.cycles.max(1) {
-        let mut inputs: HashMap<String, u128> = HashMap::new();
-        for (name, w) in &iface.inputs {
-            if name == "rst" {
-                // Keep reset deasserted after the initial state (SeqSim::new
-                // already applied reset values).
-                inputs.insert(name.clone(), 0);
-                continue;
-            }
-            let mask = if *w >= 128 {
-                u128::MAX
-            } else {
-                (1u128 << w) - 1
-            };
-            let v = ((rng.next() as u128) << 64 | rng.next() as u128) & mask;
-            inputs.insert(name.clone(), v);
-        }
-        let mut lin = inputs.clone();
-        for (k, v) in &opts.bind_left {
-            lin.insert(k.clone(), *v);
-        }
-        let mut rin = inputs.clone();
-        for (k, v) in &opts.bind_right {
-            rin.insert(k.clone(), *v);
-        }
-        let lout = lsim.step(&lin);
-        let rout = rsim.step(&rin);
-        for (name, _) in &iface.outputs {
-            if lout[name] != rout[name] {
-                let mut cex_inputs = inputs.clone();
-                cex_inputs.insert("__cycle".into(), cycle as u128);
-                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                    inputs: cex_inputs,
-                    output: name.clone(),
-                    left: lout[name],
-                    right: rout[name],
-                })));
-            }
-        }
-    }
-    Ok(EquivResult::Equivalent)
-}
-
 /// Minimal deterministic RNG (SplitMix64).
 struct SplitMix {
     state: u64,
@@ -1456,7 +1019,6 @@ mod tests {
         let l = build();
         let r = build();
         let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
         opts.bind_left.insert("wide".into(), 1);
         opts.bind_right.insert("wide".into(), 1);
         let err = check_comb_equiv(&l, &r, &opts).unwrap_err();
@@ -1466,33 +1028,49 @@ mod tests {
         );
     }
 
+    /// SAT verdicts on 2-input designs against exhaustive simulation: the
+    /// proof agrees with all four patterns, and the counterexample is one
+    /// of the patterns on which the outputs differ.
     #[test]
-    fn sat_engine_matches_bdd_on_small_designs() {
-        let l = and_module(false);
-        let r = and_module(true);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
-        assert!(check_comb_equiv(&l, &r, &opts).unwrap().is_equivalent());
-
-        let mut r2 = Netlist::new("m");
-        let a = r2.add_input("a", 1)[0];
-        let b = r2.add_input("b", 1)[0];
-        let y = r2.add_gate(GateKind::Or2, &[a, b]);
-        r2.add_output("y", &[y]);
-        match check_comb_equiv(&l, &r2, &opts).unwrap() {
-            EquivResult::Inequivalent(cex) => {
-                let a = cex.inputs["a"];
-                let b = cex.inputs["b"];
-                assert_ne!(a & b, a | b, "cex must distinguish AND from OR");
-                assert_ne!(cex.left, cex.right);
+    fn sat_matches_simulation_on_small_designs() {
+        let gate = |kind: GateKind| {
+            let mut nl = Netlist::new("m");
+            let a = nl.add_input("a", 1)[0];
+            let b = nl.add_input("b", 1)[0];
+            let y = nl.add_gate(kind, &[a, b]);
+            nl.add_output("y", &[y]);
+            nl
+        };
+        let kinds = [
+            GateKind::And2,
+            GateKind::Or2,
+            GateKind::Nand2,
+            GateKind::Xor2,
+        ];
+        let table = |nl: &Netlist| -> Vec<u128> {
+            let inputs = |m: u128| HashMap::from([("a".into(), m & 1), ("b".into(), m >> 1)]);
+            (0..4)
+                .map(|m| eval_once(nl, &inputs(m), &HashMap::new(), "y"))
+                .collect()
+        };
+        for l in kinds.map(gate) {
+            for r in kinds.map(gate).into_iter().chain([and_module(true)]) {
+                let (tl, tr) = (table(&l), table(&r));
+                match check_comb_equiv(&l, &r, &EquivOptions::new()).unwrap() {
+                    EquivResult::Equivalent => assert_eq!(tl, tr),
+                    EquivResult::Inequivalent(cex) => {
+                        let m = (cex.inputs["a"] | cex.inputs["b"] << 1) as usize;
+                        assert_eq!((cex.left, cex.right), (tl[m], tr[m]));
+                        assert_ne!(cex.left, cex.right);
+                    }
+                }
             }
-            EquivResult::Equivalent => panic!("missed inequivalence"),
         }
     }
 
-    /// A wide (>24-bit) interface: Auto and Sat prove it, Bdd refuses.
+    /// A wide (>24-bit) interface is proved like any other.
     #[test]
-    fn wide_interfaces_use_sat_and_bdd_refuses() {
+    fn wide_interfaces_are_proved() {
         let wide = |extra_inv: bool| {
             // y = parity-ish AND/OR tree over 32 inputs, 1 bit each.
             let mut nl = Netlist::new("wide");
@@ -1517,20 +1095,8 @@ mod tests {
             nl.add_output("y", &[acc]);
             nl
         };
-        let l = wide(false);
-        let r = wide(true);
-        // Auto routes to SAT and proves it.
-        let res = check_comb_equiv(&l, &r, &EquivOptions::new()).unwrap();
+        let res = check_comb_equiv(&wide(false), &wide(true), &EquivOptions::new()).unwrap();
         assert!(res.is_equivalent());
-        // So does asking for SAT explicitly.
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
-        let res = check_comb_equiv(&l, &r, &opts).unwrap();
-        assert!(res.is_equivalent());
-        // Bdd refuses instead of silently downgrading.
-        opts.engine = EquivEngine::Bdd;
-        let err = check_comb_equiv(&l, &r, &opts).unwrap_err();
-        assert!(matches!(err, SimError::EngineLimit { .. }), "{err:?}");
     }
 
     /// SAT finds a concrete counterexample on a wide inequivalent pair.
@@ -1549,11 +1115,7 @@ mod tests {
             nl.add_output("y", &[acc]);
             nl
         };
-        let l = build(false);
-        let r = build(true);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
-        match check_comb_equiv(&l, &r, &opts).unwrap() {
+        match check_comb_equiv(&build(false), &build(true), &EquivOptions::new()).unwrap() {
             EquivResult::Inequivalent(cex) => {
                 assert_eq!(cex.output, "y");
                 assert_ne!(cex.left, cex.right);
@@ -1563,7 +1125,7 @@ mod tests {
     }
 
     /// Regression: a ~10k-gate inverter chain must not overflow the stack
-    /// in either the BDD or the SAT cone walk.
+    /// in the SAT cone walk.
     #[test]
     fn deep_netlists_do_not_overflow_the_stack() {
         let chain = |n: usize| {
@@ -1578,12 +1140,7 @@ mod tests {
         };
         let l = chain(10_000);
         let r = chain(10_002);
-        // BDD path (1-bit interface).
-        let res = check_comb_equiv(&l, &r, &EquivOptions::new()).unwrap();
-        assert!(res.is_equivalent());
-        // SAT path.
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
+        let opts = EquivOptions::new();
         let res = check_comb_equiv(&l, &r, &opts).unwrap();
         assert!(res.is_equivalent());
         // Odd-length chain differs.
@@ -1607,8 +1164,7 @@ mod tests {
             nl.add_output("y", &[net]);
             nl
         };
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
+        let opts = EquivOptions::new();
         let (even, odd, wire) = (chain(50_000), chain(50_001), chain(0));
         assert!(check_comb_equiv(&even, &wire, &opts)
             .unwrap()
@@ -1622,9 +1178,8 @@ mod tests {
         assert!(!check_seq_equiv(&odd, &wire, &opts).unwrap().is_equivalent());
     }
 
-    /// Flops have no combinational meaning: every engine must refuse them
-    /// up front rather than prove, refute, or panic depending on which one
-    /// runs.
+    /// Flops have no combinational meaning: the combinational check must
+    /// refuse them up front rather than prove, refute, or panic.
     #[test]
     fn comb_check_rejects_flops_on_every_engine() {
         use synthir_netlist::ResetKind;
@@ -1639,20 +1194,8 @@ mod tests {
         );
         let y = nl.add_gate(GateKind::Inv, &[q]);
         nl.add_output("y", &[y]);
-        for engine in [
-            EquivEngine::Auto,
-            EquivEngine::Bdd,
-            EquivEngine::Random,
-            EquivEngine::Sat,
-        ] {
-            let mut opts = EquivOptions::new();
-            opts.engine = engine;
-            let err = check_comb_equiv(&nl, &nl.clone(), &opts).unwrap_err();
-            assert!(
-                matches!(err, SimError::InvalidNetlist(_)),
-                "{engine}: {err:?}"
-            );
-        }
+        let err = check_comb_equiv(&nl, &nl.clone(), &EquivOptions::new()).unwrap_err();
+        assert!(matches!(err, SimError::InvalidNetlist(_)), "{err:?}");
     }
 
     #[test]
@@ -1663,8 +1206,7 @@ mod tests {
         let x = nl.add_gate(GateKind::And2, &[a, loop_net]);
         nl.attach_gate(GateKind::Inv, &[x], loop_net).unwrap();
         nl.add_output("x", &[x]);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
+        let opts = EquivOptions::new();
         let err = check_comb_equiv(&nl, &nl.clone(), &opts).unwrap_err();
         assert!(matches!(err, SimError::InvalidNetlist(_)), "{err:?}");
         let err = check_seq_equiv(&nl, &nl.clone(), &opts).unwrap_err();
@@ -1693,8 +1235,7 @@ mod tests {
             nl.add_output("q", &[q]);
             nl
         };
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
+        let opts = EquivOptions::new();
         let res = check_seq_equiv(&build(false, false), &build(false, true), &opts).unwrap();
         assert!(res.is_equivalent());
         // Different init values show up at cycle 0 (Moore sampling).
@@ -1730,40 +1271,6 @@ mod tests {
     }
 
     #[test]
-    fn bdd_engine_refuses_sequential() {
-        use synthir_netlist::ResetKind;
-        let mut nl = Netlist::new("t");
-        let rst = nl.add_input("rst", 1)[0];
-        let d = nl.add_input("d", 1)[0];
-        let q = nl.add_gate(
-            GateKind::Dff {
-                reset: ResetKind::Sync,
-                init: false,
-            },
-            &[d, rst],
-        );
-        nl.add_output("q", &[q]);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Bdd;
-        let err = check_seq_equiv(&nl, &nl.clone(), &opts).unwrap_err();
-        assert!(matches!(err, SimError::EngineLimit { .. }));
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [
-            EquivEngine::Auto,
-            EquivEngine::Bdd,
-            EquivEngine::Random,
-            EquivEngine::Sat,
-        ] {
-            assert_eq!(EquivEngine::parse(e.as_str()), Some(e));
-        }
-        assert_eq!(EquivEngine::parse("bogus"), None);
-        assert_eq!(EquivEngine::default(), EquivEngine::Auto);
-    }
-
-    #[test]
     fn sequential_inequivalence_found() {
         use synthir_netlist::ResetKind;
         let build = |init: bool| {
@@ -1782,6 +1289,61 @@ mod tests {
         };
         let res = check_seq_equiv(&build(false), &build(true), &EquivOptions::new()).unwrap();
         assert!(!res.is_equivalent());
+    }
+
+    /// A divergence behind one 20-bit input value, which random stimulus
+    /// hits with probability 2^-20 per cycle: the left design latches
+    /// `q' = q | (in == 0xABCDE)` while a one-shot window is open, the
+    /// right design latches `q' = 0`. The window (two sync-reset flops) is
+    /// open in cycle 1 only, so the shortest counterexample is unique:
+    /// `in@1 = 0xABCDE`, first visible on `y` in cycle 2. The default
+    /// options must find it.
+    #[test]
+    fn default_options_find_a_one_in_a_million_divergence() {
+        use synthir_netlist::ResetKind;
+        const NEEDLE: u128 = 0xABCDE;
+        let dff = |nl: &mut Netlist, d: NetId, rst: NetId, q: NetId| {
+            let kind = GateKind::Dff {
+                reset: ResetKind::Sync,
+                init: false,
+            };
+            nl.attach_gate(kind, &[d, rst], q).unwrap();
+        };
+        let build = |latches_needle: bool| {
+            let mut nl = Netlist::new("needle");
+            let rst = nl.add_input("rst", 1)[0];
+            let ins = nl.add_input("in", 20);
+            let q = nl.add_net();
+            let d = if latches_needle {
+                let (open, opened) = (nl.add_net(), nl.add_net());
+                let one = nl.const1();
+                dff(&mut nl, one, rst, opened);
+                let closing = nl.add_gate(GateKind::Inv, &[opened]);
+                dff(&mut nl, closing, rst, open);
+                let mut hit = open;
+                for (i, &n) in ins.iter().enumerate() {
+                    let bit = match NEEDLE >> i & 1 {
+                        1 => n,
+                        _ => nl.add_gate(GateKind::Inv, &[n]),
+                    };
+                    hit = nl.add_gate(GateKind::And2, &[hit, bit]);
+                }
+                nl.add_gate(GateKind::Or2, &[q, hit])
+            } else {
+                nl.const0()
+            };
+            dff(&mut nl, d, rst, q);
+            nl.add_output("y", &[q]);
+            nl
+        };
+        let res = check_seq_equiv(&build(true), &build(false), &EquivOptions::new()).unwrap();
+        let EquivResult::Inequivalent(cex) = res else {
+            panic!("missed the needle: {res:?}");
+        };
+        assert_eq!(cex.output, "y");
+        assert_eq!(cex.inputs["__cycle"], 2, "{cex:?}");
+        assert_eq!(cex.inputs["in@1"], NEEDLE, "{cex:?}");
+        assert_eq!((cex.left, cex.right), (1, 0));
     }
 }
 
@@ -2004,13 +1566,43 @@ mod induction_tests {
         out
     }
 
+    /// Cycles of the random lockstep that re-checks every induction proof.
+    const LOCKSTEP_CYCLES: usize = 256;
+
+    /// Random lockstep from reset through [`SeqSim`], independent of the
+    /// SAT path: both designs see the same random inputs for `cycles`
+    /// cycles, `rst` held low and bound ports at their values. `true` when
+    /// no shared output ever differs.
+    fn lockstep_agrees(l: &Netlist, r: &Netlist, opts: &EquivOptions, cycles: usize) -> bool {
+        let iface = shared_interface(l, r, opts).unwrap();
+        let (mut ls, mut rs) = (SeqSim::new(l).unwrap(), SeqSim::new(r).unwrap());
+        let mut rng = SplitMix::new(opts.seed);
+        (0..cycles).all(|_| {
+            let free: HashMap<String, u128> = iface
+                .inputs
+                .iter()
+                .map(|(name, w)| {
+                    let v = u128::from(rng.next()) & ((1 << w) - 1);
+                    (name.clone(), if name == "rst" { 0 } else { v })
+                })
+                .collect();
+            let bound = |binds: &HashMap<String, u128>| {
+                let mut inputs = free.clone();
+                inputs.extend(binds.iter().map(|(k, &v)| (k.clone(), v)));
+                inputs
+            };
+            let lo = ls.step(&bound(&opts.bind_left));
+            let ro = rs.step(&bound(&opts.bind_right));
+            iface.outputs.iter().all(|(name, _)| lo[name] == ro[name])
+        })
+    }
+
     /// Checks every pair of one generator call, re-checking each pair the
-    /// prover proves by BMC to `deep_depth` cycles and by random lockstep
-    /// over [`EquivOptions::cycles`] cycles; returns (pairs proved
-    /// by induction, pairs known equivalent with no late divergence).
+    /// prover proves by BMC to `deep_depth` cycles and by
+    /// [`lockstep_agrees`] over [`LOCKSTEP_CYCLES`] cycles; returns (pairs
+    /// proved by induction, pairs known equivalent with no late divergence).
     fn check_pairs(seed: u64, m: usize, n: usize, s: usize, deep_depth: usize) -> (usize, usize) {
         let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
         opts.bmc_depth = 4;
         opts.seed = seed;
         let (mut proved, mut provable) = (0, 0);
@@ -2033,11 +1625,8 @@ mod induction_tests {
                     bmc_only(&p.left, &p.right, &deep).is_equivalent(),
                     "{ctx}: proved by induction, refuted by deep BMC"
                 );
-                deep.engine = EquivEngine::Random;
                 assert!(
-                    check_seq_equiv(&p.left, &p.right, &deep)
-                        .unwrap()
-                        .is_equivalent(),
+                    lockstep_agrees(&p.left, &p.right, &o, LOCKSTEP_CYCLES),
                     "{ctx}: proved by induction, refuted by random lockstep"
                 );
             }

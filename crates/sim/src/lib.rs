@@ -9,14 +9,15 @@
 //!
 //! * [`CombSim`] — bit-parallel (64 patterns/word) combinational evaluation,
 //! * [`SeqSim`] — cycle-accurate sequential simulation with reset handling,
-//! * [`equiv`] — random, BDD- and SAT-based combinational equivalence, plus
-//!   sequential equivalence (random lockstep, and SAT-based induction
-//!   backed by bounded model checking) under input bindings (used to check
+//! * [`equiv`] — SAT-based equivalence under input bindings (used to check
 //!   a specialized design against its flexible parent with the
-//!   configuration port tied to the table being specialized). Every SAT
-//!   question is one AIG miter built from per-cycle frames — a single
-//!   frame, an induction step, or a bounded unrolling from reset — handed
-//!   to [`synthir_aig::satisfy`].
+//!   configuration port tied to the table being specialized):
+//!   combinational checks are one miter, sequential checks an induction
+//!   proof backed by bounded model checking. Every SAT question is one AIG
+//!   miter built from per-cycle frames — a single frame, an induction step,
+//!   or a bounded unrolling from reset — handed to
+//!   [`synthir_aig::satisfy`]. Every counterexample is replayed through the
+//!   simulators, which stay independent of the SAT path.
 //!
 //! ## Example
 //!
@@ -46,7 +47,6 @@ pub mod vcd;
 pub use comb::{CombSim, CombSimBound};
 pub use equiv::{
     check_comb_equiv, check_seq_equiv, Counterexample, EquivEngine, EquivOptions, EquivResult,
-    BDD_MAX_INPUT_BITS,
 };
 pub use seq::SeqSim;
 
@@ -65,11 +65,6 @@ pub enum SimError {
         /// The offending binding's signal name.
         name: String,
     },
-    /// The selected equivalence engine cannot handle the problem.
-    EngineLimit {
-        /// What the engine cannot do.
-        context: String,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -78,7 +73,6 @@ impl std::fmt::Display for SimError {
             SimError::InvalidNetlist(e) => write!(f, "invalid netlist: {e}"),
             SimError::PortMismatch { context } => write!(f, "port mismatch: {context}"),
             SimError::BadBinding { name } => write!(f, "bad binding for `{name}`"),
-            SimError::EngineLimit { context } => write!(f, "engine limit: {context}"),
         }
     }
 }

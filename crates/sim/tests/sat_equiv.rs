@@ -1,18 +1,20 @@
-//! Cross-engine oracle tests: the SAT engine against the BDD engine on
-//! random netlists narrow enough (≤ 24 input bits) for the BDD engine to
-//! prove.
+//! Oracle tests: SAT verdicts against exhaustive simulation. Every pair is
+//! also evaluated by [`CombSim`] on all 2^n input patterns (n ≤ 13), a
+//! reference that shares no code with the AIG miter.
 //!
 //! Two families per seed:
 //!
 //! * a *known-equivalent* pair — the same random DAG, with the right side
 //!   rewritten gate-by-gate through De Morgan identities (AND → NAND+INV,
-//!   OR → NOR+INV, …), so the SAT engine must return UNSAT on the miter;
+//!   OR → NOR+INV, …), so SAT must return UNSAT on the miter;
 //! * an *independent* pair — two different random DAGs over the same
-//!   interface, where both engines must agree on the verdict (usually
-//!   inequivalent, occasionally equivalent by chance on tiny functions).
+//!   interface, where SAT and simulation must agree on the verdict
+//!   (usually inequivalent, occasionally equivalent by chance on tiny
+//!   functions), and every counterexample must be a pattern on which the
+//!   simulated outputs differ.
 
 use synthir_netlist::{GateKind, NetId, Netlist};
-use synthir_sim::{check_comb_equiv, EquivEngine, EquivOptions, EquivResult};
+use synthir_sim::{check_comb_equiv, CombSim, EquivOptions, EquivResult};
 
 struct SplitMix {
     state: u64,
@@ -137,43 +139,67 @@ fn demorgan_twin(nl: &Netlist) -> Netlist {
     out
 }
 
+/// Every output bit of `nl` on all 2^n assignments of its input bits
+/// (ports in order, LSB first; minterm `m` is bit `m % 64` of word
+/// `m / 64`), output-major.
+fn exhaustive_outputs(nl: &Netlist) -> Vec<Vec<u64>> {
+    let sim = CombSim::new(nl).unwrap();
+    let ins: Vec<NetId> = nl.inputs().iter().flat_map(|p| p.nets.clone()).collect();
+    let words = (1u64 << ins.len()).div_ceil(64);
+    let vals: Vec<Vec<u64>> = (0..words)
+        .map(|w| {
+            let word = |i: usize| (0..64).fold(0u64, |v, k| v | ((w * 64 + k) >> i & 1) << k);
+            let sources: Vec<(NetId, u64)> =
+                ins.iter().enumerate().map(|(i, &n)| (n, word(i))).collect();
+            sim.eval_with(nl, &sources)
+        })
+        .collect();
+    let outs = nl.outputs().iter().flat_map(|p| p.nets.clone());
+    outs.map(|o| vals.iter().map(|v| v[o.index()]).collect())
+        .collect()
+}
+
 #[test]
 fn sat_proves_known_equivalent_twins() {
     for seed in 0..40u64 {
-        let ninputs = 4 + (seed % 10) as usize; // 4..=13 bits, BDD range
+        let ninputs = 4 + (seed % 10) as usize; // 4..=13 bits
         let l = random_netlist("rand", ninputs, 30, 3, seed * 77 + 1);
         let r = demorgan_twin(&l);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
-        let sat = check_comb_equiv(&l, &r, &opts).unwrap();
+        let sat = check_comb_equiv(&l, &r, &EquivOptions::new()).unwrap();
         assert!(sat.is_equivalent(), "seed {seed}: twin must be UNSAT");
-        opts.engine = EquivEngine::Bdd;
-        let bdd = check_comb_equiv(&l, &r, &opts).unwrap();
-        assert!(bdd.is_equivalent(), "seed {seed}: BDD disagrees");
+        assert_eq!(
+            exhaustive_outputs(&l),
+            exhaustive_outputs(&r),
+            "seed {seed}: simulation disagrees"
+        );
     }
 }
 
 #[test]
-fn sat_and_bdd_agree_on_independent_random_pairs() {
+fn sat_and_exhaustive_simulation_agree_on_independent_random_pairs() {
     let mut inequivalent = 0;
     for seed in 0..40u64 {
         let ninputs = 4 + (seed % 8) as usize;
         let l = random_netlist("rand", ninputs, 25, 2, seed * 131 + 3);
         let r = random_netlist("rand", ninputs, 25, 2, seed * 131 + 500_000);
-        let mut opts = EquivOptions::new();
-        opts.engine = EquivEngine::Sat;
-        let sat = check_comb_equiv(&l, &r, &opts).unwrap();
-        opts.engine = EquivEngine::Bdd;
-        let bdd = check_comb_equiv(&l, &r, &opts).unwrap();
+        let sat = check_comb_equiv(&l, &r, &EquivOptions::new()).unwrap();
+        let (tl, tr) = (exhaustive_outputs(&l), exhaustive_outputs(&r));
         assert_eq!(
             sat.is_equivalent(),
-            bdd.is_equivalent(),
-            "seed {seed}: engines disagree"
+            tl == tr,
+            "seed {seed}: SAT and simulation disagree"
         );
         if let EquivResult::Inequivalent(cex) = &sat {
             inequivalent += 1;
-            // The SAT counterexample must be concrete and distinguishing.
+            // The SAT counterexample must be a minterm on which the
+            // simulated outputs differ, with the values it reports.
             assert_ne!(cex.left, cex.right, "seed {seed}");
+            let m: usize = (0..ninputs)
+                .map(|k| (cex.inputs[&format!("i{k}")] as usize) << k)
+                .sum();
+            let o: usize = cex.output[1..].parse().unwrap();
+            let bit = |t: &[Vec<u64>]| u128::from(t[o][m / 64] >> (m % 64) & 1);
+            assert_eq!((bit(&tl), bit(&tr)), (cex.left, cex.right), "seed {seed}");
         }
     }
     assert!(

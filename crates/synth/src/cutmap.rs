@@ -29,7 +29,7 @@
 //! sub-cones bake in circuit-level don't-cares — see
 //! [`synthir_aig::cuts`]), the mapped netlist is functionally equivalent
 //! to the input by construction; `SynthOptions::verify_each_pass` and the
-//! benchmark cross-proofs check it with the SAT/BDD engines anyway.
+//! benchmark cross-proofs check it with SAT anyway.
 
 use synthir_aig::cuts::{enumerate_cuts, Cut};
 use synthir_aig::npn::{canonicalize, NpnTransform};

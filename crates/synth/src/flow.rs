@@ -241,9 +241,8 @@ impl PassVerifier {
         let Some(prev) = &self.prev else {
             return Ok(());
         };
-        use synthir_sim::{check_comb_equiv, check_seq_equiv, EquivEngine, EquivOptions};
+        use synthir_sim::{check_comb_equiv, check_seq_equiv, EquivOptions};
         let mut eopts = EquivOptions::new();
-        eopts.engine = EquivEngine::Sat;
         eopts.bmc_depth = 6;
         let res = if prev.flop_count() == 0 && nl.flop_count() == 0 {
             check_comb_equiv(prev, nl, &eopts)
@@ -414,8 +413,7 @@ mod tests {
     fn compile_proves_against_elaboration_within_area_ceiling() {
         let lib = Library::vt90();
         let opts = SynthOptions::default();
-        let mut eopts = synthir_sim::EquivOptions::new();
-        eopts.engine = synthir_sim::EquivEngine::Sat;
+        let eopts = synthir_sim::EquivOptions::new();
         for (seed, ceiling) in [(0u64, 91.0), (1, 46.2), (2, 84.0), (3, 0.0)] {
             let words: Vec<u128> = (0..32)
                 .map(|m| ((m as u128).wrapping_mul(37 + seed as u128)) & 0x1F)

@@ -9,8 +9,8 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`logic`] — boolean kernel (truth tables, covers, espresso, BDDs,
-//!   value sets);
+//! * [`logic`] — boolean kernel (truth tables, covers, espresso, value
+//!   sets);
 //! * [`aig`] — the structurally-hashed And-Inverter Graph optimization
 //!   core (hash-consing with construction-time folding, local rewriting,
 //!   SAT sweeping, netlist round-trips);
@@ -23,8 +23,8 @@
 //!   opt-in per-pass SAT self-check,
 //!   [`synth::SynthOptions::verify_each_pass`]);
 //! * [`sat`] — a dependency-free CDCL SAT solver;
-//! * [`sim`] — simulation and equivalence checking (BDD, random, and
-//!   SAT miter/BMC engines — exact at any interface width);
+//! * [`sim`] — simulation and equivalence checking (SAT miters, induction
+//!   and BMC — exact at any interface width);
 //! * [`core`] — the paper's contribution: controller IRs (FSM specs,
 //!   microprograms, sequencers), annotation derivation, the PE driver,
 //!   KISS2 FSM I/O, and a microcode assembler;

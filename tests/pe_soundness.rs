@@ -90,9 +90,8 @@ fn pctrl_optimization_is_sound() {
             let module = pctrl_module(&cfg, style).unwrap();
             let elab = elaborate(&module).unwrap();
             let compiled = compile(&elab, &lib, &opts).unwrap();
-            let mut eo = EquivOptions::new();
-            eo.cycles = 128;
-            let verdict = check_seq_equiv(&elab.netlist, &compiled.netlist, &eo).unwrap();
+            let verdict =
+                check_seq_equiv(&elab.netlist, &compiled.netlist, &EquivOptions::new()).unwrap();
             assert!(
                 verdict.is_equivalent(),
                 "{} {style:?}: {verdict:?}",
