@@ -57,6 +57,31 @@ impl BitVec {
         bv
     }
 
+    /// Creates a bit-vector of `len` bits from packed words: bit `i` is bit
+    /// `i % 64` of word `i / 64`. Bits of the last word past `len` are
+    /// ignored.
+    ///
+    /// ```
+    /// use synthir_logic::BitVec;
+    /// let bv = BitVec::from_words(4, vec![0b1_0110]);
+    /// assert_eq!(bv, BitVec::from_fn(4, |i| i == 1 || i == 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` is not `len.div_ceil(64)`.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits need {} words",
+            len.div_ceil(64)
+        );
+        let mut bv = BitVec { words, len };
+        bv.mask_tail();
+        bv
+    }
+
     /// Creates a bit-vector from an iterator of booleans.
     pub fn from_bools(bits: impl IntoIterator<Item = bool>) -> Self {
         let bools: Vec<bool> = bits.into_iter().collect();
@@ -95,6 +120,12 @@ impl BitVec {
         } else {
             self.words[i / 64] &= !(1 << (i % 64));
         }
+    }
+
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`; bits
+    /// past `len` in the last word are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of one bits.
@@ -240,6 +271,17 @@ mod tests {
         assert_eq!(z.count_ones(), 3);
         z.not_assign();
         assert!(z.all_zeros());
+    }
+
+    #[test]
+    fn from_words_matches_from_fn_and_masks_the_tail() {
+        let words = vec![0x8000_0000_0000_0001, u64::MAX, 0xF0];
+        let bv = BitVec::from_words(130, words.clone());
+        let expected = BitVec::from_fn(130, |i| words[i / 64] >> (i % 64) & 1 != 0);
+        assert_eq!(bv, expected);
+        assert_eq!(bv.count_ones(), 2 + 64);
+        assert!(BitVec::from_words(2, vec![u64::MAX]).all_ones());
+        assert!(BitVec::from_words(0, vec![]).is_empty());
     }
 
     #[test]

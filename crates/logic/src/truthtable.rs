@@ -136,9 +136,41 @@ impl TruthTable {
         })
     }
 
-    /// Whether the function depends on variable `var`.
+    /// Whether the function depends on variable `var`: whether its two
+    /// cofactors with respect to `var` differ.
+    ///
+    /// Compared word by word, without building the cofactors: for
+    /// `var < 6` each word is compared with itself shifted by `2^var` under
+    /// the mask of the minterms with `var` clear; for `var >= 6` the
+    /// minterm `m` and `m | 1 << var` sit in words `2^(var - 6)` apart, so
+    /// whole words are compared in pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= inputs`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor(var, false) != self.cofactor(var, true)
+        /// The minterms (of a 64-minterm word) with variable `i` clear.
+        const VAR_CLEAR: [u64; 6] = [
+            0x5555_5555_5555_5555,
+            0x3333_3333_3333_3333,
+            0x0F0F_0F0F_0F0F_0F0F,
+            0x00FF_00FF_00FF_00FF,
+            0x0000_FFFF_0000_FFFF,
+            0x0000_0000_FFFF_FFFF,
+        ];
+        assert!(var < self.inputs, "variable out of range");
+        let words = self.bits.words();
+        match VAR_CLEAR.get(var) {
+            // Bits past the table's end are zero in both operands, so a
+            // table shorter than a word compares correctly too.
+            Some(&clear) => words.iter().any(|&w| (w ^ w >> (1 << var)) & clear != 0),
+            None => {
+                let stride = 1 << (var - 6);
+                words
+                    .chunks_exact(2 * stride)
+                    .any(|pair| pair[..stride] != pair[stride..])
+            }
+        }
     }
 
     /// The set of variables the function actually depends on.
@@ -256,6 +288,78 @@ mod tests {
         let f = TruthTable::from_fn(4, |m| m % 5 == 0);
         let ones: Vec<usize> = f.iter_ones().collect();
         assert_eq!(ones, vec![0, 5, 10, 15]);
+    }
+
+    /// The definition the word-level `depends_on` replaced: the two
+    /// cofactors, built bit by bit, differ.
+    fn depends_on_oracle(f: &TruthTable, var: usize) -> bool {
+        f.cofactor(var, false) != f.cofactor(var, true)
+    }
+
+    fn check_against_oracle(f: &TruthTable) {
+        let expected: Vec<usize> = (0..f.inputs())
+            .filter(|&v| depends_on_oracle(f, v))
+            .collect();
+        assert_eq!(f.support(), expected, "{f:?}");
+        for v in 0..f.inputs() {
+            assert_eq!(f.depends_on(v), depends_on_oracle(f, v), "{f:?} var {v}");
+        }
+    }
+
+    /// A SplitMix64 step, for seeded random tables.
+    fn mix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn word_level_depends_on_matches_cofactor_oracle() {
+        let mut state = 7u64;
+        let mut vacuous = [0usize; 2]; // vacuous variables below 6, at 6 and up
+        for k in 0..=10usize {
+            check_against_oracle(&TruthTable::constant(k, false));
+            check_against_oracle(&TruthTable::constant(k, true));
+            for v in 0..k {
+                check_against_oracle(&TruthTable::variable(k, v));
+            }
+            for _ in 0..40 {
+                // Dense random tables depend on every variable; a random
+                // table over a random subset of the variables leaves the
+                // others vacuous, wherever they sit.
+                let keep = mix(&mut state) as usize & ((1 << k) - 1);
+                let seed = mix(&mut state);
+                let dense = TruthTable::from_fn(k, |m| {
+                    let mut s = seed ^ m as u64;
+                    mix(&mut s) & 1 != 0
+                });
+                let sparse = TruthTable::from_fn(k, |m| {
+                    let mut s = seed ^ (m & keep) as u64;
+                    mix(&mut s) & 1 != 0
+                });
+                check_against_oracle(&dense);
+                check_against_oracle(&sparse);
+                for v in (0..k).filter(|&v| !sparse.depends_on(v)) {
+                    vacuous[usize::from(v >= 6)] += 1;
+                }
+            }
+            // Structured tables: an AND and a parity of every other
+            // variable, a threshold over all of them.
+            let odd = |m: usize| m & 0x2AA;
+            check_against_oracle(&TruthTable::from_fn(k, |m| {
+                odd(m) == odd(usize::MAX) & ((1 << k) - 1)
+            }));
+            check_against_oracle(&TruthTable::from_fn(k, |m| odd(m).count_ones() % 2 == 1));
+            check_against_oracle(&TruthTable::from_fn(k, |m| {
+                2 * m.count_ones() as usize >= k
+            }));
+        }
+        assert!(
+            vacuous[0] > 100 && vacuous[1] > 100,
+            "vacuous variables below/at-or-above 6: {vacuous:?}"
+        );
     }
 
     #[test]

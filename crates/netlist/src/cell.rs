@@ -175,31 +175,48 @@ impl GateKind {
     ///
     /// Panics for sequential gates or on arity mismatch.
     pub fn eval_words(&self, ins: &[u64]) -> u64 {
+        self.eval_lanes(ins)
+    }
+
+    /// Bit-parallel evaluation over a block of `N` 64-pattern words per
+    /// pin: word `b` of the result is [`GateKind::eval_words`] of word `b`
+    /// of every pin. The kind is dispatched once per block, not once per
+    /// word, which is what makes simulating many words gate by gate cheap.
+    ///
+    /// # Panics
+    ///
+    /// Panics for sequential gates or on arity mismatch.
+    pub fn eval_block<const N: usize>(&self, ins: &[[u64; N]]) -> [u64; N] {
+        self.eval_lanes(ins)
+    }
+
+    fn eval_lanes<W: Lanes>(&self, ins: &[W]) -> W {
         assert_eq!(ins.len(), self.arity(), "arity mismatch for {self:?}");
+        let x = |i: usize| ins[i];
         match self {
-            GateKind::Const0 => 0,
-            GateKind::Const1 => u64::MAX,
-            GateKind::Buf => ins[0],
-            GateKind::Inv => !ins[0],
-            GateKind::And2 => ins[0] & ins[1],
-            GateKind::Or2 => ins[0] | ins[1],
-            GateKind::Nand2 => !(ins[0] & ins[1]),
-            GateKind::Nor2 => !(ins[0] | ins[1]),
-            GateKind::Xor2 => ins[0] ^ ins[1],
-            GateKind::Xnor2 => !(ins[0] ^ ins[1]),
-            GateKind::And3 => ins[0] & ins[1] & ins[2],
-            GateKind::Or3 => ins[0] | ins[1] | ins[2],
-            GateKind::Nand3 => !(ins[0] & ins[1] & ins[2]),
-            GateKind::Nor3 => !(ins[0] | ins[1] | ins[2]),
-            GateKind::And4 => ins[0] & ins[1] & ins[2] & ins[3],
-            GateKind::Or4 => ins[0] | ins[1] | ins[2] | ins[3],
-            GateKind::Nand4 => !(ins[0] & ins[1] & ins[2] & ins[3]),
-            GateKind::Nor4 => !(ins[0] | ins[1] | ins[2] | ins[3]),
-            GateKind::Mux2 => (ins[0] & ins[2]) | (!ins[0] & ins[1]),
-            GateKind::Aoi21 => !((ins[0] & ins[1]) | ins[2]),
-            GateKind::Oai21 => !((ins[0] | ins[1]) & ins[2]),
-            GateKind::Aoi22 => !((ins[0] & ins[1]) | (ins[2] & ins[3])),
-            GateKind::Oai22 => !((ins[0] | ins[1]) & (ins[2] | ins[3])),
+            GateKind::Const0 => W::ZERO,
+            GateKind::Const1 => W::ONES,
+            GateKind::Buf => x(0),
+            GateKind::Inv => x(0).not(),
+            GateKind::And2 => x(0).and(x(1)),
+            GateKind::Or2 => x(0).or(x(1)),
+            GateKind::Nand2 => x(0).and(x(1)).not(),
+            GateKind::Nor2 => x(0).or(x(1)).not(),
+            GateKind::Xor2 => x(0).xor(x(1)),
+            GateKind::Xnor2 => x(0).xor(x(1)).not(),
+            GateKind::And3 => x(0).and(x(1)).and(x(2)),
+            GateKind::Or3 => x(0).or(x(1)).or(x(2)),
+            GateKind::Nand3 => x(0).and(x(1)).and(x(2)).not(),
+            GateKind::Nor3 => x(0).or(x(1)).or(x(2)).not(),
+            GateKind::And4 => x(0).and(x(1)).and(x(2)).and(x(3)),
+            GateKind::Or4 => x(0).or(x(1)).or(x(2)).or(x(3)),
+            GateKind::Nand4 => x(0).and(x(1)).and(x(2)).and(x(3)).not(),
+            GateKind::Nor4 => x(0).or(x(1)).or(x(2)).or(x(3)).not(),
+            GateKind::Mux2 => x(0).and(x(2)).or(x(0).not().and(x(1))),
+            GateKind::Aoi21 => x(0).and(x(1)).or(x(2)).not(),
+            GateKind::Oai21 => x(0).or(x(1)).and(x(2)).not(),
+            GateKind::Aoi22 => x(0).and(x(1)).or(x(2).and(x(3))).not(),
+            GateKind::Oai22 => x(0).or(x(1)).and(x(2).or(x(3))).not(),
             GateKind::Dff { .. } => panic!("cannot combinationally evaluate a flop"),
         }
     }
@@ -290,6 +307,51 @@ impl GateKind {
     }
 }
 
+/// Bit-parallel pattern values a gate is evaluated on: one 64-pattern
+/// word, or a block of them evaluated lane by lane.
+trait Lanes: Copy {
+    const ZERO: Self;
+    const ONES: Self;
+    fn and(self, other: Self) -> Self;
+    fn or(self, other: Self) -> Self;
+    fn xor(self, other: Self) -> Self;
+    fn not(self) -> Self;
+}
+
+impl Lanes for u64 {
+    const ZERO: Self = 0;
+    const ONES: Self = u64::MAX;
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+    fn xor(self, other: Self) -> Self {
+        self ^ other
+    }
+    fn not(self) -> Self {
+        !self
+    }
+}
+
+impl<const N: usize> Lanes for [u64; N] {
+    const ZERO: Self = [0; N];
+    const ONES: Self = [u64::MAX; N];
+    fn and(self, other: Self) -> Self {
+        std::array::from_fn(|b| self[b] & other[b])
+    }
+    fn or(self, other: Self) -> Self {
+        std::array::from_fn(|b| self[b] | other[b])
+    }
+    fn xor(self, other: Self) -> Self {
+        std::array::from_fn(|b| self[b] ^ other[b])
+    }
+    fn not(self) -> Self {
+        self.map(|w| !w)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +370,27 @@ mod tests {
                     if scalar { u64::MAX } else { 0 },
                     "{kind:?} at minterm {m}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn eval_block_is_eval_words_per_lane() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut word = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for kind in GateKind::all_combinational() {
+            let ins: Vec<[u64; 5]> = (0..kind.arity())
+                .map(|_| std::array::from_fn(|_| word()))
+                .collect();
+            let block = kind.eval_block(&ins);
+            for b in 0..5 {
+                let lane: Vec<u64> = ins.iter().map(|w| w[b]).collect();
+                assert_eq!(block[b], kind.eval_words(&lane), "{kind:?} lane {b}");
             }
         }
     }

@@ -85,6 +85,13 @@ fn visit(
 /// outputs, and undriven nets reachable through combinational gates only.
 /// Constant nets are not reported (they impose no constraint).
 pub fn comb_support(nl: &Netlist, net: NetId) -> Vec<NetId> {
+    comb_support_within(nl, net, usize::MAX).expect("no support exceeds usize::MAX")
+}
+
+/// [`comb_support`] if it has at most `max` nets, else `None`. The walk
+/// stops at the first source past `max`, so refusing a wide cone costs
+/// only the part of it visited until then.
+pub fn comb_support_within(nl: &Netlist, net: NetId, max: usize) -> Option<Vec<NetId>> {
     let mut support = Vec::new();
     let mut seen: HashSet<NetId> = HashSet::new();
     let mut stack = vec![net];
@@ -93,21 +100,20 @@ pub fn comb_support(nl: &Netlist, net: NetId) -> Vec<NetId> {
             continue;
         }
         match nl.driver(n) {
-            None => support.push(n),
-            Some(g) => {
-                let gate = nl.gate(g);
-                if gate.kind.is_sequential() {
-                    support.push(n);
-                } else if gate.kind.is_constant() {
-                    // Constants contribute nothing to the support.
-                } else {
-                    stack.extend(gate.inputs.iter().copied());
+            // A constant has no inputs: it contributes nothing.
+            Some(g) if !nl.gate(g).kind.is_sequential() => {
+                stack.extend(nl.gate(g).inputs.iter().copied());
+            }
+            _ => {
+                if support.len() == max {
+                    return None;
                 }
+                support.push(n);
             }
         }
     }
     support.sort();
-    support
+    Some(support)
 }
 
 /// The combinational gates in the fan-in cone of a net (excluding flops and

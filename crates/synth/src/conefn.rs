@@ -14,11 +14,9 @@ pub fn cone_function(
     root: NetId,
     max_support: usize,
 ) -> Option<(Vec<NetId>, TruthTable)> {
-    let support = topo::comb_support(nl, root);
-    if support.len() > max_support {
-        return None;
-    }
-    Some((support.clone(), cone_function_on(nl, root, &support)))
+    let support = topo::comb_support_within(nl, root, max_support)?;
+    let tt = cone_function_on(nl, root, &support);
+    Some((support, tt))
 }
 
 /// The function of a cone over an explicitly provided support ordering.
@@ -69,30 +67,32 @@ pub fn cone_function_on(nl: &Netlist, root: NetId, support: &[NetId]) -> TruthTa
         .collect();
     let root_slot = slot(root);
     let n_patterns = 1usize << k;
-    let mut bits = synthir_logic::BitVec::zeros(n_patterns);
-    let mut vals = vec![0u64; k + 2 + gates.len()];
-    vals[k + 1] = u64::MAX;
-    for w in 0..n_patterns.div_ceil(64) {
+    let n_words = n_patterns.div_ceil(64);
+    // Words are simulated a block at a time, gate by gate, so each gate's
+    // kind is dispatched once per block. A table shorter than a block is
+    // simulated over a whole block and cut to length.
+    let mut vals = vec![[0u64; BLOCK]; k + 2 + gates.len()];
+    vals[k + 1] = [u64::MAX; BLOCK];
+    let mut root_words = Vec::with_capacity(n_words.next_multiple_of(BLOCK));
+    for first in (0..n_words).step_by(BLOCK) {
         // Pattern p (global index w*64 + bit) assigns support[i] the i-th
         // address bit of the pattern index.
         for (i, v) in vals[..k].iter_mut().enumerate() {
-            *v = variable_word(i, w);
+            *v = std::array::from_fn(|b| variable_word(i, first + b));
         }
         for (j, (kind, ins)) in program.iter().enumerate() {
-            let words = ins.map(|s| vals[s]);
-            vals[k + 2 + j] = kind.eval_words(&words[..kind.arity()]);
+            let pins = ins.map(|s| vals[s]);
+            vals[k + 2 + j] = kind.eval_block(&pins[..kind.arity()]);
         }
-        let mut rootw = vals[root_slot];
-        if n_patterns < 64 {
-            rootw &= (1u64 << n_patterns) - 1;
-        }
-        while rootw != 0 {
-            bits.set(w * 64 + rootw.trailing_zeros() as usize, true);
-            rootw &= rootw - 1;
-        }
+        root_words.extend_from_slice(&vals[root_slot]);
     }
-    TruthTable::from_bits(k, bits)
+    root_words.truncate(n_words);
+    TruthTable::from_bits(k, synthir_logic::BitVec::from_words(n_patterns, root_words))
 }
+
+/// How many 64-pattern words [`cone_function_on`] simulates per pass over
+/// the cone.
+const BLOCK: usize = 16;
 
 /// Word `w` of the 64-pattern simulation vector of variable `i`: bit `b`
 /// is bit `i` of the pattern index `w * 64 + b`.
@@ -283,6 +283,27 @@ pub(crate) mod tests {
             checked > 5000 && multiword > 500,
             "{checked} cones, {multiword} multi-word"
         );
+    }
+
+    #[test]
+    fn bounded_support_walk_matches_full_walk() {
+        let mut refused = 0;
+        for seed in 0..200u64 {
+            let nl = random_netlist(seed);
+            for root in (0..nl.num_nets() as u32).map(NetId) {
+                let full = topo::comb_support(&nl, root);
+                for max in [0, 1, 3, 6, 14] {
+                    let bounded = topo::comb_support_within(&nl, root, max);
+                    if full.len() <= max {
+                        assert_eq!(bounded.as_ref(), Some(&full), "seed {seed} root {root:?}");
+                    } else {
+                        assert_eq!(bounded, None, "seed {seed} root {root:?} max {max}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 5000, "only {refused} refusals");
     }
 
     #[test]

@@ -31,25 +31,34 @@ pub const MAX_COVER_CUBES: usize = 96;
 /// be no larger than the logic it retires (under `lib`), so the
 /// pass never degrades structurally good implementations such as XOR trees.
 ///
-/// The pass runs in two phases. Phase 1 collapses and minimizes every
-/// eligible cone against the pre-pass netlist concurrently (the expensive,
-/// pure work). Phase 2 applies the rebuilds serially in root order; until
-/// the first mutation the netlist is untouched, so plans apply without any
-/// re-collapse, and after a mutation each remaining plan is re-validated
-/// against the current netlist — a cone altered by an earlier rebuild is
-/// simply re-minimized on the spot. Either way the result is identical to
-/// a fully serial pass.
+/// Cheap checks come first. Before a cone is collapsed structurally,
+/// minimized and emitted, its [`area_floor`] — a lower bound on what any
+/// rebuild of its function can cost — is compared with the area it would
+/// retire; a cone whose floor is larger would be rejected after all that
+/// work, so it is rejected before it. The bound is exact for the emitter,
+/// so the set of accepted rebuilds is the one the full work would accept.
+///
+/// The pass runs in two phases. Phase 1 plans every root against the
+/// pre-pass netlist concurrently (the expensive, pure work): it rejects
+/// what it can, and collapses and minimizes the rest. Phase 2 applies the
+/// rebuilds serially in root order; until the first mutation the netlist
+/// is untouched, so plans apply without any re-collapse, and after a
+/// mutation each remaining root is re-planned against the current netlist
+/// — a cone altered by an earlier rebuild is simply re-minimized on the
+/// spot, and a phase-1 rejection is checked again rather than trusted.
+/// Either way the result is identical to a fully serial pass.
 ///
 /// # Cost
 ///
-/// Apart from collecting the roots and the final sweep, the work per root
-/// is O(cone): the cone's truth table is simulated over the cone's own
-/// gates ([`cone_function_on`](crate::conefn::cone_function_on)), and the
-/// area a rebuild would retire is found by a reference-count walk
+/// Apart from collecting the roots, counting uses and the final sweep, the
+/// work per root is O(cone): the support walk stops past
+/// [`COLLAPSE_SUPPORT`] nets, the cone's truth table is simulated over the
+/// cone's own gates ([`cone_function_on`](crate::conefn::cone_function_on)),
+/// and the area a rebuild would retire is found by a reference-count walk
 /// over the cone (ABC's `deref`) against per-net use counts. The use counts
-/// cost O(netlist) to build and are recounted only when an accepted
-/// rebuild has changed the netlist — which then already pays O(netlist)
-/// for [`Netlist::replace_net_uses`].
+/// cost O(netlist) to build, once before phase 1 and again only when an
+/// accepted rebuild has changed the netlist — which then already pays
+/// O(netlist) for [`Netlist::replace_net_uses`].
 pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     let mut roots: Vec<NetId> = Vec::new();
     for net in nl.output_nets() {
@@ -62,12 +71,13 @@ pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     }
     roots.sort();
     roots.dedup();
-    let plans: Vec<Option<ConePlan>> =
-        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root));
+    let uses = UseCounts::count(nl);
+    let plans: Vec<Plan> =
+        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root, lib, &uses));
     let mut rebuilt = 0;
     let mut state = Phase2::default();
     for (&root, plan) in roots.iter().zip(&plans) {
-        if rebuild_root(nl, root, lib, plan.as_ref(), &mut state) {
+        if rebuild_root(nl, root, lib, plan, &mut state) {
             rebuilt += 1;
         }
     }
@@ -75,13 +85,27 @@ pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     rebuilt
 }
 
-/// The precomputed (phase-1) minimization of one cone, valid as long as the
+/// The phase-1 verdict on one root, made against the pre-pass netlist.
+enum Plan {
+    /// Nothing to rebuild: the root is not a combinational cone within
+    /// [`COLLAPSE_SUPPORT`], or no rebuild of its cone can pay off.
+    Reject,
+    /// The cone computes a constant.
+    Constant(bool),
+    /// The cone's minimized cover, to be accepted or rejected on its cost.
+    Rebuild(ConePlan),
+}
+
+/// The minimization of one cone. A phase-1 plan stays valid as long as the
 /// cone still collapses to the same function from the same start cover.
 struct ConePlan {
     support: Vec<NetId>,
     tt: TruthTable,
     start: Cover,
     minimized: Cover,
+    /// The area the rebuild would retire from the netlist it was planned
+    /// on.
+    dying: f64,
 }
 
 /// The serial (phase-2) state of the pass.
@@ -89,8 +113,8 @@ struct ConePlan {
 struct Phase2 {
     /// Whether the netlist has changed since phase 1 saw it.
     mutated: bool,
-    /// Use counts of the current netlist; `None` until first needed and
-    /// again after every change.
+    /// Use counts of the current netlist; `None` until first needed after
+    /// a change.
     uses: Option<UseCounts>,
 }
 
@@ -101,29 +125,66 @@ impl Phase2 {
         self.uses = None;
     }
 
-    fn uses(&mut self, nl: &Netlist) -> &mut UseCounts {
+    fn uses(&mut self, nl: &Netlist) -> &UseCounts {
         self.uses.get_or_insert_with(|| UseCounts::count(nl))
     }
 }
 
-fn plan_root(nl: &Netlist, root: NetId) -> Option<ConePlan> {
-    let driver = nl.driver(root)?;
+/// Slack on the floor test. A floor is a product and an emitted cost a sum
+/// of the same cell areas, so the two can differ by `f64` rounding; the
+/// slack makes such a difference keep a cone for the exact test rather
+/// than reject it.
+const FLOOR_SLACK: f64 = 1e-6;
+
+/// A lower bound on the area of any cover of `tt` that
+/// [`emit_cover`] can emit: `min(area(And2), area(Or2)) · (k − 1)` for a
+/// function that essentially depends on `k` variables.
+///
+/// The bound is exact for the emitter, not a heuristic. `emit_cover`
+/// builds trees of two-input `And2`/`Or2` gates over literals, plus shared
+/// `Inv`s (single-input) and free constants. A network of such gates that
+/// computes a function of `k` essential variables reads each of them, so
+/// its two-input gates join at least `k` leaves into one root and number
+/// at least `k − 1`; every other gate only adds area.
+pub(crate) fn area_floor(tt: &TruthTable, lib: &Library) -> f64 {
+    let gate = lib.area(GateKind::And2).min(lib.area(GateKind::Or2));
+    gate * tt.support().len().saturating_sub(1) as f64
+}
+
+/// Whether no rebuild of a cone computing `tt` can be accepted when it
+/// would retire `dying` area: [`apply_rebuild`]'s exact test would reject
+/// every cover [`emit_cover`] could emit for it.
+fn cannot_pay_off(tt: &TruthTable, dying: f64, lib: &Library) -> bool {
+    area_floor(tt, lib) > dying + FLOOR_SLACK
+}
+
+fn plan_root(nl: &Netlist, root: NetId, lib: &Library, uses: &UseCounts) -> Plan {
+    let Some(driver) = nl.driver(root) else {
+        return Plan::Reject;
+    };
     let kind = nl.gate(driver).kind;
     if kind.is_sequential() || kind.is_constant() {
-        return None;
+        return Plan::Reject;
     }
-    let (support, tt) = cone_function(nl, root, COLLAPSE_SUPPORT)?;
-    if tt.as_constant().is_some() {
-        return None; // cheap: handled directly in phase 2
+    let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
+        return Plan::Reject;
+    };
+    if let Some(v) = tt.as_constant() {
+        return Plan::Constant(v);
+    }
+    let dying = uses.dying_area(nl, root, lib);
+    if cannot_pay_off(&tt, dying, lib) {
+        return Plan::Reject;
     }
     let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = minimize(&start, None, &EspressoOptions::default());
-    Some(ConePlan {
+    Plan::Rebuild(ConePlan {
         support,
         tt,
         start,
         minimized,
+        dying,
     })
 }
 
@@ -131,16 +192,18 @@ fn rebuild_root(
     nl: &mut Netlist,
     root: NetId,
     lib: &Library,
-    plan: Option<&ConePlan>,
+    plan: &Plan,
     state: &mut Phase2,
 ) -> bool {
     // Until the first mutation the netlist is exactly what phase 1 saw, so
     // the plan needs no re-validation — re-collapsing the cone here would
     // just repeat phase 1's work serially.
-    if let Some(p) = plan {
-        if !state.mutated {
-            return apply_rebuild(nl, root, lib, &p.support, &p.tt, &p.minimized, state);
-        }
+    if !state.mutated {
+        return match plan {
+            Plan::Reject => false,
+            &Plan::Constant(v) => replace_with_constant(nl, root, v, state),
+            Plan::Rebuild(cone) => apply_rebuild(nl, root, lib, cone, state),
+        };
     }
     let Some(driver) = nl.driver(root) else {
         return false;
@@ -153,33 +216,58 @@ fn rebuild_root(
         return false;
     };
     if let Some(v) = tt.as_constant() {
-        let c = nl.constant(v);
-        nl.replace_net_uses(root, c);
-        state.changed();
-        return true;
+        return replace_with_constant(nl, root, v, state);
+    }
+    // The same floor test as phase 1, against the current counts: a
+    // phase-1 rejection may no longer hold.
+    let dying = state.uses(nl).dying_area(nl, root, lib);
+    if cannot_pay_off(&tt, dying, lib) {
+        return false;
     }
     // Seed the minimizer with the structural cover when it is small enough;
     // otherwise fall back to the canonical minterm cover.
     let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = match plan {
-        Some(p) if p.support == support && p.tt == tt && p.start == start => p.minimized.clone(),
+        Plan::Rebuild(p) if p.support == support && p.tt == tt && p.start == start => {
+            p.minimized.clone()
+        }
         _ => minimize(&start, None, &EspressoOptions::default()),
     };
-    apply_rebuild(nl, root, lib, &support, &tt, &minimized, state)
+    let cone = ConePlan {
+        support,
+        tt,
+        start,
+        minimized,
+        dying,
+    };
+    apply_rebuild(nl, root, lib, &cone, state)
 }
 
-/// Accepts or rejects a minimized cover for a cone and stitches it in when
-/// it pays off. Records every change to the netlist in `state`.
+/// Rewires the consumers of `root` to the constant `v`.
+fn replace_with_constant(nl: &mut Netlist, root: NetId, v: bool, state: &mut Phase2) -> bool {
+    let c = nl.constant(v);
+    nl.replace_net_uses(root, c);
+    state.changed();
+    true
+}
+
+/// Accepts or rejects a cone's minimized cover and stitches it in when it
+/// pays off. Records every change to the netlist in `state`.
 fn apply_rebuild(
     nl: &mut Netlist,
     root: NetId,
     lib: &Library,
-    support: &[NetId],
-    tt: &TruthTable,
-    minimized: &Cover,
+    cone: &ConePlan,
     state: &mut Phase2,
 ) -> bool {
+    let ConePlan {
+        support,
+        tt,
+        minimized,
+        dying,
+        ..
+    } = cone;
     if minimized.cube_count() > MAX_COVER_CUBES {
         return false; // parity-like function: keep the structural form
     }
@@ -189,13 +277,7 @@ fn apply_rebuild(
         "resynthesis must preserve the cone function"
     );
     // Accept only if the rebuilt logic is no larger than what it retires.
-    let new_cost = {
-        let mut scratch = Netlist::new("scratch");
-        let fake = scratch.add_input("x", support.len());
-        emit_cover(&mut scratch, minimized, &fake);
-        scratch.area_report(lib).combinational
-    };
-    if new_cost > state.uses(nl).dying_area(nl, root, lib) {
+    if cover_cost(minimized, lib) > *dying {
         return false;
     }
     let new_root = emit_cover(nl, minimized, support);
@@ -208,6 +290,15 @@ fn apply_rebuild(
     nl.replace_net_uses(root, new_root);
     state.changed();
     true
+}
+
+/// The area [`emit_cover`] spends on `cover`, emitted into a scratch
+/// netlist: what rebuilding a cone with it costs.
+fn cover_cost(cover: &Cover, lib: &Library) -> f64 {
+    let mut scratch = Netlist::new("scratch");
+    let fake = scratch.add_input("x", cover.nvars());
+    emit_cover(&mut scratch, cover, &fake);
+    scratch.area_report(lib).combinational
 }
 
 /// Extracts a sum-of-products cover of the cone by structural collapse
@@ -337,8 +428,8 @@ fn eval_cover(kind: GateKind, ins: &[Cover], cap: usize) -> Option<Cover> {
     }
 }
 
-/// Convenience: the truth table of the root must survive resynthesis; used
-/// by tests and by the flow's internal assertions.
+/// The function of the cone at `root` over its support, or `None` past
+/// `max_support` nets: what a test compares before and after a pass.
 pub fn cone_tt(nl: &Netlist, root: NetId, max_support: usize) -> Option<TruthTable> {
     cone_function(nl, root, max_support).map(|(_, tt)| tt)
 }
@@ -384,7 +475,7 @@ mod tests {
         let mut partial = 0;
         for seed in 0..300u64 {
             let nl = random_netlist(seed);
-            let mut uses = UseCounts::count(&nl);
+            let uses = UseCounts::count(&nl);
             for (_, g) in nl.gates() {
                 if g.kind.is_sequential() || g.kind.is_constant() {
                     continue;
@@ -405,10 +496,164 @@ mod tests {
                     partial += 1; // some of the cone is shared and survives
                 }
             }
-            // Every query restored the counts it consumed.
+            // The queries left the counts as they were.
             assert_eq!(uses, UseCounts::count(&nl), "seed {seed}");
         }
         assert!(partial > 1000, "only {partial} cones with surviving gates");
+    }
+
+    #[test]
+    fn area_floor_never_exceeds_an_emitted_cover() {
+        use synthir_logic::espresso::minimize_tt;
+        let lib = Library::vt90();
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let (mut checked, mut tight) = (0, 0);
+        for round in 0..400 {
+            let n = round % 9;
+            // A random subset of the variables matters; the rest are
+            // vacuous. Every fourth table is a single cube over that subset
+            // (an AND of literals), whose cover costs exactly the floor.
+            let keep = next() as usize & ((1 << n) - 1);
+            let flips = next() as usize;
+            let seed = next();
+            let tt = if round % 4 == 0 {
+                TruthTable::from_fn(n, |m| (m ^ flips) & keep == keep)
+            } else {
+                TruthTable::from_fn(n, |m| {
+                    (seed ^ (m & keep) as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 61 < 3
+                })
+            };
+            let floor = area_floor(&tt, &lib);
+            // The cover the minimizer finds from the minterms.
+            let direct = cover_cost(&minimize_tt(&tt, None), &lib);
+            // The cover the pass finds: minimized from the structural cover
+            // of a netlist computing the table (a mux tree over the
+            // variables, constant leaves folded away).
+            let mut nl = Netlist::new("t");
+            let xs = nl.add_input("x", n);
+            let leaves: Vec<NetId> = (0..1 << n).map(|m| nl.constant(tt.eval(m))).collect();
+            let mut level = leaves;
+            for &x in &xs {
+                level = level
+                    .chunks(2)
+                    .map(|pair| nl.add_gate(GateKind::Mux2, &[x, pair[0], pair[1]]))
+                    .collect();
+            }
+            let y = level[0];
+            nl.add_output("y", &[y]);
+            crate::constfold::const_fold(&mut nl);
+            let y = nl.output_nets()[0];
+            let (support, cone) = cone_function(&nl, y, n).unwrap();
+            let start = structural_cover(&nl, y, &support, 4 * MAX_COVER_CUBES)
+                .unwrap_or_else(|| Cover::from_truth_table(&cone));
+            let seeded = cover_cost(&minimize(&start, None, &EspressoOptions::default()), &lib);
+            for cost in [direct, seeded] {
+                assert!(
+                    floor <= cost,
+                    "round {round}: floor {floor} above emitted {cost} for {tt:?}"
+                );
+                checked += 1;
+                if floor == cost && floor > 0.0 {
+                    tight += 1;
+                }
+            }
+        }
+        // The bound is met with equality, so raising it by one gate would
+        // fail above.
+        assert!(
+            checked == 800 && tight > 20,
+            "{checked} checked, {tight} tight"
+        );
+    }
+
+    /// The pass as it ran without the floor, serially: every eligible cone
+    /// is collapsed, minimized and priced against the current netlist.
+    fn resynthesize_full_work(nl: &mut Netlist, lib: &Library) -> usize {
+        let mut roots = nl.output_nets();
+        roots.extend(
+            nl.gates()
+                .filter(|(_, g)| g.kind.is_sequential())
+                .map(|(_, g)| g.inputs[0]),
+        );
+        roots.sort();
+        roots.dedup();
+        let mut rebuilt = 0;
+        for root in roots {
+            let Some(driver) = nl.driver(root) else {
+                continue;
+            };
+            let kind = nl.gate(driver).kind;
+            if kind.is_sequential() || kind.is_constant() {
+                continue;
+            }
+            let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
+                continue;
+            };
+            let new_root = match tt.as_constant() {
+                Some(v) => nl.constant(v),
+                None => {
+                    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
+                        .unwrap_or_else(|| Cover::from_truth_table(&tt));
+                    let minimized = minimize(&start, None, &EspressoOptions::default());
+                    let dying = UseCounts::count(nl).dying_area(nl, root, lib);
+                    if minimized.cube_count() > MAX_COVER_CUBES
+                        || cover_cost(&minimized, lib) > dying
+                    {
+                        continue;
+                    }
+                    emit_cover(nl, &minimized, &support)
+                }
+            };
+            nl.replace_net_uses(root, new_root);
+            rebuilt += 1;
+        }
+        nl.sweep();
+        rebuilt
+    }
+
+    #[test]
+    fn area_floor_changes_no_rebuild_decision() {
+        let lib = Library::vt90();
+        let (mut rebuilt, mut refused, mut after_rebuild) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let nl = random_netlist(seed);
+            let uses = UseCounts::count(&nl);
+            for root in nl.output_nets() {
+                let Some((_, tt)) = cone_function(&nl, root, COLLAPSE_SUPPORT) else {
+                    continue;
+                };
+                if nl
+                    .driver(root)
+                    .is_some_and(|g| !nl.gate(g).kind.is_sequential())
+                    && tt.as_constant().is_none()
+                    && cannot_pay_off(&tt, uses.dying_area(&nl, root, &lib), &lib)
+                {
+                    refused += 1; // the floor decides this root in phase 1
+                }
+            }
+            let (mut fast, mut full) = (nl.clone(), nl);
+            let n = resynthesize(&mut fast, &lib);
+            assert_eq!(n, resynthesize_full_work(&mut full, &lib), "seed {seed}");
+            let gates =
+                |nl: &Netlist| -> Vec<_> { nl.gates().map(|(id, g)| (id, g.clone())).collect() };
+            assert_eq!(gates(&fast), gates(&full), "seed {seed}");
+            assert_eq!(fast.outputs(), full.outputs(), "seed {seed}");
+            rebuilt += n;
+            if n > 0 && n < fast.output_nets().len() {
+                after_rebuild += 1; // phase 2 re-planned roots after a change
+            }
+        }
+        assert!(
+            rebuilt > 100 && refused > 100 && after_rebuild > 50,
+            "{rebuilt} rebuilt, {refused} refused by the floor, {after_rebuild} re-planned"
+        );
     }
 
     /// Builds the raw mux-tree netlist for a 3-input truth table (as table

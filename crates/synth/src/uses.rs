@@ -1,6 +1,7 @@
 //! Per-net use counts: what resynthesis asks of a fanout map, kept current
 //! in place instead of rebuilt per query.
 
+use std::collections::HashMap;
 use synthir_netlist::{topo, Library, NetId, Netlist};
 
 /// How often each net is used: once per gate-input pin reading it (so
@@ -32,29 +33,36 @@ impl UseCounts {
     /// `root` were rewired away: the root's driver, then every cone gate
     /// whose uses all come from dying gates. Visiting the cone in reverse
     /// topological order settles each gate's consumers before the gate, so
-    /// one pass decrements the counts (the `deref` walk); a second pass
-    /// restores them. The areas are summed in the cone's topological order,
-    /// so the `f64` total — and every accept/reject decision made on it —
-    /// is the same every run.
-    pub(crate) fn dying_area(&mut self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
+    /// one pass counts, per cone gate, the uses that dying gates take away
+    /// (the `deref` walk), in a cone-local tally that leaves `self` as it
+    /// is. The areas are summed in the cone's topological order, so the
+    /// `f64` total — and every accept/reject decision made on it — is the
+    /// same every run.
+    pub(crate) fn dying_area(&self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
         let cone = topo::cone_gates(nl, root); // topological: inputs first
+        let pos: HashMap<NetId, usize> = cone
+            .iter()
+            .enumerate()
+            .map(|(j, &g)| (nl.gate(g).output, j))
+            .collect();
+        // Per cone gate: the uses of its output by dying cone gates.
+        let mut lost = vec![0u32; cone.len()];
         let mut dying = vec![false; cone.len()];
         for (j, &g) in cone.iter().enumerate().rev() {
             let gate = nl.gate(g);
-            if gate.output == root || self.refs[gate.output.index()] == 0 {
+            if gate.output == root || self.refs[gate.output.index()] == lost[j] {
                 dying[j] = true;
-                for &i in &gate.inputs {
-                    self.refs[i.index()] -= 1;
+                for i in &gate.inputs {
+                    if let Some(&p) = pos.get(i) {
+                        lost[p] += 1;
+                    }
                 }
             }
         }
-        let dead = || cone.iter().zip(&dying).filter(|(_, &d)| d).map(|(&g, _)| g);
-        let area = dead().map(|g| lib.area(nl.gate(g).kind)).sum();
-        for g in dead() {
-            for &i in &nl.gate(g).inputs {
-                self.refs[i.index()] += 1;
-            }
-        }
-        area
+        cone.iter()
+            .zip(&dying)
+            .filter(|(_, &d)| d)
+            .map(|(&g, _)| lib.area(nl.gate(g).kind))
+            .sum()
     }
 }
