@@ -288,6 +288,32 @@ mod tests {
         assert!(parse(&[path.as_str(), "--json", "--no-aig"]).is_err());
     }
 
+    /// A design compiled again in one process is served by the compile
+    /// cache: its third run at the latest is a hit (the cache admits a
+    /// result on its second sighting), and every run's pass list still
+    /// names the mapping pass and ends with the cache's own record.
+    #[test]
+    fn json_of_a_repeated_design_lists_the_cache_and_the_mapper() {
+        let path = write_temp("cli_fsm_json_repeat.kiss2", TOGGLE);
+        let args = Args::parse(
+            &[path.as_str(), "--json", "--style", "case"],
+            FLAGS,
+            OPTIONS,
+        )
+        .unwrap();
+        let runs: Vec<String> = (0..3).map(|_| run(&args).unwrap()).collect();
+        for out in &runs {
+            assert!(out.contains("\"name\": \"cutmap\""), "{out}");
+            let last_pass = out.rsplit("{\"name\": ").next().unwrap();
+            assert!(last_pass.starts_with("\"compile_cache\""), "{out}");
+        }
+        let hit = "\"name\": \"compile_cache\", \"rewrites\": 1";
+        assert!(runs[2].contains(hit), "{}", runs[2]);
+        // A hit reports the same design as the first, uncached run.
+        let design = |out: &str| out.split("\"passes\"").next().unwrap().to_string();
+        assert_eq!(design(&runs[2]), design(&runs[0]));
+    }
+
     #[test]
     fn missing_file_and_bad_style_error() {
         let args = Args::parse(&["/nonexistent.kiss2"], &[], &["style", "o"]).unwrap();

@@ -297,15 +297,78 @@ impl GateKind {
         }
     }
 
+    /// A dense numbering of every kind: the index in
+    /// [`GateKind::all_combinational`] for combinational kinds, then
+    /// `23 + 2·reset + init` for the six flop flavours. Word encodings
+    /// (netlists, library fingerprints) store kinds this way.
+    pub(crate) fn word_code(self) -> u32 {
+        use GateKind::*;
+        match self {
+            Const0 => 0,
+            Const1 => 1,
+            Buf => 2,
+            Inv => 3,
+            And2 => 4,
+            Or2 => 5,
+            Nand2 => 6,
+            Nor2 => 7,
+            Xor2 => 8,
+            Xnor2 => 9,
+            And3 => 10,
+            Or3 => 11,
+            Nand3 => 12,
+            Nor3 => 13,
+            And4 => 14,
+            Or4 => 15,
+            Nand4 => 16,
+            Nor4 => 17,
+            Mux2 => 18,
+            Aoi21 => 19,
+            Oai21 => 20,
+            Aoi22 => 21,
+            Oai22 => 22,
+            Dff { reset, init } => {
+                let r = match reset {
+                    ResetKind::None => 0,
+                    ResetKind::Sync => 1,
+                    ResetKind::Async => 2,
+                };
+                23 + 2 * r + u32::from(init)
+            }
+        }
+    }
+
+    /// The inverse of [`GateKind::word_code`]; `None` past the last kind.
+    pub(crate) fn from_word_code(code: u32) -> Option<GateKind> {
+        if code < 23 {
+            return Some(COMBINATIONAL[code as usize]);
+        }
+        let reset = match (code - 23) / 2 {
+            0 => ResetKind::None,
+            1 => ResetKind::Sync,
+            2 => ResetKind::Async,
+            _ => return None,
+        };
+        Some(GateKind::Dff {
+            reset,
+            init: code.is_multiple_of(2),
+        })
+    }
+
     /// All combinational kinds (useful for exhaustive tests).
     pub fn all_combinational() -> Vec<GateKind> {
-        use GateKind::*;
-        vec![
-            Const0, Const1, Buf, Inv, And2, Or2, Nand2, Nor2, Xor2, Xnor2, And3, Or3, Nand3, Nor3,
-            And4, Or4, Nand4, Nor4, Mux2, Aoi21, Oai21, Aoi22, Oai22,
-        ]
+        COMBINATIONAL.to_vec()
     }
 }
+
+/// Every combinational kind, in [`GateKind::word_code`] order.
+const COMBINATIONAL: [GateKind; 23] = {
+    use GateKind::*;
+    [
+        Const0, Const1, Buf, Inv, And2, Or2, Nand2, Nor2, Xor2, Xnor2, And3, Or3, Nand3, Nor3,
+        And4, Or4, Nand4, Nor4, Mux2, Aoi21, Oai21, Aoi22, Oai22,
+    ]
+};
 
 /// Bit-parallel pattern values a gate is evaluated on: one 64-pattern
 /// word, or a block of them evaluated lane by lane.

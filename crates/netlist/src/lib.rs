@@ -69,6 +69,12 @@ pub enum NetlistError {
         /// The requested port name.
         name: String,
     },
+    /// [`Netlist::decode_words`] was given words that are not one
+    /// [`Netlist::encode_words`] encoding.
+    MalformedEncoding {
+        /// The word offset where decoding stopped.
+        at: usize,
+    },
 }
 
 impl std::fmt::Display for NetlistError {
@@ -86,6 +92,9 @@ impl std::fmt::Display for NetlistError {
                 write!(f, "netlist contains a combinational cycle")
             }
             NetlistError::UnknownPort { name } => write!(f, "unknown port {name:?}"),
+            NetlistError::MalformedEncoding { at } => {
+                write!(f, "malformed netlist word encoding at word {at}")
+            }
         }
     }
 }

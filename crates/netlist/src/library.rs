@@ -152,13 +152,7 @@ impl Library {
     /// (cannot happen for [`Library::vt90`], which covers every kind).
     pub fn cell(&self, kind: GateKind) -> CellSpec {
         match kind {
-            GateKind::Dff { reset, .. } => {
-                self.flops[match reset {
-                    ResetKind::None => 0,
-                    ResetKind::Sync => 1,
-                    ResetKind::Async => 2,
-                }]
-            }
+            GateKind::Dff { reset, .. } => self.flops[flop_row(reset)],
             k => {
                 self.cells
                     .iter()
@@ -166,6 +160,18 @@ impl Library {
                     .unwrap_or_else(|| panic!("no library metadata for {k:?}"))
                     .1
             }
+        }
+    }
+
+    /// Replaces the metadata row of `kind`, adding one if the table has
+    /// none. A flop row covers both init values of its reset flavour.
+    pub fn set_cell(&mut self, kind: GateKind, spec: CellSpec) {
+        match kind {
+            GateKind::Dff { reset, .. } => self.flops[flop_row(reset)] = spec,
+            k => match self.cells.iter_mut().find(|(c, _)| *c == k) {
+                Some(row) => row.1 = spec,
+                None => self.cells.push((k, spec)),
+            },
         }
     }
 
@@ -177,6 +183,48 @@ impl Library {
     /// Delay of a gate kind (convenience).
     pub fn delay(&self, kind: GateKind) -> f64 {
         self.cell(kind).delay
+    }
+
+    /// Appends a word fingerprint of every field to `out`: the name, the
+    /// fanout delay and setup time, each cell row in table order and the
+    /// three flop rows, numbers as raw `f64` bits. Two libraries with equal
+    /// fingerprints give every synthesis pass the same numbers.
+    pub fn encode_words(&self, out: &mut Vec<u32>) {
+        // Destructured so that a new field cannot be left out silently.
+        let Library {
+            name,
+            fanout_delay,
+            setup_time,
+            cells,
+            flops,
+        } = self;
+        let f64_bits = |out: &mut Vec<u32>, x: f64| {
+            let b = x.to_bits();
+            out.extend([(b >> 32) as u32, b as u32]);
+        };
+        out.push(name.len() as u32);
+        out.extend(name.bytes().map(u32::from));
+        f64_bits(out, *fanout_delay);
+        f64_bits(out, *setup_time);
+        out.push(cells.len() as u32);
+        for (kind, spec) in cells {
+            out.push(kind.word_code());
+            f64_bits(out, spec.area);
+            f64_bits(out, spec.delay);
+        }
+        for spec in flops {
+            f64_bits(out, spec.area);
+            f64_bits(out, spec.delay);
+        }
+    }
+}
+
+/// The index of a reset flavour's row in `Library::flops`.
+fn flop_row(reset: ResetKind) -> usize {
+    match reset {
+        ResetKind::None => 0,
+        ResetKind::Sync => 1,
+        ResetKind::Async => 2,
     }
 }
 
@@ -253,6 +301,67 @@ mod tests {
         // And the accessors agree with the table rows.
         for (k, spec) in lib.combinational_cells() {
             assert_eq!(lib.cell(*k), *spec);
+        }
+    }
+
+    #[test]
+    fn set_cell_replaces_one_row() {
+        let mut lib = Library::vt90();
+        let spec = CellSpec {
+            area: 9.0,
+            delay: 0.5,
+        };
+        lib.set_cell(GateKind::Nand2, spec);
+        assert_eq!(lib.cell(GateKind::Nand2), spec);
+        assert_eq!(lib.area(GateKind::Nor2), 2.8);
+        let flop = |init| GateKind::Dff {
+            reset: ResetKind::Sync,
+            init,
+        };
+        lib.set_cell(flop(true), spec);
+        assert_eq!(lib.cell(flop(false)), spec);
+        assert_eq!(lib.combinational_cells().len(), 23);
+    }
+
+    #[test]
+    fn fingerprint_sees_every_field() {
+        let fp = |lib: &Library| {
+            let mut w = Vec::new();
+            lib.encode_words(&mut w);
+            w
+        };
+        let base = fp(&Library::vt90());
+        assert_eq!(base, fp(&Library::default()));
+        let mut variants: Vec<Library> = Vec::new();
+        let mut l = Library::vt90();
+        l.name = "vt90b".into();
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.fanout_delay += 1e-6;
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.setup_time = 0.061;
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.cells[3].1.area += 0.1;
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.cells[3].1.delay += 0.001;
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.cells.swap(4, 5);
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.cells.pop();
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.flops[2].area += 0.1;
+        variants.push(l);
+        let mut l = Library::vt90();
+        l.flops[1].delay += 0.001;
+        variants.push(l);
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(fp(v), base, "variant {i}");
         }
     }
 }

@@ -6,6 +6,8 @@ use crate::report::AreaReport;
 use crate::NetlistError;
 use std::collections::HashMap;
 
+mod words;
+
 /// Identifier of a net (a single-bit wire).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct NetId(pub u32);
@@ -50,8 +52,10 @@ pub struct Port {
 
 /// A flat gate-level module.
 ///
-/// See the [crate-level documentation](crate) for an example.
-#[derive(Clone, Debug, Default)]
+/// See the [crate-level documentation](crate) for an example. Equality is
+/// structural and exact: the same name, gate slots (removed gates included),
+/// net numbering, net names, ports and cached constant nets.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Netlist {
     name: String,
     net_names: Vec<Option<String>>,

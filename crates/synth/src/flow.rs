@@ -1,5 +1,6 @@
 //! The `compile` flow: the pass pipeline a synthesis run executes.
 
+use crate::cache::CompileCache;
 use crate::options::SynthOptions;
 use crate::timing::{sta, TimingReport};
 use crate::SynthError;
@@ -33,13 +34,19 @@ pub struct CompileResult {
     pub area: AreaReport,
     /// Static timing of the result.
     pub timing: TimingReport,
-    /// Structured per-pass statistics, in execution order.
+    /// Structured per-pass statistics, in execution order; through
+    /// [`compile`], the last record is the cache's own (`compile_cache`).
     pub stats: Vec<PassStat>,
 }
 
 /// Compiles an elaborated module: the equivalent of a `compile` run of the
 /// commercial tool the paper used, including its partial-evaluation
 /// behaviour.
+///
+/// Repeated inputs are served from the process-wide content-addressed
+/// cache ([`CompileCache::global`]); the result is the one
+/// [`compile_netlist`] gives, under `elab`'s module name, and `stats` ends
+/// with a `compile_cache` record (see [`crate::cache`]).
 ///
 /// # Errors
 ///
@@ -51,13 +58,7 @@ pub fn compile(
     lib: &Library,
     opts: &SynthOptions,
 ) -> Result<CompileResult, SynthError> {
-    compile_netlist(
-        elab.netlist.clone(),
-        elab.fsm.as_ref(),
-        &elab.annotations,
-        lib,
-        opts,
-    )
+    CompileCache::global().compile(elab, lib, opts)
 }
 
 /// Records one pass into `stats`, timing it and sampling gate counts.
@@ -79,7 +80,8 @@ fn run_pass(
     });
 }
 
-/// Compiles a raw netlist with optional FSM metadata and annotations.
+/// Compiles a raw netlist with optional FSM metadata and annotations: the
+/// uncached flow every [`compile`] miss runs.
 ///
 /// The front half of the flow runs on the structurally-hashed
 /// And-Inverter Graph ([`crate::aigopt`]): one graph-construction pass —

@@ -25,8 +25,14 @@
 //!
 //! [`flow::compile`] sequences these passes like a `compile` run of the
 //! commercial tool the paper used, and [`timing`] provides the static
-//! timing side of the methodology. The optimized network is lowered to
-//! library cells by the cut-based technology mapper ([`cutmap`]):
+//! timing side of the methodology. A generator compiles the same hardware
+//! repeatedly (a programmable controller's tables depend only on its
+//! interface widths), so `compile` serves repeated inputs from a
+//! content-addressed, byte-budgeted store ([`cache`]) keyed by a SHA-256
+//! digest ([`sha256`]) of everything the flow reads;
+//! [`flow::compile_netlist`] is the uncached flow itself. The optimized
+//! network is lowered to library cells by the cut-based technology mapper
+//! ([`cutmap`]):
 //! k-feasible cuts on the AIG, NPN-matched against the
 //! [`synthir_netlist::Library`] cell metadata, with depth-oriented and
 //! area-recovery cover selection.
@@ -35,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod aigopt;
+pub mod cache;
 pub mod conefn;
 pub mod constfold;
 pub mod cutmap;
@@ -44,12 +51,14 @@ pub mod fsmreencode;
 pub mod options;
 pub mod resynth;
 pub mod retime;
+pub mod sha256;
 pub mod stateprop;
 pub mod timing;
 mod uses;
 
+pub use cache::CompileCache;
 pub use cutmap::cut_map;
-pub use flow::{compile, CompileResult, PassStat};
+pub use flow::{compile, compile_netlist, CompileResult, PassStat};
 pub use options::{FsmEncoding, SynthOptions};
 pub use timing::{sta, TimingReport};
 

@@ -32,8 +32,8 @@ pub const MAX_COVER_CUBES: usize = 96;
 /// pass never degrades structurally good implementations such as XOR trees.
 ///
 /// Cheap checks come first. Before a cone is collapsed structurally,
-/// minimized and emitted, its [`area_floor`] — a lower bound on what any
-/// rebuild of its function can cost — is compared with the area it would
+/// minimized and emitted, its area floor (`area_floor`) — a lower bound on
+/// what any rebuild of its function can cost — is compared with the area it would
 /// retire; a cone whose floor is larger would be rejected after all that
 /// work, so it is rejected before it. The bound is exact for the emitter,
 /// so the set of accepted rebuilds is the one the full work would accept.

@@ -17,7 +17,7 @@ use std::time::Duration;
 use synthir_core::random::random_fsm;
 use synthir_netlist::Library;
 use synthir_rtl::elaborate;
-use synthir_synth::{compile, SynthOptions};
+use synthir_synth::{compile_netlist, SynthOptions};
 
 #[test]
 #[ignore = "release-only scale test: a ~95k-gate programmable lowering"]
@@ -29,7 +29,15 @@ fn resynthesis_of_a_programmable_lowering_stays_within_budget() {
         "{} gates",
         elab.netlist.num_gates()
     );
-    let r = compile(&elab, &Library::vt90(), &SynthOptions::default()).unwrap();
+    // Uncached: the pass times below must come from a real compile.
+    let r = compile_netlist(
+        elab.netlist,
+        elab.fsm.as_ref(),
+        &elab.annotations,
+        &Library::vt90(),
+        &SynthOptions::default(),
+    )
+    .unwrap();
     let resynth = r.stats.iter().find(|s| s.name == "resynthesize").unwrap();
     assert!(
         resynth.elapsed < Duration::from_secs(1),
