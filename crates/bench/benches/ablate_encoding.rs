@@ -1,9 +1,10 @@
 //! Ablation: FSM re-encoding styles (binary / one-hot / gray / keep).
 use criterion::{criterion_group, criterion_main, Criterion};
+use synthir_bench::compile_fresh;
 use synthir_core::random::random_fsm;
 use synthir_netlist::Library;
 use synthir_rtl::elaborate;
-use synthir_synth::{compile, FsmEncoding, SynthOptions};
+use synthir_synth::{FsmEncoding, SynthOptions};
 
 fn bench(c: &mut Criterion) {
     let lib = Library::vt90();
@@ -20,7 +21,7 @@ fn bench(c: &mut Criterion) {
     ] {
         g.bench_function(format!("{enc:?}"), |b| {
             let opts = SynthOptions::default().with_fsm_encoding(enc);
-            b.iter(|| compile(&elab, &lib, &opts).unwrap())
+            b.iter(|| compile_fresh(&elab, &lib, &opts).unwrap())
         });
     }
     g.finish();

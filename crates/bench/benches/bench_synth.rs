@@ -9,19 +9,21 @@
 //! delay per design are written to `BENCH_synth.json` at the workspace
 //! root, so both the compile-time trajectory *and* the mapped area/delay
 //! are tracked across PRs alongside `BENCH_espresso.json`. Every timed
-//! compile calls the uncached `compile_netlist`: through `compile`, the
-//! repeats would be served from the compile cache.
+//! compile calls the uncached `compile_netlist` (through
+//! `synthir_bench::compile_fresh`): through `compile`, the repeats would be
+//! served from the compile cache.
 //!
 //! Run with `cargo bench --bench bench_synth` (add `-- --quick` for the CI
 //! smoke pass; the JSON is written either way).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
+use synthir_bench::compile_fresh;
 use synthir_core::format_conv::from_kiss2;
 use synthir_netlist::Library;
 use synthir_rtl::elaborate;
 use synthir_rtl::elaborate::Elaborated;
-use synthir_synth::{compile_netlist, CompileResult, SynthOptions};
+use synthir_synth::SynthOptions;
 
 fn controllers() -> Vec<(String, Elaborated)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks");
@@ -49,18 +51,6 @@ fn controllers() -> Vec<(String, Elaborated)> {
     out
 }
 
-/// A real compile, never a cache hit.
-fn fresh_compile(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> CompileResult {
-    compile_netlist(
-        elab.netlist.clone(),
-        elab.fsm.as_ref(),
-        &elab.annotations,
-        lib,
-        opts,
-    )
-    .unwrap()
-}
-
 fn median_time(rounds: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
     let mut samples: Vec<Duration> = (0..rounds)
@@ -83,9 +73,9 @@ struct Row {
 }
 
 fn measure(elab: &Elaborated, lib: &Library, opts: &SynthOptions, rounds: usize) -> Row {
-    let r = fresh_compile(elab, lib, opts);
+    let r = compile_fresh(elab, lib, opts).unwrap();
     let t = median_time(rounds, || {
-        std::hint::black_box(fresh_compile(elab, lib, opts));
+        std::hint::black_box(compile_fresh(elab, lib, opts).unwrap());
     });
     Row {
         ms: t.as_secs_f64() * 1e3,
@@ -105,7 +95,9 @@ fn bench(c: &mut Criterion) {
 
     let mut rows: Vec<(String, Row)> = Vec::new();
     for (name, elab) in controllers() {
-        g.bench_function(&name, |b| b.iter(|| fresh_compile(&elab, &lib, &opts)));
+        g.bench_function(&name, |b| {
+            b.iter(|| compile_fresh(&elab, &lib, &opts).unwrap())
+        });
         let r = measure(&elab, &lib, &opts, if quick { 3 } else { 9 });
         println!(
             "{name}: {:.3} ms ({} gates, {:.1} µm², {:.3} ns)",

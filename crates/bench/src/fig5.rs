@@ -6,12 +6,12 @@
 //! same random function; in the ideal case all points lie on the equal-area
 //! line.
 
-use crate::AreaPoint;
+use crate::{compile_fresh, AreaPoint};
 use synthir_core::random::random_table;
 use synthir_logic::{Cover, TruthTable};
 use synthir_netlist::Library;
 use synthir_rtl::{elaborate, styles};
-use synthir_synth::{compile, SynthOptions};
+use synthir_synth::SynthOptions;
 
 /// The paper's full parameter grid.
 pub fn paper_grid() -> Vec<(usize, usize)> {
@@ -56,8 +56,10 @@ pub fn sample(depth: usize, width: usize, seed: u64) -> AreaPoint {
         width,
         &words,
     );
-    let r_sop = compile(&elaborate(&sop).expect("elaborates"), &lib, &opts).expect("compiles");
-    let r_tab = compile(&elaborate(&table).expect("elaborates"), &lib, &opts).expect("compiles");
+    let r_sop =
+        compile_fresh(&elaborate(&sop).expect("elaborates"), &lib, &opts).expect("compiles");
+    let r_tab =
+        compile_fresh(&elaborate(&table).expect("elaborates"), &lib, &opts).expect("compiles");
     AreaPoint {
         label: format!("d{depth}_w{width}_s{seed}"),
         x: r_sop.area.total(),

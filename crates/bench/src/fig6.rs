@@ -5,11 +5,11 @@
 //! The table style hides the state register from the tool; the annotated
 //! variant (`set_fsm_state_vector`) recovers the direct style's quality.
 
-use crate::AreaPoint;
+use crate::{compile_fresh, AreaPoint};
 use synthir_core::random::random_fsm;
 use synthir_netlist::Library;
 use synthir_rtl::elaborate;
-use synthir_synth::{compile, SynthOptions};
+use synthir_synth::SynthOptions;
 
 /// One Fig. 6 series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,8 +49,10 @@ pub fn sample(m: usize, n: usize, s: usize, seed: u64, series: Fig6Series) -> Ar
     let spec = random_fsm(m, n, s, seed);
     let case = spec.to_case_module();
     let table = spec.to_table_module(series == Fig6Series::StateAnnotated);
-    let r_case = compile(&elaborate(&case).expect("elaborates"), &lib, &opts).expect("compiles");
-    let r_tab = compile(&elaborate(&table).expect("elaborates"), &lib, &opts).expect("compiles");
+    let r_case =
+        compile_fresh(&elaborate(&case).expect("elaborates"), &lib, &opts).expect("compiles");
+    let r_tab =
+        compile_fresh(&elaborate(&table).expect("elaborates"), &lib, &opts).expect("compiles");
     AreaPoint {
         label: format!("m{m}_n{n}_s{s}_seed{seed}_{series:?}"),
         x: r_case.area.total(),

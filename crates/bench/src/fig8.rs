@@ -7,11 +7,11 @@
 //! configurations (regular, retimed, state-annotated), comparing each
 //! generic design against its hand-specialized direct version.
 
-use crate::AreaPoint;
+use crate::{compile_fresh, AreaPoint};
 use synthir_logic::ValueSet;
 use synthir_netlist::Library;
 use synthir_rtl::{elaborate, Expr, Module, RegReset, Register, ResetKind};
-use synthir_synth::{compile, SynthOptions};
+use synthir_synth::SynthOptions;
 
 /// Flop flavour between the decoder and the consumer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,8 +112,8 @@ pub fn sample(n: usize, flop: FlopVariant, series: Fig8Series) -> AreaPoint {
     let lib = Library::vt90();
     let direct = fig8_module(n, flop, false);
     let base_opts = SynthOptions::default();
-    let r_direct =
-        compile(&elaborate(&direct).expect("elaborates"), &lib, &base_opts).expect("compiles");
+    let r_direct = compile_fresh(&elaborate(&direct).expect("elaborates"), &lib, &base_opts)
+        .expect("compiles");
 
     let mut generic = fig8_module(n, flop, true);
     let opts = match series {
@@ -125,7 +125,7 @@ pub fn sample(n: usize, flop: FlopVariant, series: Fig8Series) -> AreaPoint {
         generic.annotate("r", ValueSet::one_hot(n as u32));
     }
     let r_generic =
-        compile(&elaborate(&generic).expect("elaborates"), &lib, &opts).expect("compiles");
+        compile_fresh(&elaborate(&generic).expect("elaborates"), &lib, &opts).expect("compiles");
     AreaPoint {
         label: format!("n{n}_{flop:?}_{series:?}"),
         x: r_direct.area.total(),

@@ -21,6 +21,10 @@ pub mod fig6;
 pub mod fig8;
 pub mod fig9;
 
+use synthir_netlist::Library;
+use synthir_rtl::elaborate::Elaborated;
+use synthir_synth::{compile_netlist, CompileResult, SynthError, SynthOptions};
+
 /// A generic experiment data point: a labelled (x, y) area pair in µm².
 #[derive(Clone, Debug, PartialEq)]
 pub struct AreaPoint {
@@ -56,6 +60,28 @@ pub fn to_csv(points: &[AreaPoint], xname: &str, yname: &str) -> String {
         ));
     }
     s
+}
+
+/// Compiles `elab` with the uncached flow ([`compile_netlist`]). The
+/// criterion benches time compiles of one design in a loop, so they and the
+/// figure samples they time compile through here: every timed compile is
+/// a real one, never a compile-cache hit.
+///
+/// # Errors
+///
+/// Whatever [`compile_netlist`] returns.
+pub fn compile_fresh(
+    elab: &Elaborated,
+    lib: &Library,
+    opts: &SynthOptions,
+) -> Result<CompileResult, SynthError> {
+    compile_netlist(
+        elab.netlist.clone(),
+        elab.fsm.as_ref(),
+        &elab.annotations,
+        lib,
+        opts,
+    )
 }
 
 /// Geometric mean of the y/x ratios (summary statistic for scatter plots).

@@ -152,7 +152,13 @@ impl Library {
     /// (cannot happen for [`Library::vt90`], which covers every kind).
     pub fn cell(&self, kind: GateKind) -> CellSpec {
         match kind {
-            GateKind::Dff { reset, .. } => self.flops[flop_row(reset)],
+            GateKind::Dff { reset, .. } => {
+                self.flops[match reset {
+                    ResetKind::None => 0,
+                    ResetKind::Sync => 1,
+                    ResetKind::Async => 2,
+                }]
+            }
             k => {
                 self.cells
                     .iter()
@@ -160,18 +166,6 @@ impl Library {
                     .unwrap_or_else(|| panic!("no library metadata for {k:?}"))
                     .1
             }
-        }
-    }
-
-    /// Replaces the metadata row of `kind`, adding one if the table has
-    /// none. A flop row covers both init values of its reset flavour.
-    pub fn set_cell(&mut self, kind: GateKind, spec: CellSpec) {
-        match kind {
-            GateKind::Dff { reset, .. } => self.flops[flop_row(reset)] = spec,
-            k => match self.cells.iter_mut().find(|(c, _)| *c == k) {
-                Some(row) => row.1 = spec,
-                None => self.cells.push((k, spec)),
-            },
         }
     }
 
@@ -216,15 +210,6 @@ impl Library {
             f64_bits(out, spec.area);
             f64_bits(out, spec.delay);
         }
-    }
-}
-
-/// The index of a reset flavour's row in `Library::flops`.
-fn flop_row(reset: ResetKind) -> usize {
-    match reset {
-        ResetKind::None => 0,
-        ResetKind::Sync => 1,
-        ResetKind::Async => 2,
     }
 }
 
@@ -302,25 +287,6 @@ mod tests {
         for (k, spec) in lib.combinational_cells() {
             assert_eq!(lib.cell(*k), *spec);
         }
-    }
-
-    #[test]
-    fn set_cell_replaces_one_row() {
-        let mut lib = Library::vt90();
-        let spec = CellSpec {
-            area: 9.0,
-            delay: 0.5,
-        };
-        lib.set_cell(GateKind::Nand2, spec);
-        assert_eq!(lib.cell(GateKind::Nand2), spec);
-        assert_eq!(lib.area(GateKind::Nor2), 2.8);
-        let flop = |init| GateKind::Dff {
-            reset: ResetKind::Sync,
-            init,
-        };
-        lib.set_cell(flop(true), spec);
-        assert_eq!(lib.cell(flop(false)), spec);
-        assert_eq!(lib.combinational_cells().len(), 23);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! * **Store.** Results are kept compactly — the netlist as its word
 //!   encoding, plus area, timing and pass statistics — and evicted least
 //!   recently used first once their encoded size would exceed the byte
-//!   budget ([`DEFAULT_BUDGET`] for [`CompileCache::global`]).
+//!   budget of [`BUDGET`] bytes.
 //! * **Locking.** One mutex guards the store; it is held for a lookup or
 //!   an insert, never across a compile or a decode. Errors are never
 //!   cached.
@@ -46,15 +46,15 @@ use synthir_logic::ValueSet;
 use synthir_netlist::{AreaReport, Library, NetId, Netlist};
 use synthir_rtl::elaborate::{Elaborated, FsmNets, NetGroupValues};
 
-/// Byte budget of [`CompileCache::global`]: 2 MiB of encoded results.
-pub const DEFAULT_BUDGET: usize = 2 << 20;
+/// Byte budget of a [`CompileCache`]: 2 MiB of encoded results.
+pub const BUDGET: usize = 2 << 20;
 
 /// How many recent missed digests the doorkeeper remembers.
 pub const DOORKEEPER_LEN: usize = 4096;
 
 /// The cache key of a compile: the SHA-256 digest of the word encoding of
 /// its inputs (see the [module docs](self)), packed into 16-bit units.
-pub fn compile_key(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> Digest {
+fn compile_key(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> Digest {
     let mut words = Vec::new();
     key_words(elab, lib, opts, &mut words);
     sha256_words(&pack_units(&words))
@@ -66,7 +66,8 @@ pub fn compile_key(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> Dig
 /// unit `0xffff` and two more. The code is prefix-free, so distinct word
 /// streams pack to distinct unit streams. An odd unit count is padded with
 /// `0xffff`, which cannot end a complete code, so padding never collides
-/// with real units. Hashing the packed stream costs about half as much.
+/// with real units. Hashing the packed stream costs about half as much,
+/// which on repeated programmable lowerings is most of the key's cost.
 fn pack_units(words: &[u32]) -> Vec<u32> {
     let mut units: Vec<u16> = Vec::with_capacity(words.len() * 5 / 4 + 1);
     for &w in words {
@@ -259,22 +260,18 @@ pub struct CompileCache {
 }
 
 impl Default for CompileCache {
+    /// An empty cache with the [`BUDGET`].
     fn default() -> Self {
-        Self::with_budget(DEFAULT_BUDGET)
+        CompileCache {
+            budget: BUDGET,
+            store: Mutex::new(Store::default()),
+        }
     }
 }
 
 impl CompileCache {
-    /// An empty cache that keeps at most `budget` bytes of encoded results.
-    pub fn with_budget(budget: usize) -> Self {
-        CompileCache {
-            budget,
-            store: Mutex::new(Store::default()),
-        }
-    }
-
     /// The process-wide cache [`crate::flow::compile`] uses, created on
-    /// first use with the [`DEFAULT_BUDGET`].
+    /// first use.
     pub fn global() -> &'static CompileCache {
         static GLOBAL: OnceLock<CompileCache> = OnceLock::new();
         GLOBAL.get_or_init(CompileCache::default)
@@ -372,32 +369,47 @@ impl CompileCache {
         s.bytes += size;
         s.entries.insert(digest, (Arc::new(entry), now));
     }
-
-    /// Whether a result is stored under `digest` (see [`compile_key`]).
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.lock().entries.contains_key(digest)
-    }
-
-    /// Number of stored results.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Whether nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes of encoded results stored; never above the budget.
-    pub fn stored_bytes(&self) -> usize {
-        self.lock().bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synthir_netlist::{CellSpec, GateId, GateKind, ResetKind};
+    use synthir_netlist::{GateId, GateKind, ResetKind};
+
+    impl CompileCache {
+        fn with_budget(budget: usize) -> Self {
+            CompileCache {
+                budget,
+                ..CompileCache::default()
+            }
+        }
+
+        fn contains(&self, digest: &Digest) -> bool {
+            self.lock().entries.contains_key(digest)
+        }
+
+        fn len(&self) -> usize {
+            self.lock().entries.len()
+        }
+
+        fn stored_bytes(&self) -> usize {
+            self.lock().bytes
+        }
+
+        /// Compiles `elab` twice, so the second miss stores the result.
+        fn admit(&self, elab: &Elaborated) {
+            for _ in 0..2 {
+                let r = self.compile(elab, &Library::vt90(), &SynthOptions::default());
+                assert!(!was_hit(&r.unwrap()));
+            }
+        }
+    }
+
+    fn was_hit(r: &CompileResult) -> bool {
+        let last = r.stats.last().expect("a compile_cache record");
+        assert_eq!(last.name, "compile_cache");
+        last.rewrites == 1
+    }
 
     /// A small design carrying every kind of key input: a two-bit state
     /// register with FSM metadata, an annotated group, a named internal net
@@ -506,16 +518,12 @@ mod tests {
         ] {
             variants.push(("a SynthOptions field", base.clone(), lib.clone(), o));
         }
+        // Every library field, cell areas included, enters the fingerprint
+        // (`library::tests::fingerprint_sees_every_field`); the public
+        // fields show that the fingerprint enters the key.
         let mut l = lib.clone();
-        let inv = l.cell(GateKind::Inv);
-        l.set_cell(
-            GateKind::Inv,
-            CellSpec {
-                area: inv.area + 0.1,
-                ..inv
-            },
-        );
-        variants.push(("one library cell area", base.clone(), l, opts.clone()));
+        l.fanout_delay += 0.001;
+        variants.push(("the library fanout delay", base.clone(), l, opts.clone()));
         let mut l = lib.clone();
         l.setup_time += 0.01;
         variants.push(("the library setup time", base.clone(), l, opts.clone()));
@@ -616,5 +624,63 @@ mod tests {
             !e.netlist.is_live(GateId(2)),
             "the removed inverter is a hole"
         );
+    }
+
+    #[test]
+    fn one_off_designs_store_nothing() {
+        let cache = CompileCache::default();
+        let lib = Library::vt90();
+        for i in 0..24 {
+            let r = cache.compile(
+                &design(&format!("x{i}"), "w"),
+                &lib,
+                &SynthOptions::default(),
+            );
+            assert!(!was_hit(&r.unwrap()));
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.stored_bytes(), 0);
+    }
+
+    #[test]
+    fn the_budget_holds_and_eviction_is_least_recently_used_first() {
+        let lib = Library::vt90();
+        let opts = SynthOptions::default();
+        // Five designs that differ only in an equally long port name, so
+        // their results take equal room.
+        let designs: Vec<Elaborated> = (0..5).map(|i| design(&format!("x{i}"), "w")).collect();
+        let keys: Vec<Digest> = designs
+            .iter()
+            .map(|e| compile_key(e, &lib, &opts))
+            .collect();
+        let roomy = CompileCache::with_budget(usize::MAX);
+        roomy.admit(&designs[0]);
+        let size = roomy.stored_bytes();
+        assert!(size > 0);
+
+        // Room for exactly three.
+        let cache = CompileCache::with_budget(3 * size);
+        for e in &designs[..3] {
+            cache.admit(e);
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stored_bytes(), 3 * size);
+        // Touch 0: 1 is now the least recently used, then 2.
+        assert!(was_hit(&cache.compile(&designs[0], &lib, &opts).unwrap()));
+        cache.admit(&designs[3]);
+        let stored = |cache: &CompileCache| -> Vec<usize> {
+            (0..keys.len())
+                .filter(|&i| cache.contains(&keys[i]))
+                .collect()
+        };
+        assert_eq!(stored(&cache), [0, 2, 3]);
+        cache.admit(&designs[4]);
+        assert_eq!(stored(&cache), [0, 3, 4]);
+        assert_eq!(cache.stored_bytes(), 3 * size);
+
+        // A result larger than the whole budget is never stored.
+        let tiny = CompileCache::with_budget(size - 1);
+        tiny.admit(&designs[0]);
+        assert_eq!(tiny.len(), 0);
     }
 }

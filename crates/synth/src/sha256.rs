@@ -4,8 +4,7 @@
 //! word encoding of everything a compile reads, so the hasher takes words:
 //! word `i` of the input is message word `i`, i.e. the message bytes are
 //! the words' big-endian bytes and a full block is 16 words with no byte
-//! shuffling. [`Sha256::finish_with_tail`] appends up to three trailing
-//! bytes, which is all a byte message needs on top of whole words.
+//! shuffling.
 
 /// A SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -70,116 +69,38 @@ fn compress(h: &mut [u32; 8], block: &[u32; 16]) {
     }
 }
 
-/// An incremental SHA-256 over a stream of words.
-#[derive(Clone, Debug)]
-pub struct Sha256 {
-    h: [u32; 8],
-    block: [u32; 16],
-    /// Words buffered in `block`.
-    filled: usize,
-    /// Words absorbed so far.
-    words: u64,
-}
-
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// A hasher over the empty message.
-    pub fn new() -> Self {
-        Sha256 {
-            h: H0,
-            block: [0; 16],
-            filled: 0,
-            words: 0,
-        }
-    }
-
-    /// Absorbs `words` (each contributes its four big-endian bytes).
-    pub fn update(&mut self, mut words: &[u32]) {
-        self.words += words.len() as u64;
-        if self.filled > 0 {
-            let take = words.len().min(16 - self.filled);
-            self.block[self.filled..self.filled + take].copy_from_slice(&words[..take]);
-            self.filled += take;
-            words = &words[take..];
-            if self.filled < 16 {
-                return;
-            }
-            compress(&mut self.h, &self.block);
-            self.filled = 0;
-        }
-        let mut blocks = words.chunks_exact(16);
-        for b in &mut blocks {
-            compress(&mut self.h, b.try_into().expect("16-word chunk"));
-        }
-        let rest = blocks.remainder();
-        self.block[..rest.len()].copy_from_slice(rest);
-        self.filled = rest.len();
-    }
-
-    /// The digest of the words absorbed so far.
-    pub fn finish(self) -> Digest {
-        self.finish_with_tail(&[])
-    }
-
-    /// The digest of the words absorbed so far followed by `tail` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tail` holds more than three bytes (a fourth would make a
-    /// whole word: pass it to [`Sha256::update`]).
-    pub fn finish_with_tail(mut self, tail: &[u8]) -> Digest {
-        assert!(tail.len() < 4, "a tail of whole words belongs in update()");
-        let bits = self.words * 32 + tail.len() as u64 * 8;
-        // The tail bytes, then the 0x80 marker, packed into one word.
-        let mut last = [0u8; 4];
-        last[..tail.len()].copy_from_slice(tail);
-        last[tail.len()] = 0x80;
-        self.block[self.filled] = u32::from_be_bytes(last);
-        self.filled += 1;
-        if self.filled > 14 {
-            self.block[self.filled..].fill(0);
-            compress(&mut self.h, &self.block);
-            self.filled = 0;
-        }
-        self.block[self.filled..14].fill(0);
-        self.block[14] = (bits >> 32) as u32;
-        self.block[15] = bits as u32;
-        compress(&mut self.h, &self.block);
-        let mut out = [0u8; 32];
-        for (o, x) in out.chunks_exact_mut(4).zip(self.h) {
-            o.copy_from_slice(&x.to_be_bytes());
-        }
-        out
-    }
-}
-
-/// The SHA-256 digest of a word message.
+/// The SHA-256 digest of a word message: word `i` is message word `i`, so
+/// the message bytes are the words' big-endian bytes.
 pub fn sha256_words(words: &[u32]) -> Digest {
-    let mut s = Sha256::new();
-    s.update(words);
-    s.finish()
+    let mut h = H0;
+    let mut blocks = words.chunks_exact(16);
+    for b in &mut blocks {
+        compress(&mut h, b.try_into().expect("16-word chunk"));
+    }
+    // The padding: the remaining words, the 0x80 marker byte, zeros, and
+    // the bit length in the last two words of a block. It fits in one
+    // block after at most 13 remaining words, and takes two otherwise.
+    let rest = blocks.remainder();
+    let mut tail = [0u32; 32];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x8000_0000;
+    let n = if rest.len() < 14 { 16 } else { 32 };
+    let bits = words.len() as u64 * 32;
+    tail[n - 2] = (bits >> 32) as u32;
+    tail[n - 1] = bits as u32;
+    for b in tail[..n].chunks_exact(16) {
+        compress(&mut h, b.try_into().expect("16-word chunk"));
+    }
+    let mut out = [0u8; 32];
+    for (o, x) in out.chunks_exact_mut(4).zip(h) {
+        o.copy_from_slice(&x.to_be_bytes());
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A byte message through the word hasher: whole words, then the tail.
-    fn sha256_bytes(bytes: &[u8]) -> Digest {
-        let words = bytes.chunks_exact(4);
-        let tail = words.remainder();
-        let words: Vec<u32> = words
-            .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
-            .collect();
-        let mut s = Sha256::new();
-        s.update(&words);
-        s.finish_with_tail(tail)
-    }
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -235,53 +156,45 @@ mod tests {
         out
     }
 
-    #[test]
-    fn fips_180_4_vectors() {
-        for (msg, want) in [
-            (
-                &b""[..],
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                b"abc",
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-            ),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-        ] {
-            assert_eq!(hex(&sha256_bytes(msg)), want, "{msg:?}");
-            assert_eq!(hex(&reference(msg)), want, "reference on {msg:?}");
-        }
+    /// Words from the big-endian bytes of a message whose length is a
+    /// multiple of four.
+    fn words_of(bytes: &[u8]) -> Vec<u32> {
+        assert_eq!(bytes.len() % 4, 0);
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_be_bytes(c.try_into().unwrap()))
+            .collect()
     }
 
-    /// The one-million-`a` vector streams 250 000 words through `update`
-    /// in uneven pieces.
+    const EMPTY: &str = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+    const ABC: &str = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+    /// The 448-bit message: 56 bytes, 14 words, so its padding spills
+    /// into a second block.
+    const MSG_448: &[u8] = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+    const DIGEST_448: &str = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
+
+    #[test]
+    fn fips_180_4_vectors() {
+        for (msg, want) in [(&b""[..], EMPTY), (b"abc", ABC), (MSG_448, DIGEST_448)] {
+            assert_eq!(hex(&reference(msg)), want, "reference on {msg:?}");
+        }
+        assert_eq!(hex(&sha256_words(&[])), EMPTY);
+        assert_eq!(hex(&sha256_words(&words_of(MSG_448))), DIGEST_448);
+    }
+
     #[test]
     #[ignore = "release-only: a million-byte message is slow in debug builds"]
     fn fips_180_4_million_a() {
-        let a = u32::from_be_bytes(*b"aaaa");
-        let words = vec![a; 250_000];
-        let want = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
-        assert_eq!(hex(&sha256_words(&words)), want);
-        let mut s = Sha256::new();
-        let mut rest = &words[..];
-        for step in (1..=37).cycle() {
-            if rest.is_empty() {
-                break;
-            }
-            let n = step.min(rest.len());
-            s.update(&rest[..n]);
-            rest = &rest[n..];
-        }
-        assert_eq!(hex(&s.finish()), want);
+        let words = vec![u32::from_be_bytes(*b"aaaa"); 250_000];
+        assert_eq!(
+            hex(&sha256_words(&words)),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
     }
 
     /// Every word length from 0 to 130 (eight blocks and the padding cases
-    /// around each boundary: 13, 14, 15 and 16 words of a block used), fed
-    /// whole and in two pieces, against the byte-oriented reference on the
-    /// same big-endian bytes; byte tails of 1–3 extra bytes too.
+    /// around each boundary: 13, 14, 15 and 16 words of a block used)
+    /// against the byte-oriented reference on the same big-endian bytes.
     #[test]
     fn word_lengths_across_padding_boundaries_match_the_byte_reference() {
         let mut x = 0x9E37_79B9u32;
@@ -296,22 +209,7 @@ mod tests {
         for len in 0..=130 {
             let msg = &words[..len];
             let bytes: Vec<u8> = msg.iter().flat_map(|w| w.to_be_bytes()).collect();
-            let want = reference(&bytes);
-            assert_eq!(sha256_words(msg), want, "{len} words");
-            let split = len / 3;
-            let mut s = Sha256::new();
-            s.update(&msg[..split]);
-            s.update(&msg[split..]);
-            assert_eq!(s.finish(), want, "{len} words split at {split}");
-            for tail in 1..4 {
-                let mut b = bytes.clone();
-                b.extend((0..tail).map(|i| 0xA5 ^ i as u8));
-                assert_eq!(
-                    sha256_bytes(&b),
-                    reference(&b),
-                    "{len} words + {tail} bytes"
-                );
-            }
+            assert_eq!(sha256_words(msg), reference(&bytes), "{len} words");
         }
     }
 }

@@ -16,7 +16,6 @@ use synthir_core::FsmSpec;
 use synthir_netlist::{GateKind, Library, NetId, Netlist, ResetKind};
 use synthir_rtl::elaborate::Elaborated;
 use synthir_rtl::{elaborate, Module};
-use synthir_synth::cache::compile_key;
 use synthir_synth::{compile_netlist, CompileCache, CompileResult, SynthOptions};
 
 fn fresh(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> CompileResult {
@@ -75,7 +74,6 @@ fn check_hit(cache: &CompileCache, label: &str, mut elab: Elaborated, opts: &Syn
     assert!(!was_hit(&first), "{label}: first sighting");
     let second = cache.compile(&elab, &lib, opts).expect("compiles");
     assert!(!was_hit(&second), "{label}: second sighting is admitted");
-    assert!(cache.contains(&compile_key(&elab, &lib, opts)), "{label}");
     elab.netlist
         .set_name(format!("{}_renamed", elab.netlist.name()));
     let hit = cache.compile(&elab, &lib, opts).expect("compiles");
@@ -137,7 +135,7 @@ fn fig6_shapes_hit_exactly() {
 #[test]
 #[ignore = "release-only: the m = 8, s ≥ 16 points compile for seconds"]
 fn full_fig6_grid_hits_exactly() {
-    let cache = CompileCache::with_budget(usize::MAX);
+    let cache = CompileCache::default();
     let opts = SynthOptions::default();
     for (m, n, s) in paper_grid() {
         let spec = random_fsm(m, n, s, 1);
@@ -238,74 +236,6 @@ fn random_netlists_hit_exactly() {
     }
 }
 
-#[test]
-fn one_off_designs_store_nothing() {
-    let cache = CompileCache::default();
-    let lib = Library::vt90();
-    for seed in 0..24 {
-        let e = elab(&random_fsm(2, 2, 3, seed).to_table_module(true));
-        let r = cache.compile(&e, &lib, &SynthOptions::default()).unwrap();
-        assert!(!was_hit(&r));
-    }
-    assert!(cache.is_empty());
-    assert_eq!(cache.stored_bytes(), 0);
-}
-
-#[test]
-fn the_budget_holds_and_eviction_is_least_recently_used_first() {
-    let lib = Library::vt90();
-    let opts = SynthOptions::default();
-    let designs: Vec<Elaborated> = (0..5)
-        .map(|seed| elab(&random_fsm(2, 2, 4, seed).to_table_module(false)))
-        .collect();
-    let keys: Vec<_> = designs
-        .iter()
-        .map(|e| compile_key(e, &lib, &opts))
-        .collect();
-    let admit = |cache: &CompileCache, e: &Elaborated| {
-        for _ in 0..2 {
-            cache.compile(e, &lib, &opts).unwrap();
-        }
-    };
-    // Entry sizes, from a cache with room for everything.
-    let roomy = CompileCache::with_budget(usize::MAX);
-    let mut sizes = Vec::new();
-    for e in &designs {
-        let before = roomy.stored_bytes();
-        admit(&roomy, e);
-        sizes.push(roomy.stored_bytes() - before);
-    }
-    // Room for exactly designs 0–2; design 3 fits in the room of 1 and 2.
-    let budget = sizes[..3].iter().sum::<usize>();
-    assert!(sizes[3] <= sizes[1] + sizes[2]);
-    let cache = CompileCache::with_budget(budget);
-    for e in &designs[..3] {
-        admit(&cache, e);
-    }
-    assert_eq!(cache.len(), 3);
-    assert_eq!(cache.stored_bytes(), budget);
-    // Touch 0: 1 is now the least recently used.
-    assert!(was_hit(&cache.compile(&designs[0], &lib, &opts).unwrap()));
-    admit(&cache, &designs[3]);
-    assert!(cache.stored_bytes() <= budget);
-    assert!(!cache.contains(&keys[1]), "1 was least recently used");
-    assert!(cache.contains(&keys[0]) && cache.contains(&keys[3]));
-    admit(&cache, &designs[4]);
-    assert!(cache.stored_bytes() <= budget);
-    assert!(cache.contains(&keys[4]));
-    // Eviction went on in use order: 2 before 0, 0 before 3.
-    let order = [2, 0, 3];
-    let kept: Vec<bool> = order.iter().map(|&i| cache.contains(&keys[i])).collect();
-    assert!(
-        kept.windows(2).all(|w| w[0] <= w[1]),
-        "evicted out of order: {kept:?}"
-    );
-    // A result larger than the whole budget is never stored.
-    let tiny = CompileCache::with_budget(sizes[0] - 1);
-    admit(&tiny, &designs[0]);
-    assert!(tiny.is_empty());
-}
-
 /// Four threads compile the same eight designs in different orders through
 /// one shared cache; every result equals the serial uncached compile.
 #[test]
@@ -355,14 +285,9 @@ fn concurrent_compiles_agree_with_serial_ones() {
             });
         }
     });
-    // Programmable lowerings with equal interface widths are one piece of
-    // hardware, so some of the eight share a key.
-    let mut keys: Vec<_> = designs
-        .iter()
-        .map(|e| compile_key(e, &lib, &opts))
-        .collect();
-    keys.sort();
-    keys.dedup();
-    assert!(keys.len() < designs.len());
-    assert_eq!(cache.len(), keys.len());
+    // Every design was compiled at least three times, so all are stored.
+    for (i, e) in designs.iter().enumerate() {
+        let r = cache.compile(e, &lib, &opts).unwrap();
+        assert!(was_hit(&r), "design {i} is stored");
+    }
 }
