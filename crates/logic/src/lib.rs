@@ -20,18 +20,21 @@
 //!
 //! ## Kernel architecture
 //!
-//! The hot path of every experiment is two-level minimization, so the cube
-//! algebra underneath it is implemented as a *unate recursive paradigm*
-//! core (private module `urp`): tautology and complementation run with
-//! unate-variable reduction, exact 6-variable bitmap leaves, disjoint-
-//! support component decomposition, a minterm-count bound, a cofactor memo
-//! keyed on cover signatures, and pooled scratch buffers; single-cube
-//! containment is signature-pruned (sorted by literal count with
-//! `care`-mask subset bit-tests) instead of the historical O(n²) scan. The
-//! seed implementations survive in [`naive`] as the oracle / benchmark
-//! baseline, and [`par`] provides the deterministic thread-parallel map
-//! that [`espresso::minimize_batch`] uses to minimize independent PLA
-//! outputs concurrently (`SYNTHIR_THREADS` caps the thread count).
+//! The hot path of every experiment is two-level minimization. Covers of at
+//! most 16 variables are minimized against a dense care set (OFF and DC as
+//! minterm bitsets, per-minterm cube counts; see [`espresso`]). For wider
+//! covers the cube algebra underneath the loop is implemented as a *unate
+//! recursive paradigm* core (private module `urp`): tautology and
+//! complementation run with unate-variable reduction, exact 6-variable
+//! bitmap leaves, disjoint-support component decomposition, a minterm-count
+//! bound, a cofactor memo keyed on cover signatures, and pooled cube
+//! buffers; single-cube containment is signature-pruned (sorted by literal
+//! count with `care`-mask subset bit-tests) instead of the historical O(n²)
+//! scan. The seed implementations survive in [`naive`] as the oracle /
+//! benchmark baseline, and [`par`] provides the deterministic
+//! thread-parallel map that [`espresso::minimize_batch`] uses to minimize
+//! independent PLA outputs concurrently (`SYNTHIR_THREADS` caps the thread
+//! count).
 //!
 //! ## Example
 //!

@@ -121,6 +121,28 @@ fn containment_removal_agrees_with_oracle_and_naive() {
             }
         }
     }
+    // Buffers of 64 cubes and more look equal-size cubes up by hash: mix
+    // repeated minterms with random cubes and compare with the naive scan.
+    for seed in 0..40u64 {
+        let mut next = stream(seed ^ 0xB16);
+        let nvars = 4 + (next() % 9) as usize;
+        let cubes: Vec<Cube> = (0..64 + next() % 200)
+            .map(|_| {
+                let m = next() % (1 << nvars);
+                if next().is_multiple_of(3) {
+                    Cube::new(nvars, m, next())
+                } else {
+                    Cube::minterm(nvars, m)
+                }
+            })
+            .collect();
+        let f = Cover::from_cubes(nvars, cubes);
+        let mut fast = f.clone();
+        fast.remove_contained_cubes();
+        let mut slow = f;
+        naive::remove_contained_cubes_naive(&mut slow);
+        assert_eq!(fast.cubes(), slow.cubes(), "large seed {seed}");
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@ use crate::options::FsmEncoding;
 use crate::SynthError;
 use std::collections::{BTreeSet, HashMap};
 use synthir_logic::espresso::EspressoOptions;
-use synthir_logic::{BitVec, Cover, TruthTable};
+use synthir_logic::{BitVec, TruthTable};
 use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 use synthir_rtl::elaborate::FsmNets;
 
@@ -235,7 +235,6 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
         let pat = (m & ((1 << new_width) - 1)) as u128;
         !code_of_pattern.contains_key(&pat)
     });
-    let dc_cover = Cover::from_truth_table(&dc_tt);
     let espresso_opts = EspressoOptions::default();
 
     let new_q: Vec<NetId> = (0..new_width)
@@ -284,9 +283,8 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
             behaviours[&reachable[si]][&d].get(combo)
         }));
     }
-    let root_ons: Vec<Cover> = root_tts.iter().map(Cover::from_truth_table).collect();
     let covers =
-        synthir_logic::espresso::minimize_batch(&root_ons, Some(&dc_cover), &espresso_opts);
+        synthir_logic::espresso::minimize_tt_batch(&root_tts, Some(&dc_tt), &espresso_opts);
     let mut cover_it = covers.iter();
     let mut next_root = |nl: &mut Netlist| -> NetId {
         emit_cover(nl, cover_it.next().expect("one cover per root"), &support)
