@@ -541,6 +541,17 @@ impl Aig {
     /// keeps. Dead latches (observing nothing and observed by nothing) are
     /// *not* marked, mirroring `Netlist::sweep`.
     pub fn live_marks(&self, extra: &[AigLit]) -> Vec<bool> {
+        self.live_marks_cut(extra, |_| false)
+    }
+
+    /// [`Aig::live_marks`] where the latches `cut` selects (by latch index)
+    /// keep only their output node alive, not their next-state and reset
+    /// cones.
+    pub(crate) fn live_marks_cut(
+        &self,
+        extra: &[AigLit],
+        cut: impl Fn(usize) -> bool,
+    ) -> Vec<bool> {
         let mut mark = vec![false; self.nodes.len()];
         let mut stack: Vec<u32> = Vec::new();
         let seed = |mark: &mut Vec<bool>, stack: &mut Vec<u32>, l: AigLit| {
@@ -564,12 +575,12 @@ impl Aig {
                         seed(&mut mark, &mut stack, f);
                     }
                 }
-                AigNode::Latch(idx) => {
+                AigNode::Latch(idx) if !cut(idx as usize) => {
                     let l = self.latches[idx as usize];
                     seed(&mut mark, &mut stack, l.next);
                     seed(&mut mark, &mut stack, l.reset_lit);
                 }
-                AigNode::Const0 | AigNode::Input => {}
+                AigNode::Const0 | AigNode::Input | AigNode::Latch(_) => {}
             }
         }
         mark

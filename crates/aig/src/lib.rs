@@ -18,8 +18,9 @@
 //! * [`import`] — `Netlist → Aig`, preserving port names and flop
 //!   semantics and returning the net → literal map annotations ride on;
 //! * [`export`] — `Aig → Netlist` with an implicit dangling-node sweep;
-//! * [`mod@rewrite`] — local rewriting (2-input-cut NPN resynthesis) and
-//!   [`rewrite::compact`];
+//! * [`mod@rewrite`] — local rewriting (2-input-cut NPN resynthesis),
+//!   [`rewrite::compact`] and constant-latch folding
+//!   ([`rewrite::fold_constant_latches`]);
 //! * [`satsweep`] — candidate equivalence classes from 64-bit random
 //!   simulation signatures, confirmed by the [`synthir_sat`] CDCL solver
 //!   and merged on proof;
@@ -66,7 +67,7 @@ pub use export::{to_netlist, NetlistExport};
 pub use graph::{Aig, AigLit, AigNode, AigPort, FxMap, Latch};
 pub use import::{from_netlist, NetLits, NetlistImport};
 pub use npn::{canonicalize, NpnTransform};
-pub use rewrite::{compact, rewrite, Rebuilt};
+pub use rewrite::{compact, fold_constant_latches, rewrite, Rebuilt};
 pub use satsweep::{sat_sweep, SweepOptions, SweepResult};
 pub use tseitin::{satisfy, satisfy_within};
 

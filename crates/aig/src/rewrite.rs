@@ -1,5 +1,6 @@
 //! Local AIG rewriting: rebuild-with-rules plus 2-input-cut NPN
-//! resynthesis, and the dangling-node sweep (`compact`).
+//! resynthesis, the dangling-node sweep (`compact`), and constant-latch
+//! folding (`fold_constant_latches`).
 //!
 //! The rewriter re-derives every live AND through [`Aig::and`] in a fresh
 //! graph, so the construction-time one-/two-level rules and hash-consing
@@ -45,7 +46,7 @@ impl Rebuilt {
 /// stay mapped (annotation carriers). Returns the rebuilt graph and the
 /// composed literal map.
 pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
-    let mut current = rebuild(aig, keep, npn_step);
+    let mut current = rebuild(aig, keep, &[], npn_step);
     // Further rounds only pay off while the previous one shrank the graph
     // — the common mid-flow case (a graph already normalized at import)
     // stops after the single pass above.
@@ -56,7 +57,7 @@ pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
         }
         prev_count = current.aig.and_count();
         let keep2: Vec<AigLit> = keep.iter().map(|&l| current.lit(l)).collect();
-        let next = rebuild(&current.aig, &keep2, npn_step);
+        let next = rebuild(&current.aig, &keep2, &[], npn_step);
         current = Rebuilt {
             map: compose(&current.map, &next),
             aig: next.aig,
@@ -68,7 +69,38 @@ pub fn rewrite(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
 /// Rebuilds `aig` dropping dead nodes, with no resynthesis beyond the
 /// construction rules — the explicit dangling-node sweep.
 pub fn compact(aig: &Aig, keep: &[AigLit]) -> Rebuilt {
-    rebuild(aig, keep, |g, _, _, a, b| g.and(a, b))
+    rebuild(aig, keep, &[], |g, _, _, a, b| g.and(a, b))
+}
+
+/// Replaces every latch that never leaves its `init` value by that
+/// constant, to a fixpoint. A latch qualifies when its next-state literal
+/// is the constant equal to `init`, or its own output: whatever its reset
+/// flavour, reset only reloads `init`. Folding one latch can make another
+/// latch's next state constant, so rounds repeat until none folds.
+///
+/// Returns `None` when no latch folds, so the caller keeps its graph (and
+/// its node order) untouched.
+pub fn fold_constant_latches(aig: &Aig) -> Option<Rebuilt> {
+    let mut folded: Option<Rebuilt> = None;
+    loop {
+        let g = folded.as_ref().map_or(aig, |r| &r.aig);
+        let consts: Vec<Option<bool>> = g
+            .latches()
+            .iter()
+            .map(|l| {
+                let holds = l.next == g.constant(l.init) || l.next == AigLit::new(l.output, false);
+                holds.then_some(l.init)
+            })
+            .collect();
+        if consts.iter().all(Option::is_none) {
+            return folded;
+        }
+        let next = rebuild(g, &[], &consts, |g, _, _, a, b| g.and(a, b));
+        folded = Some(match folded {
+            Some(prev) => prev.then(next),
+            None => next,
+        });
+    }
 }
 
 /// The rewriter's per-AND step for [`Aig::copy_ands`].
@@ -82,13 +114,18 @@ fn compose(first: &[AigLit], then: &Rebuilt) -> Vec<AigLit> {
 
 /// One rebuild round: copies inputs/latches, re-derives live ANDs through
 /// `and` (see [`Aig::copy_ands`]), and rewires latches and output ports.
-/// Shared by the rewriter, [`compact`], and SAT sweeping's merge step.
+/// `consts[i] = Some(v)` replaces latch `i` by the constant `v` (its
+/// next-state and reset cones are then not kept alive by it); latches past
+/// the end of `consts` are copied. Shared by the rewriter, [`compact`],
+/// [`fold_constant_latches`], and SAT sweeping's merge step.
 pub(crate) fn rebuild(
     aig: &Aig,
     keep: &[AigLit],
+    consts: &[Option<bool>],
     and: impl FnMut(&mut Aig, &[AigLit], usize, AigLit, AigLit) -> AigLit,
 ) -> Rebuilt {
-    let live = aig.live_marks(keep);
+    let folded_to = |i: usize| consts.get(i).copied().flatten();
+    let live = aig.live_marks_cut(keep, |i| folded_to(i).is_some());
     let mut out = Aig::new(aig.name());
     let mut map: Vec<AigLit> = vec![AigLit::FALSE; aig.node_count()];
     // Ports first (interface preserved), then stray inputs in node order.
@@ -105,14 +142,17 @@ pub(crate) fn rebuild(
             map[i] = out.add_input();
         }
     }
-    for l in aig.latches() {
+    for (i, l) in aig.latches().iter().enumerate() {
         if live[l.output as usize] {
-            map[l.output as usize] = out.add_latch(l.reset, l.init);
+            map[l.output as usize] = match folded_to(i) {
+                Some(v) => out.constant(v),
+                None => out.add_latch(l.reset, l.init),
+            };
         }
     }
     out.copy_ands(aig, &live, &mut map, and);
-    for old in aig.latches() {
-        if !live[old.output as usize] {
+    for (i, old) in aig.latches().iter().enumerate() {
+        if !live[old.output as usize] || folded_to(i).is_some() {
             continue;
         }
         let q = map[old.output as usize];
@@ -266,6 +306,127 @@ mod tests {
         let r = compact(&g, &[]);
         assert_eq!(r.aig.and_count(), 1);
         assert!(r.aig.latches().is_empty() || r.aig.latches().len() < g.latches().len());
+    }
+
+    /// A one-latch graph per reset flavour and init value: input `x`, the
+    /// reset pin `rst` (wired only when the flavour has one), and the
+    /// latch output on port `q`. `next(q, x)` is its next state.
+    fn one_latch(
+        reset: synthir_netlist::ResetKind,
+        init: bool,
+        next: impl Fn(&mut Aig, AigLit, AigLit) -> AigLit,
+    ) -> Aig {
+        use synthir_netlist::ResetKind;
+        let mut g = Aig::new("t");
+        let x = g.add_input_port("x", 1)[0];
+        let rst = g.add_input_port("rst", 1)[0];
+        let q = g.add_latch(reset, init);
+        let nx = next(&mut g, q, x);
+        let rst = if reset == ResetKind::None {
+            AigLit::FALSE
+        } else {
+            rst
+        };
+        g.set_latch_next(q, nx, rst);
+        g.add_output_port("q", &[q]);
+        g
+    }
+
+    fn each_flavour(mut f: impl FnMut(synthir_netlist::ResetKind, bool)) {
+        use synthir_netlist::ResetKind;
+        for reset in [ResetKind::None, ResetKind::Sync, ResetKind::Async] {
+            for init in [false, true] {
+                f(reset, init);
+            }
+        }
+    }
+
+    #[test]
+    fn latch_tied_to_its_init_folds() {
+        each_flavour(|reset, init| {
+            let g = one_latch(reset, init, |g, _, _| g.constant(init));
+            let r = fold_constant_latches(&g).expect("the latch folds");
+            assert!(r.aig.latches().is_empty(), "{reset:?} init {init}");
+            assert_eq!(r.aig.output_ports()[0].lits[0], r.aig.constant(init));
+            assert_eq!(r.aig.input_ports().len(), 2, "interface kept");
+        });
+    }
+
+    #[test]
+    fn self_loop_latch_folds() {
+        each_flavour(|reset, init| {
+            let g = one_latch(reset, init, |_, q, _| q);
+            let r = fold_constant_latches(&g).expect("the latch folds");
+            assert!(r.aig.latches().is_empty(), "{reset:?} init {init}");
+            assert_eq!(r.aig.output_ports()[0].lits[0], r.aig.constant(init));
+        });
+    }
+
+    #[test]
+    fn latch_chain_folds_in_a_second_round() {
+        use synthir_netlist::ResetKind;
+        each_flavour(|reset, init| {
+            // `a` holds `init`; `b` loads `a`, so it holds `init` too — but
+            // only once `a` is a constant. `y = b & x` keeps `b` observed.
+            let mut g = Aig::new("t");
+            let x = g.add_input_port("x", 1)[0];
+            let rst = g.add_input_port("rst", 1)[0];
+            let rst = if reset == ResetKind::None {
+                AigLit::FALSE
+            } else {
+                rst
+            };
+            let a = g.add_latch(ResetKind::Sync, init);
+            let b = g.add_latch(reset, init);
+            let init_lit = g.constant(init);
+            g.set_latch_next(a, init_lit, rst);
+            g.set_latch_next(b, a, rst);
+            let y = g.and(b, x);
+            g.add_output_port("y", &[y]);
+            let r = fold_constant_latches(&g).expect("both latches fold");
+            assert!(r.aig.latches().is_empty(), "{reset:?} init {init}");
+            let want = if init { r.lit(x) } else { AigLit::FALSE };
+            assert_eq!(r.aig.output_ports()[0].lits[0], want);
+            assert_eq!(r.lit(b), r.aig.constant(init));
+        });
+    }
+
+    #[test]
+    fn latches_that_change_state_stay() {
+        each_flavour(|reset, init| {
+            // Loads the other constant after the first cycle.
+            let g = one_latch(reset, init, |g, _, _| g.constant(!init));
+            assert!(fold_constant_latches(&g).is_none(), "{reset:?} init {init}");
+            // Toggles every cycle.
+            let g = one_latch(reset, init, |_, q, _| !q);
+            assert!(fold_constant_latches(&g).is_none(), "{reset:?} init {init}");
+            // Samples the input.
+            let g = one_latch(reset, init, |_, _, x| x);
+            assert!(fold_constant_latches(&g).is_none(), "{reset:?} init {init}");
+        });
+    }
+
+    #[test]
+    fn folding_keeps_the_other_latches_and_drops_dead_cones() {
+        use synthir_netlist::ResetKind;
+        // `a` holds false; its reset cone `x0 & x1` is read by nothing else
+        // and goes with it. `t` toggles and stays.
+        let mut g = Aig::new("t");
+        let x = g.add_input_port("x", 2);
+        let a = g.add_latch(ResetKind::Sync, false);
+        let t = g.add_latch(ResetKind::None, true);
+        let rst = g.and(x[0], x[1]);
+        g.set_latch_next(a, a, rst);
+        g.set_latch_next(t, !t, AigLit::FALSE);
+        let y = g.and(a, t);
+        let z = g.or(t, x[0]);
+        g.add_output_port("y", &[y, z]);
+        assert_eq!(g.and_count(), 3);
+        let r = fold_constant_latches(&g).expect("`a` folds");
+        assert_eq!(r.aig.latches().len(), 1);
+        assert!(r.aig.latches()[0].init);
+        assert_eq!(r.aig.output_ports()[0].lits[0], AigLit::FALSE);
+        assert_eq!(r.aig.and_count(), 1, "only `t | x0` is left");
     }
 
     #[test]

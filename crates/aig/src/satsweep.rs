@@ -149,7 +149,7 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
 
     // Rebuild with the proven merges applied: a merged node takes its
     // representative's (earlier, already copied) literal.
-    let rebuilt = rewrite::rebuild(aig, keep, |g, map, i, a, b| match equiv[i] {
+    let rebuilt = rewrite::rebuild(aig, keep, &[], |g, map, i, a, b| match equiv[i] {
         Some(e) => e.translate(map),
         None => g.and(a, b),
     });

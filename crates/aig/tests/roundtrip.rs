@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use synthir_aig::{from_netlist, optimize, to_netlist, SweepOptions};
-use synthir_netlist::{GateKind, NetId, Netlist, ResetKind};
+use synthir_netlist::{GateKind, Library, NetId, Netlist, ResetKind};
 use synthir_sim::{check_comb_equiv, check_seq_equiv, CombSim, EquivOptions, SeqSim};
 
 /// Deterministic xorshift for the generators.
@@ -101,6 +101,42 @@ fn random_seq_netlist(n_in: usize, flops: usize, gates: usize, seed: u64) -> Net
         .collect();
     nl.add_output("y", &outs);
     nl.add_output("q", &qs);
+    nl
+}
+
+/// [`random_seq_netlist`] with some flops rewired to never leave their
+/// init value: D tied to the init constant, to the flop's own output, or to
+/// an earlier such flop with the same init (which only folds once that one
+/// has). Others are tied to the opposite constant, which must not fold.
+fn constant_flop_netlist(seed: u64) -> Netlist {
+    let mut nl = random_seq_netlist(4, 8, 18, seed);
+    let mut rng = Rng(seed.rotate_left(32) | 1);
+    let flops: Vec<_> = nl
+        .gates()
+        .filter(|(_, g)| g.kind.is_sequential())
+        .map(|(id, g)| (id, g.clone()))
+        .collect();
+    let mut holding: Vec<(NetId, bool)> = Vec::new();
+    for (id, g) in flops {
+        let GateKind::Dff { init, .. } = g.kind else {
+            unreachable!("sequential gates are flops")
+        };
+        let mut ins = g.inputs.clone();
+        ins[0] = match rng.below(5) {
+            0 => nl.constant(init),
+            1 => g.output,
+            2 => match holding.iter().find(|&&(_, i)| i == init) {
+                Some(&(q, _)) => q,
+                None => g.output,
+            },
+            3 => nl.constant(!init),
+            _ => continue,
+        };
+        if nl.as_constant(ins[0]) != Some(!init) {
+            holding.push((g.output, init));
+        }
+        nl.rewrite_gate(id, g.kind, &ins);
+    }
     nl
 }
 
@@ -257,4 +293,34 @@ fn deep_chain_import_does_not_overflow_the_stack() {
     let exp = to_netlist(&imp.aig, &[]);
     let res = check_comb_equiv(&nl, &exp.netlist, &EquivOptions::new()).unwrap();
     assert!(res.is_equivalent());
+}
+
+#[test]
+fn cut_map_folds_constant_flops_equivalently() {
+    let lib = Library::vt90();
+    let (mut before, mut after) = (0, 0);
+    for seed in 0..12u64 {
+        let nl = constant_flop_netlist(0xC0F + seed);
+        let mut mapped = nl.clone();
+        synthir_synth::cut_map(&mut mapped, &lib);
+        // No flop that provably holds its init value survives the mapper.
+        for (_, g) in mapped.gates() {
+            if let GateKind::Dff { init, .. } = g.kind {
+                let d = g.inputs[0];
+                assert!(
+                    mapped.as_constant(d) != Some(init) && d != g.output,
+                    "seed {seed}: a constant flop survived"
+                );
+            }
+        }
+        before += nl.flop_count();
+        after += mapped.flop_count();
+        let res = check_seq_equiv(&nl, &mapped, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent(), "seed {seed}: SAT found a difference");
+        assert!(
+            lockstep_agrees(&nl, &mapped, seed),
+            "seed {seed}: lockstep divergence"
+        );
+    }
+    assert!(after < before, "no flop folded: {before} -> {after}");
 }

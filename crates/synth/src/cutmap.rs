@@ -2,8 +2,10 @@
 //! mapping step, run on every compile after resynthesis.
 //!
 //! The resynthesized netlist is imported into an And-Inverter Graph
-//! (which folds constants and hashes structure on the way in), and the
-//! design is mapped *globally* from it:
+//! (which folds constants and hashes structure on the way in), latches
+//! that never leave their init value are folded to constants
+//! ([`synthir_aig::fold_constant_latches`]), and the design is mapped
+//! *globally* from it:
 //!
 //! 1. **Cut enumeration** — every AND node gets a bounded set of
 //!    k-feasible priority cuts (k ≤ 4) with per-cut truth tables
@@ -33,7 +35,7 @@
 
 use synthir_aig::cuts::{enumerate_cuts, Cut};
 use synthir_aig::npn::{canonicalize, NpnTransform};
-use synthir_aig::{from_netlist, Aig, AigLit, AigNode, FxMap};
+use synthir_aig::{fold_constant_latches, from_netlist, Aig, AigLit, AigNode, FxMap};
 use synthir_netlist::{CellSpec, GateKind, Library, NetId, Netlist, ResetKind};
 
 /// Cut width. The library has no cell wider than 4 data pins, which is
@@ -284,7 +286,10 @@ pub fn cut_map(nl: &mut Netlist, lib: &Library) -> usize {
         // leave the netlist untouched.
         return 0;
     };
-    let mapped = map_aig(&imp.aig, lib);
+    // Only a fold rebuilds the graph: an untouched import keeps its node
+    // order, which the mapper's tie-breaks follow.
+    let folded = fold_constant_latches(&imp.aig);
+    let mapped = map_aig(folded.as_ref().map_or(&imp.aig, |r| &r.aig), lib);
     *nl = mapped.netlist;
     mapped.cells
 }

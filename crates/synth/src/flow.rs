@@ -12,7 +12,7 @@ use synthir_rtl::elaborate::{Elaborated, FsmNets, NetGroupValues};
 /// changed, and what it cost.
 #[derive(Clone, Debug)]
 pub struct PassStat {
-    /// Pass name (`aig_opt`, `const_fold`, `resynthesize`, …).
+    /// Pass name (`aig_opt`, `state_propagation`, `resynthesize`, …).
     pub name: &'static str,
     /// Number of rewrites/merges/folds the pass applied (pass-specific
     /// unit; 0 for a pass that ran but changed nothing).
@@ -130,12 +130,6 @@ pub fn compile_netlist(
                     gates_after: nl.num_gates(),
                     elapsed: t0.elapsed(),
                 });
-                run_pass(
-                    &mut stats,
-                    &mut nl,
-                    "const_fold",
-                    crate::constfold::const_fold,
-                );
                 verifier.check(&nl, "fsm_reencode")?;
             }
             Ok(false) => {}
@@ -155,37 +149,17 @@ pub fn compile_netlist(
     // inputs of their driving cones. Both expose previously flop-separated
     // logic to combinational optimization.
     if opts.retime {
-        let mut moved = 0;
         run_pass(&mut stats, &mut nl, "retime", |nl| {
-            moved = crate::retime::retime_forward(nl) + crate::retime::retime_backward(nl);
-            moved
+            crate::retime::retime_forward(nl) + crate::retime::retime_backward(nl)
         });
-        if moved > 0 {
-            run_pass(
-                &mut stats,
-                &mut nl,
-                "const_fold",
-                crate::constfold::const_fold,
-            );
-        }
         verifier.check(&nl, "retime")?;
     }
 
     // 4. State propagation and folding over annotated groups.
     if !annos.is_empty() {
-        let mut folded = 0;
         run_pass(&mut stats, &mut nl, "state_propagation", |nl| {
-            folded = crate::stateprop::state_propagate(nl, &annos, crate::stateprop::MAX_VALUESET);
-            folded
+            crate::stateprop::state_propagate(nl, &annos, crate::stateprop::MAX_VALUESET)
         });
-        if folded > 0 {
-            run_pass(
-                &mut stats,
-                &mut nl,
-                "const_fold",
-                crate::constfold::const_fold,
-            );
-        }
         verifier.check(&nl, "state_propagation")?;
     }
 
@@ -196,9 +170,10 @@ pub fn compile_netlist(
     verifier.check(&nl, "resynthesize")?;
 
     // 6. Technology mapping: the netlist is re-imported into the AIG
-    // (which folds constants and hashes structure on the way in) and the
-    // mapped netlist is emitted directly from the chosen cuts: at most one
-    // cell, and one shared inverter, per AIG node.
+    // (which folds constants and hashes structure on the way in, and folds
+    // latches that never leave their init value) and the mapped netlist
+    // is emitted directly from the chosen cuts: at most one cell, and one
+    // shared inverter, per AIG node.
     run_pass(&mut stats, &mut nl, "cutmap", |nl| {
         crate::cutmap::cut_map(nl, lib)
     });
@@ -476,6 +451,38 @@ mod tests {
                 other => panic!("{name}: expected a counterexample, got {other:?}"),
             }
         }
+    }
+
+    /// A flop tied to its init value feeds a second flop: neither ever
+    /// leaves its init value, so neither survives — with no FSM metadata
+    /// and no annotation to start any other pass.
+    #[test]
+    fn constant_flop_chain_compiles_to_no_flops() {
+        use synthir_netlist::{GateKind, ResetKind};
+        let lib = Library::vt90();
+        let mut nl = Netlist::new("chain");
+        let a = nl.add_input("a", 1)[0];
+        let rst = nl.add_input("rst", 1)[0];
+        let zero = nl.constant(false);
+        let sync = GateKind::Dff {
+            reset: ResetKind::Sync,
+            init: false,
+        };
+        let q1 = nl.add_gate(sync, &[zero, rst]);
+        let plain = GateKind::Dff {
+            reset: ResetKind::None,
+            init: false,
+        };
+        let q2 = nl.add_gate(plain, &[q1]);
+        let y = nl.add_gate(GateKind::Xor2, &[a, q2]);
+        nl.add_output("y", &[y]);
+        assert_eq!(nl.flop_count(), 2);
+        let r = compile_netlist(nl.clone(), None, &[], &lib, &SynthOptions::default()).unwrap();
+        assert_eq!(r.netlist.flop_count(), 0);
+        assert_eq!(r.area.sequential, 0.0);
+        let res = synthir_sim::check_seq_equiv(&nl, &r.netlist, &synthir_sim::EquivOptions::new())
+            .unwrap();
+        assert!(res.is_equivalent(), "{res:?}");
     }
 
     #[test]

@@ -385,7 +385,6 @@ mod tests {
         let (mut nl, fsm) = mod3_counter(false);
         let golden = nl.clone();
         assert!(fsm_reencode(&mut nl, &fsm, FsmEncoding::Binary).unwrap());
-        crate::constfold::const_fold(&mut nl);
         let res =
             synthir_sim::check_seq_equiv(&golden, &nl, &synthir_sim::EquivOptions::new()).unwrap();
         assert!(res.is_equivalent(), "{res:?}");

@@ -7,8 +7,11 @@
 //! table-based controllers and rely on the synthesis tool to specialize them
 //! ("partial evaluation"), *provided* the tool performs:
 //!
-//! 1. **constant propagation and folding** — [`constfold`]: configuration
-//!    constants flow through the lookup structure and collapse it;
+//! 1. **constant propagation and folding** — the And-Inverter Graph of
+//!    [`synthir_aig`] folds constants as it builds every graph ([`aigopt`],
+//!    and [`cutmap`]'s import, which also folds latches that never leave
+//!    their init value): configuration constants flow through the lookup
+//!    structure and collapse it;
 //! 2. **two-level re-covering** — [`resynth`]: small cones are collapsed to
 //!    truth tables and re-covered with an espresso-style minimizer, which is
 //!    what makes a folded table match a hand-written sum-of-products;
@@ -43,7 +46,6 @@
 pub mod aigopt;
 pub mod cache;
 pub mod conefn;
-pub mod constfold;
 pub mod cutmap;
 pub mod factor;
 pub mod flow;

@@ -73,7 +73,7 @@ pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     roots.dedup();
     let uses = UseCounts::count(nl);
     let plans: Vec<Plan> =
-        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root, lib, &uses));
+        synthir_logic::par::par_map(&roots, |&root| plan_root(nl, root, lib, || &uses, None));
     let mut rebuilt = 0;
     let mut state = Phase2::default();
     for (&root, plan) in roots.iter().zip(&plans) {
@@ -158,7 +158,17 @@ fn cannot_pay_off(tt: &TruthTable, dying: f64, lib: &Library) -> bool {
     area_floor(tt, lib) > dying + FLOOR_SLACK
 }
 
-fn plan_root(nl: &Netlist, root: NetId, lib: &Library, uses: &UseCounts) -> Plan {
+/// Plans `root` against `nl`; `uses` yields `nl`'s use counts, and is
+/// called only for a cone that gets as far as the floor test. A `prior`
+/// plan made on an earlier netlist lends its minimized cover when the cone
+/// still collapses to the same function from the same start cover.
+fn plan_root<'u>(
+    nl: &Netlist,
+    root: NetId,
+    lib: &Library,
+    uses: impl FnOnce() -> &'u UseCounts,
+    prior: Option<&Plan>,
+) -> Plan {
     let Some(driver) = nl.driver(root) else {
         return Plan::Reject;
     };
@@ -172,13 +182,20 @@ fn plan_root(nl: &Netlist, root: NetId, lib: &Library, uses: &UseCounts) -> Plan
     if let Some(v) = tt.as_constant() {
         return Plan::Constant(v);
     }
-    let dying = uses.dying_area(nl, root, lib);
+    let dying = uses().dying_area(nl, root, lib);
     if cannot_pay_off(&tt, dying, lib) {
         return Plan::Reject;
     }
+    // Seed the minimizer with the structural cover when it is small enough;
+    // otherwise fall back to the canonical minterm cover.
     let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
-    let minimized = minimize(&start, None, &EspressoOptions::default());
+    let minimized = match prior {
+        Some(Plan::Rebuild(p)) if p.support == support && p.tt == tt && p.start == start => {
+            p.minimized.clone()
+        }
+        _ => minimize(&start, None, &EspressoOptions::default()),
+    };
     Plan::Rebuild(ConePlan {
         support,
         tt,
@@ -197,51 +214,21 @@ fn rebuild_root(
 ) -> bool {
     // Until the first mutation the netlist is exactly what phase 1 saw, so
     // the plan needs no re-validation — re-collapsing the cone here would
-    // just repeat phase 1's work serially.
-    if !state.mutated {
-        return match plan {
-            Plan::Reject => false,
-            &Plan::Constant(v) => replace_with_constant(nl, root, v, state),
-            Plan::Rebuild(cone) => apply_rebuild(nl, root, lib, cone, state),
-        };
-    }
-    let Some(driver) = nl.driver(root) else {
-        return false;
+    // just repeat phase 1's work serially. After it, the root is planned
+    // again against the current netlist (a phase-1 rejection may no longer
+    // hold), reusing the phase-1 cover where the cone is unchanged.
+    let replanned;
+    let plan = if state.mutated {
+        replanned = plan_root(nl, root, lib, || state.uses(nl), Some(plan));
+        &replanned
+    } else {
+        plan
     };
-    let kind = nl.gate(driver).kind;
-    if kind.is_sequential() || kind.is_constant() {
-        return false;
+    match plan {
+        Plan::Reject => false,
+        &Plan::Constant(v) => replace_with_constant(nl, root, v, state),
+        Plan::Rebuild(cone) => apply_rebuild(nl, root, lib, cone, state),
     }
-    let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
-        return false;
-    };
-    if let Some(v) = tt.as_constant() {
-        return replace_with_constant(nl, root, v, state);
-    }
-    // The same floor test as phase 1, against the current counts: a
-    // phase-1 rejection may no longer hold.
-    let dying = state.uses(nl).dying_area(nl, root, lib);
-    if cannot_pay_off(&tt, dying, lib) {
-        return false;
-    }
-    // Seed the minimizer with the structural cover when it is small enough;
-    // otherwise fall back to the canonical minterm cover.
-    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
-        .unwrap_or_else(|| Cover::from_truth_table(&tt));
-    let minimized = match plan {
-        Plan::Rebuild(p) if p.support == support && p.tt == tt && p.start == start => {
-            p.minimized.clone()
-        }
-        _ => minimize(&start, None, &EspressoOptions::default()),
-    };
-    let cone = ConePlan {
-        support,
-        tt,
-        start,
-        minimized,
-        dying,
-    };
-    apply_rebuild(nl, root, lib, &cone, state)
 }
 
 /// Rewires the consumers of `root` to the constant `v`.
@@ -548,7 +535,7 @@ mod tests {
             }
             let y = level[0];
             nl.add_output("y", &[y]);
-            crate::constfold::const_fold(&mut nl);
+            crate::aigopt::aig_optimize(&mut nl, None, &mut [], false);
             let y = nl.output_nets()[0];
             let (support, cone) = cone_function(&nl, y, n).unwrap();
             let start = structural_cover(&nl, y, &support, 4 * MAX_COVER_CUBES)
@@ -680,9 +667,7 @@ mod tests {
 
         let before = nl.num_gates();
         let lib = Library::vt90();
-        crate::constfold::const_fold(&mut nl);
         resynthesize(&mut nl, &lib);
-        crate::constfold::const_fold(&mut nl);
         assert!(nl.num_gates() < before);
         // Function preserved.
         let out = nl.output_nets()[0];
@@ -741,7 +726,6 @@ mod tests {
         );
         nl.add_output("q", &[q]);
         resynthesize(&mut nl, &Library::vt90());
-        crate::constfold::const_fold(&mut nl);
         // The D cone should now be the input directly.
         let flop = nl
             .gates()

@@ -45,15 +45,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn const_fold_preserves_function(seed in any::<u64>()) {
-        let golden = random_netlist(5, 24, seed);
-        let mut opt = golden.clone();
-        synthir_synth::constfold::const_fold(&mut opt);
-        let res = check_comb_equiv(&golden, &opt, &EquivOptions::new()).unwrap();
-        prop_assert!(res.is_equivalent(), "{res:?}");
-    }
-
-    #[test]
     fn resynthesis_preserves_function(seed in any::<u64>()) {
         let golden = random_netlist(6, 20, seed);
         let mut opt = golden.clone();
