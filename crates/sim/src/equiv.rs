@@ -1427,10 +1427,8 @@ mod induction_tests {
     fn reencoded(t: &Tables, enc: FsmEncoding) -> Option<(Netlist, Netlist)> {
         let e = elaborate(&spec(t).to_table_module(true)).unwrap();
         let mut nl = e.netlist.clone();
-        match fsm_reencode(&mut nl, e.fsm.as_ref()?, enc) {
-            Ok(true) => Some((e.netlist, nl)),
-            _ => None,
-        }
+        fsm_reencode(&mut nl, e.fsm.as_ref()?, enc).ok()?;
+        Some((e.netlist, nl))
     }
 
     fn flops(nl: &Netlist) -> Vec<GateId> {

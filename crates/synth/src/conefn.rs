@@ -1,102 +1,186 @@
-//! Cone extraction: collapsing a combinational cone to a truth table.
+//! Cone compilation: a combinational cone resolved once to a straight-line
+//! program over slots, then simulated block by block.
+//!
+//! `Cone` is the one place where the synthesis passes compile a cone to
+//! evaluate it. Resynthesis builds one per root and reads its truth table,
+//! its dying area and its structural cover from it; FSM re-encoding builds
+//! one over every root it tracks and simulates it once per reachable state
+//! code; state propagation evaluates an annotated group's forward cone
+//! through one; backward retiming collapses a flop bank's D cones through
+//! one.
+//!
+//! Slots number the values a cone program computes: the support nets
+//! first (`0..k`), then the constants 0 and 1 (`k`, `k + 1`), then the
+//! cone's gates in topological order, each with its inputs resolved to
+//! slots. Support nets are leaves: the walk never expands them, even where
+//! a gate drives one, so a caller can cut a cone at any nets it likes.
+//! Nothing here scales with the size of the netlist.
 
 use std::collections::HashMap;
-use synthir_logic::TruthTable;
+use synthir_logic::{BitVec, TruthTable};
 use synthir_netlist::{topo, GateKind, NetId, Netlist};
 
-/// The complete function of a combinational cone rooted at `root`, expressed
-/// over the cone's support (primary inputs and flop outputs), or `None` if
-/// the support exceeds `max_support`.
-///
-/// Variable `i` of the returned table corresponds to `support[i]`.
-pub fn cone_function(
-    nl: &Netlist,
-    root: NetId,
-    max_support: usize,
-) -> Option<(Vec<NetId>, TruthTable)> {
-    let support = topo::comb_support_within(nl, root, max_support)?;
-    let tt = cone_function_on(nl, root, &support);
-    Some((support, tt))
-}
-
-/// The function of a cone over an explicitly provided support ordering.
-///
-/// Only the cone is simulated: every support net, every constant the cone
-/// reads and every cone gate gets its own slot, so the cost is
-/// O(cone · 2^k / 64) — nothing here scales with the size of the netlist.
-/// `root` may itself be a support net or a constant net. A support entry
-/// that is driven by a constant or by a cone gate is shadowed by that
-/// driver.
-///
-/// # Panics
-///
-/// Panics if the cone depends on a source outside `support` (other than
-/// constants), naming that net, or if `support.len() > 24`.
-pub fn cone_function_on(nl: &Netlist, root: NetId, support: &[NetId]) -> TruthTable {
-    let k = support.len();
-    assert!(k <= 24, "cone support too large to enumerate");
-    let gates = topo::cone_gates(nl, root);
-    // Slots: `0..k` the support variables, `k` and `k + 1` the constants 0
-    // and 1, then one slot per cone gate in topological order.
-    let mut slot_of: HashMap<NetId, usize> = HashMap::with_capacity(k + gates.len());
-    for (i, &s) in support.iter().enumerate() {
-        slot_of.insert(s, i);
-    }
-    for (j, &gid) in gates.iter().enumerate() {
-        slot_of.insert(nl.gate(gid).output, k + 2 + j);
-    }
-    let slot = |n: NetId| -> usize {
-        match nl.as_constant(n) {
-            Some(v) => k + usize::from(v),
-            None => *slot_of.get(&n).unwrap_or_else(|| {
-                panic!("cone of {root:?} depends on {n:?}, which is not in the support")
-            }),
-        }
-    };
-    // The cone as a straight-line program over slots, resolved once.
-    let program: Vec<(GateKind, [usize; 4])> = gates
-        .iter()
-        .map(|&gid| {
-            let g = nl.gate(gid);
-            let mut ins = [0; 4];
-            for (dst, &i) in ins.iter_mut().zip(&g.inputs) {
-                *dst = slot(i);
-            }
-            (g.kind, ins)
-        })
-        .collect();
-    let root_slot = slot(root);
-    let n_patterns = 1usize << k;
-    let n_words = n_patterns.div_ceil(64);
-    // Words are simulated a block at a time, gate by gate, so each gate's
-    // kind is dispatched once per block. A table shorter than a block is
-    // simulated over a whole block and cut to length.
-    let mut vals = vec![[0u64; BLOCK]; k + 2 + gates.len()];
-    vals[k + 1] = [u64::MAX; BLOCK];
-    let mut root_words = Vec::with_capacity(n_words.next_multiple_of(BLOCK));
-    for first in (0..n_words).step_by(BLOCK) {
-        // Pattern p (global index w*64 + bit) assigns support[i] the i-th
-        // address bit of the pattern index.
-        for (i, v) in vals[..k].iter_mut().enumerate() {
-            *v = std::array::from_fn(|b| variable_word(i, first + b));
-        }
-        for (j, (kind, ins)) in program.iter().enumerate() {
-            let pins = ins.map(|s| vals[s]);
-            vals[k + 2 + j] = kind.eval_block(&pins[..kind.arity()]);
-        }
-        root_words.extend_from_slice(&vals[root_slot]);
-    }
-    root_words.truncate(n_words);
-    TruthTable::from_bits(k, synthir_logic::BitVec::from_words(n_patterns, root_words))
-}
-
-/// How many 64-pattern words [`cone_function_on`] simulates per pass over
-/// the cone.
+/// How many 64-pattern words [`Cone::simulate`] evaluates per pass.
 const BLOCK: usize = 16;
+
+/// One gate of a [`Cone`] program: never a constant or a flop.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Op {
+    pub(crate) kind: GateKind,
+    /// The slots of the gate's inputs; the first `kind.arity()` are used.
+    pub(crate) ins: [usize; 4],
+    /// The net the gate drives.
+    pub(crate) out: NetId,
+}
+
+/// A combinational cone of one or more roots, compiled to a straight-line
+/// program over slots (see the [module docs](self)).
+#[derive(Debug)]
+pub(crate) struct Cone {
+    /// The support nets, in slot order.
+    pub(crate) support: Vec<NetId>,
+    /// The gates in topological order; gate `j` computes slot
+    /// `support.len() + 2 + j`.
+    pub(crate) ops: Vec<Op>,
+    /// The slot of each root.
+    pub(crate) roots: Vec<usize>,
+}
+
+/// What the walk knows about a net: support net `i`, a gate output whose
+/// fan-in is still being walked, or the output of the program's `j`-th
+/// gate.
+#[derive(Clone, Copy)]
+enum Node {
+    Leaf(usize),
+    Open,
+    Gate(usize),
+}
+
+impl Cone {
+    /// The cone of `root` over its whole combinational support: the
+    /// primary inputs, flop outputs and undriven nets it reads, sorted by
+    /// id. `None` if the support exceeds `max_support`; the support walk
+    /// ([`topo::comb_support_within`]) stops at the first source past it,
+    /// so refusing a wide cone costs only the part of it visited until then.
+    pub(crate) fn collapse(nl: &Netlist, root: NetId, max_support: usize) -> Option<Cone> {
+        let support = topo::comb_support_within(nl, root, max_support)?;
+        Some(Cone::new(nl, &[root], &support))
+    }
+
+    /// The cone of `roots` over `support`, one program for all of them. A
+    /// root may be a support net or a constant net, and may be listed more
+    /// than once. The gates are in the order [`topo::cone_gates`] lists
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cone reads a source outside `support` (other than a
+    /// constant), naming that net, or holds a combinational cycle.
+    pub(crate) fn new(nl: &Netlist, roots: &[NetId], support: &[NetId]) -> Cone {
+        let k = support.len();
+        let mut nodes = HashMap::new();
+        nodes.extend(support.iter().enumerate().map(|(i, &s)| (s, Node::Leaf(i))));
+        // Depth-first over the fan-in; the post-order is topological.
+        let mut gates = Vec::new();
+        let mut stack: Vec<_> = roots.iter().rev().map(|&r| (r, false)).collect();
+        while let Some((n, expanded)) = stack.pop() {
+            if expanded {
+                nodes.insert(n, Node::Gate(gates.len()));
+                gates.push(nl.gate(nl.driver(n).expect("expanded nets are driven")));
+                continue;
+            }
+            match nodes.get(&n) {
+                // Everything above an open net's entry on the stack lies in
+                // its fan-in.
+                Some(Node::Open) => panic!("combinational cycle through {n:?}"),
+                Some(_) => continue,
+                None => {}
+            }
+            match nl.driver(n).map(|g| nl.gate(g)) {
+                Some(g) if g.kind.is_constant() => {}
+                Some(g) if !g.kind.is_sequential() => {
+                    nodes.insert(n, Node::Open);
+                    stack.push((n, true));
+                    stack.extend(g.inputs.iter().map(|&i| (i, false)));
+                }
+                _ => panic!("cone of {roots:?} depends on {n:?}, which is not in the support"),
+            }
+        }
+        let slot = |n: NetId| match nodes.get(&n) {
+            Some(&Node::Leaf(i)) => i,
+            Some(&Node::Gate(j)) => k + 2 + j,
+            _ => k + usize::from(nl.as_constant(n).expect("the walk resolved every net")),
+        };
+        let ops = gates.iter().map(|gate| {
+            let ins = std::array::from_fn(|p| gate.inputs.get(p).map_or(0, |&i| slot(i)));
+            let (kind, out) = (gate.kind, gate.output);
+            Op { kind, ins, out }
+        });
+        Cone {
+            ops: ops.collect(),
+            roots: roots.iter().map(|&r| slot(r)).collect(),
+            support: support.to_vec(),
+        }
+    }
+
+    /// Simulates the program over `n_words` 64-pattern words, a block of
+    /// words at a time, gate by gate ([`GateKind::eval_block`]), so each
+    /// gate's kind is dispatched once per block. `source(i, w)` supplies
+    /// word `w` of support net `i`; `sink(r, w, word)` receives word `w` of
+    /// root `r`.
+    pub(crate) fn simulate(
+        &self,
+        n_words: usize,
+        mut source: impl FnMut(usize, usize) -> u64,
+        mut sink: impl FnMut(usize, usize, u64),
+    ) {
+        let k = self.support.len();
+        let mut vals = vec![[0u64; BLOCK]; k + 2 + self.ops.len()];
+        vals[k + 1] = [u64::MAX; BLOCK];
+        for first in (0..n_words).step_by(BLOCK) {
+            let len = BLOCK.min(n_words - first);
+            for (i, v) in vals[..k].iter_mut().enumerate() {
+                for (b, word) in v[..len].iter_mut().enumerate() {
+                    *word = source(i, first + b);
+                }
+            }
+            for (j, op) in self.ops.iter().enumerate() {
+                let pins = op.ins.map(|s| vals[s]);
+                vals[k + 2 + j] = op.kind.eval_block(&pins[..op.kind.arity()]);
+            }
+            for (r, &s) in self.roots.iter().enumerate() {
+                for (b, &word) in vals[s][..len].iter().enumerate() {
+                    sink(r, first + b, word);
+                }
+            }
+        }
+    }
+
+    /// The function of every root over the support: variable `i` of each
+    /// table is `support[i]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the support has more than 24 nets.
+    pub(crate) fn truth_tables(&self) -> Vec<TruthTable> {
+        let k = self.support.len();
+        assert!(k <= 24, "cone support too large to enumerate");
+        let n_words = (1usize << k).div_ceil(64);
+        let mut words = vec![Vec::with_capacity(n_words); self.roots.len()];
+        self.simulate(n_words, variable_word, |r, _, word| words[r].push(word));
+        let table = |w| TruthTable::from_bits(k, BitVec::from_words(1 << k, w));
+        words.into_iter().map(table).collect()
+    }
+
+    /// The function of the first root.
+    pub(crate) fn truth_table(&self) -> TruthTable {
+        self.truth_tables().swap_remove(0)
+    }
+}
 
 /// Word `w` of the 64-pattern simulation vector of variable `i`: bit `b`
 /// is bit `i` of the pattern index `w * 64 + b`.
-fn variable_word(i: usize, w: usize) -> u64 {
+pub(crate) fn variable_word(i: usize, w: usize) -> u64 {
     const LOW: [u64; 6] = [
         0xAAAA_AAAA_AAAA_AAAA,
         0xCCCC_CCCC_CCCC_CCCC,
@@ -115,19 +199,18 @@ fn variable_word(i: usize, w: usize) -> u64 {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use synthir_netlist::ResetKind;
+    use synthir_netlist::{topo, ResetKind};
 
-    /// The whole-netlist formulation `cone_function_on` replaced: one value
-    /// per net of the netlist, every constant gate rescanned per word.
-    /// Sources outside `support` read as 0.
-    fn cone_function_on_oracle(nl: &Netlist, root: NetId, support: &[NetId]) -> TruthTable {
-        let k = support.len();
-        let gates = topo::cone_gates(nl, root);
-        let n_patterns = 1usize << k;
-        let words = n_patterns.div_ceil(64);
-        let mut bits = synthir_logic::BitVec::zeros(n_patterns);
+    /// The whole-netlist formulation the cone programs replaced: one value
+    /// per net of the netlist, every combinational gate evaluated in a
+    /// whole-netlist topological order, word by word. Support nets are
+    /// free variables, whatever drives them; other sources read as 0.
+    fn cone_functions_oracle(nl: &Netlist, roots: &[NetId], support: &[NetId]) -> Vec<TruthTable> {
+        let order = topo::topological_order(nl).unwrap();
+        let n_patterns = 1usize << support.len();
+        let mut bits = vec![synthir_logic::BitVec::zeros(n_patterns); roots.len()];
         let mut vals = vec![0u64; nl.num_nets()];
-        for w in 0..words {
+        for w in 0..n_patterns.div_ceil(64) {
             for (i, &s) in support.iter().enumerate() {
                 let mut word = 0u64;
                 for b in 0..64 {
@@ -138,27 +221,30 @@ pub(crate) mod tests {
                 }
                 vals[s.index()] = word;
             }
-            for (_, g) in nl.gates() {
-                if g.kind.is_constant() {
-                    vals[g.output.index()] = g.kind.eval_words(&[]);
-                }
-            }
             let mut ins: Vec<u64> = Vec::with_capacity(4);
-            for &gid in &gates {
+            for &gid in &order {
                 let g = nl.gate(gid);
+                if g.kind.is_sequential() || support.contains(&g.output) {
+                    continue;
+                }
                 ins.clear();
                 ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
                 vals[g.output.index()] = g.kind.eval_words(&ins);
             }
-            let rootw = vals[root.index()];
-            for b in 0..64 {
-                let p = w * 64 + b;
-                if p < n_patterns && rootw >> b & 1 != 0 {
-                    bits.set(p, true);
+            for (bv, r) in bits.iter_mut().zip(roots) {
+                let rootw = vals[r.index()];
+                for b in 0..64 {
+                    let p = w * 64 + b;
+                    if p < n_patterns && rootw >> b & 1 != 0 {
+                        bv.set(p, true);
+                    }
                 }
             }
         }
-        TruthTable::from_bits(k, bits)
+        let k = support.len();
+        bits.into_iter()
+            .map(|b| TruthTable::from_bits(k, b))
+            .collect()
     }
 
     /// A deterministic SplitMix64 stream for the random-netlist tests.
@@ -238,8 +324,10 @@ pub(crate) mod tests {
 
     #[test]
     fn cone_local_simulation_matches_whole_netlist_oracle() {
-        let mut multiword = 0;
-        let mut checked = 0;
+        let oracle = |nl: &Netlist, root: NetId, support: &[NetId]| {
+            cone_functions_oracle(nl, &[root], support).swap_remove(0)
+        };
+        let (mut checked, mut multiword, mut multi_root, mut cut) = (0, 0, 0, 0);
         for seed in 0..200u64 {
             let nl = random_netlist(seed);
             let sources: Vec<NetId> = (0..nl.num_nets() as u32)
@@ -253,38 +341,85 @@ pub(crate) mod tests {
                 if support.len() > 12 {
                     continue;
                 }
-                let tt = cone_function_on(&nl, root, &support);
-                assert_eq!(
-                    tt,
-                    cone_function_on_oracle(&nl, root, &support),
-                    "seed {seed} root {root:?}"
-                );
+                let tt = Cone::new(&nl, &[root], &support).truth_table();
+                assert_eq!(tt, oracle(&nl, root, &support), "seed {seed} root {root:?}");
                 checked += 1;
                 if support.len() > 6 {
                     multiword += 1;
                 }
+                if support.len() == 12 {
+                    continue;
+                }
                 // A reordered superset of the support: one extra source the
                 // cone ignores, variables in reverse order.
                 if let Some(&extra) = sources.iter().find(|s| !support.contains(s)) {
-                    if support.len() < 12 {
-                        let mut wider = support.clone();
-                        wider.push(extra);
-                        wider.reverse();
-                        assert_eq!(
-                            cone_function_on(&nl, root, &wider),
-                            cone_function_on_oracle(&nl, root, &wider),
-                            "seed {seed} root {root:?} over {wider:?}"
-                        );
+                    let mut wider = support.clone();
+                    wider.push(extra);
+                    wider.reverse();
+                    assert_eq!(
+                        Cone::new(&nl, &[root], &wider).truth_table(),
+                        oracle(&nl, root, &wider),
+                        "seed {seed} root {root:?} over {wider:?}"
+                    );
+                }
+                // A gate-driven net of the cone added to the support: it is
+                // a free variable, and the walk must not expand it.
+                let gates = topo::cone_gates(&nl, root);
+                if let Some(&g) = gates.get(seed as usize % gates.len().max(1)) {
+                    let inner = nl.gate(g).output;
+                    let mut with_cut = support.clone();
+                    with_cut.insert(seed as usize % (support.len() + 1), inner);
+                    let tt = Cone::new(&nl, &[root], &with_cut).truth_table();
+                    assert_eq!(
+                        tt,
+                        oracle(&nl, root, &with_cut),
+                        "seed {seed} root {root:?} cut at {inner:?}"
+                    );
+                    let var = with_cut.iter().position(|&n| n == inner).unwrap();
+                    if tt.support().contains(&var) {
+                        cut += 1; // the root reads the cut net as a variable
                     }
                 }
             }
+            // Multi-root cones: a window of consecutive nets as roots,
+            // over their joint support plus, on odd windows, one
+            // gate-driven net of theirs.
+            let nets: Vec<NetId> = (0..nl.num_nets() as u32).map(NetId).collect();
+            for (w, roots) in nets.chunks(3).enumerate() {
+                let mut support: Vec<NetId> = roots
+                    .iter()
+                    .flat_map(|&r| topo::comb_support(&nl, r))
+                    .collect();
+                support.sort();
+                support.dedup();
+                if w % 2 == 1 {
+                    let inner = roots.iter().find_map(|&r| topo::cone_gates(&nl, r).pop());
+                    support.extend(inner.map(|g| nl.gate(g).output));
+                }
+                if support.len() > 12 {
+                    continue;
+                }
+                let mut doubled = roots.to_vec();
+                doubled.push(roots[0]); // a root listed twice
+                assert_eq!(
+                    Cone::new(&nl, &doubled, &support).truth_tables(),
+                    cone_functions_oracle(&nl, &doubled, &support),
+                    "seed {seed} roots {doubled:?}"
+                );
+                multi_root += 1;
+            }
         }
         assert!(
-            checked > 5000 && multiword > 500,
-            "{checked} cones, {multiword} multi-word"
+            checked > 5000 && multiword > 500 && multi_root > 1000 && cut > 1000,
+            "{checked} cones, {multiword} multi-word, {multi_root} multi-root, {cut} cut"
         );
     }
 
+    /// `Cone::collapse` and `topo::comb_support_within` find the support
+    /// `topo::comb_support` finds and refuse exactly the cones wider than
+    /// their limit; `Cone::collapse` lists the cone's gates in
+    /// `topo::cone_gates` order (the order the dying area's `f64` sum
+    /// depends on).
     #[test]
     fn bounded_support_walk_matches_full_walk() {
         let mut refused = 0;
@@ -292,18 +427,40 @@ pub(crate) mod tests {
             let nl = random_netlist(seed);
             for root in (0..nl.num_nets() as u32).map(NetId) {
                 let full = topo::comb_support(&nl, root);
+                let gates: Vec<NetId> = topo::cone_gates(&nl, root)
+                    .iter()
+                    .map(|&g| nl.gate(g).output)
+                    .collect();
                 for max in [0, 1, 3, 6, 14] {
                     let bounded = topo::comb_support_within(&nl, root, max);
-                    if full.len() <= max {
-                        assert_eq!(bounded.as_ref(), Some(&full), "seed {seed} root {root:?}");
-                    } else {
-                        assert_eq!(bounded, None, "seed {seed} root {root:?} max {max}");
-                        refused += 1;
+                    assert_eq!(bounded, (full.len() <= max).then(|| full.clone()));
+                    match Cone::collapse(&nl, root, max) {
+                        Some(cone) => {
+                            assert!(full.len() <= max, "seed {seed} root {root:?} max {max}");
+                            assert_eq!(cone.support, full, "seed {seed} root {root:?}");
+                            let outs: Vec<NetId> = cone.ops.iter().map(|op| op.out).collect();
+                            assert_eq!(outs, gates, "seed {seed} root {root:?}");
+                        }
+                        None => {
+                            assert!(full.len() > max, "seed {seed} root {root:?} max {max}");
+                            refused += 1;
+                        }
                     }
                 }
             }
         }
         assert!(refused > 5000, "only {refused} refusals");
+    }
+
+    #[test]
+    #[should_panic(expected = "combinational cycle")]
+    fn combinational_cycle_panics() {
+        let mut nl = Netlist::new("cyc");
+        let a = nl.add_input("a", 1)[0];
+        let loop_net = nl.add_net();
+        let x = nl.add_gate(GateKind::And2, &[a, loop_net]);
+        nl.attach_gate(GateKind::Inv, &[x], loop_net).unwrap();
+        Cone::collapse(&nl, x, 4);
     }
 
     #[test]
@@ -314,7 +471,7 @@ pub(crate) mod tests {
         let b = nl.add_input("b", 1)[0];
         let y = nl.add_gate(GateKind::Or2, &[a, b]);
         nl.add_output("y", &[y]);
-        cone_function_on(&nl, y, &[a]);
+        Cone::new(&nl, &[y], &[a]);
     }
 
     #[test]
@@ -329,11 +486,11 @@ pub(crate) mod tests {
         let t = nl.add_gate(GateKind::Or2, &[ab, bc]);
         let y = nl.add_gate(GateKind::Or2, &[t, ac]);
         nl.add_output("y", &[y]);
-        let (support, tt) = cone_function(&nl, y, 8).unwrap();
-        assert_eq!(support.len(), 3);
+        let cone = Cone::collapse(&nl, y, 8).unwrap();
+        assert_eq!(cone.support.len(), 3);
         // Variable order follows support (sorted by NetId = a, b, c).
         let expected = TruthTable::from_fn(3, |m| m.count_ones() >= 2);
-        assert_eq!(tt, expected);
+        assert_eq!(cone.truth_table(), expected);
     }
 
     #[test]
@@ -345,8 +502,8 @@ pub(crate) mod tests {
             acc = nl.add_gate(GateKind::And2, &[acc, x]);
         }
         nl.add_output("y", &[acc]);
-        assert!(cone_function(&nl, acc, 5).is_none());
-        assert!(cone_function(&nl, acc, 6).is_some());
+        assert!(Cone::collapse(&nl, acc, 5).is_none());
+        assert!(Cone::collapse(&nl, acc, 6).is_some());
     }
 
     #[test]
@@ -356,9 +513,9 @@ pub(crate) mod tests {
         let c1 = nl.const1();
         let y = nl.add_gate(GateKind::And2, &[a, c1]);
         nl.add_output("y", &[y]);
-        let (support, tt) = cone_function(&nl, y, 4).unwrap();
-        assert_eq!(support.len(), 1);
-        assert_eq!(tt, TruthTable::variable(1, 0));
+        let cone = Cone::collapse(&nl, y, 4).unwrap();
+        assert_eq!(cone.support.len(), 1);
+        assert_eq!(cone.truth_table(), TruthTable::variable(1, 0));
     }
 
     #[test]
@@ -371,7 +528,7 @@ pub(crate) mod tests {
             acc = nl.add_gate(GateKind::Xor2, &[acc, x]);
         }
         nl.add_output("y", &[acc]);
-        let (_, tt) = cone_function(&nl, acc, 7).unwrap();
+        let tt = Cone::collapse(&nl, acc, 7).unwrap().truth_table();
         let expected = TruthTable::from_fn(7, |m| m.count_ones() % 2 == 1);
         assert_eq!(tt, expected);
     }

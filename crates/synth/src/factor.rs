@@ -146,7 +146,7 @@ impl Emit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conefn::cone_function_on;
+    use crate::conefn::Cone;
     use synthir_logic::TruthTable;
 
     fn check_cover(cover: &Cover, nvars: usize) {
@@ -154,7 +154,7 @@ mod tests {
         let support = nl.add_input("x", nvars);
         let root = emit_cover(&mut nl, cover, &support);
         nl.add_output("y", &[root]);
-        let tt = cone_function_on(&nl, root, &support);
+        let tt = Cone::new(&nl, &[root], &support).truth_table();
         let expected = cover.to_truth_table(nvars);
         assert_eq!(tt, expected, "emitted logic must match cover");
     }

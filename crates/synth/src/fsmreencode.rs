@@ -13,19 +13,25 @@
 //! the table-based style (the paper's recommendation).
 //!
 //! Given the state register, the pass:
-//! 1. extracts the state-transition graph by exhaustive cone evaluation,
+//! 1. extracts the state-transition graph by exhaustive evaluation: every
+//!    next-state, output and flop-input root that reads the state is
+//!    compiled into one cone program over the state nets and the free
+//!    inputs (`conefn::Cone`), simulated once per reachable state code
+//!    with the state bits as constant words and all input combinations
+//!    bit-parallel,
 //! 2. prunes states unreachable from the reset state (the "Manual"
 //!    optimization of the Fig. 9 PCtrl experiment),
 //! 3. re-encodes the reachable states (binary / one-hot / Gray), and
 //! 4. rebuilds next-state and output logic with the unused codes as
 //!    don't-cares.
 
+use crate::conefn::{variable_word, Cone};
 use crate::factor::emit_cover;
 use crate::options::FsmEncoding;
 use crate::SynthError;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use synthir_logic::espresso::EspressoOptions;
-use synthir_logic::{BitVec, TruthTable};
+use synthir_logic::TruthTable;
 use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 use synthir_rtl::elaborate::FsmNets;
 
@@ -34,8 +40,7 @@ use synthir_rtl::elaborate::FsmNets;
 /// ([`SynthError::FsmExtraction`]), like a synthesis tool giving up.
 pub const FSM_ENUM_LIMIT: usize = 1 << 18;
 
-/// Re-encodes the FSM with encoding `enc`. Returns `Ok(true)` when the
-/// netlist was rewritten.
+/// Re-encodes the FSM with encoding `enc`, rewriting the netlist.
 ///
 /// # Errors
 ///
@@ -43,7 +48,7 @@ pub const FSM_ENUM_LIMIT: usize = 1 << 18;
 /// (a state net no longer driven by a flop) or the extraction exceeds
 /// [`FSM_ENUM_LIMIT`]; callers typically treat this as "skip the pass",
 /// exactly like a synthesis tool giving up on FSM extraction.
-pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result<bool, SynthError> {
+pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result<(), SynthError> {
     let state_width = fsm.state_nets.len();
     if state_width == 0 || state_width > 24 {
         return Err(SynthError::FsmExtraction(format!(
@@ -117,89 +122,14 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
         )));
     }
 
-    // --- 1. Extract behaviour by exhaustive bit-parallel evaluation. ---
-    let order =
-        topo::topological_order(nl).map_err(|e| SynthError::InvalidNetlist(e.to_string()))?;
-    let combos = 1usize << f;
-    // Evaluate one state code at a time, all input combos bit-parallel.
-    let eval_code = |nl: &Netlist, code: u128| -> HashMap<NetId, BitVec> {
-        let mut vals = vec![0u64; nl.num_nets()];
-        let words = combos.div_ceil(64);
-        let mut out: HashMap<NetId, BitVec> = HashMap::new();
-        let mut track: Vec<NetId> = Vec::new();
-        track.extend(output_roots.iter().copied());
-        track.extend(other_d.iter().copied());
-        track.extend(state_d.iter().copied());
-        track.sort();
-        track.dedup();
-        for &t in &track {
-            out.insert(t, BitVec::zeros(combos));
-        }
-        for w in 0..words {
-            for (i, &s) in others.iter().enumerate() {
-                let mut word = 0u64;
-                for b in 0..64 {
-                    let p = w * 64 + b;
-                    if p < combos && p >> i & 1 != 0 {
-                        word |= 1 << b;
-                    }
-                }
-                vals[s.index()] = word;
-            }
-            for (i, &s) in fsm.state_nets.iter().enumerate() {
-                vals[s.index()] = if code >> i & 1 != 0 { u64::MAX } else { 0 };
-            }
-            let mut ins = Vec::with_capacity(4);
-            for &gid in &order {
-                let g = nl.gate(gid);
-                if g.kind.is_sequential() {
-                    continue;
-                }
-                ins.clear();
-                ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
-                vals[g.output.index()] = g.kind.eval_words(&ins);
-            }
-            for &t in &track {
-                let word = vals[t.index()];
-                let bv = out.get_mut(&t).expect("tracked");
-                for b in 0..64 {
-                    let p = w * 64 + b;
-                    if p < combos && word >> b & 1 != 0 {
-                        bv.set(p, true);
-                    }
-                }
-            }
-        }
-        out
-    };
-
-    // --- 2. Reachability BFS from the reset code. ---
-    let mut reachable: Vec<u128> = vec![fsm.reset_code];
-    let mut seen: BTreeSet<u128> = BTreeSet::new();
-    seen.insert(fsm.reset_code);
-    let mut behaviours: HashMap<u128, HashMap<NetId, BitVec>> = HashMap::new();
-    let mut qi = 0;
-    while qi < reachable.len() {
-        let code = reachable[qi];
-        qi += 1;
-        if reachable.len() > max_codes {
-            return Err(SynthError::FsmExtraction("state explosion".into()));
-        }
-        let beh = eval_code(nl, code);
-        for combo in 0..combos {
-            let mut next = 0u128;
-            for (i, &d) in state_d.iter().enumerate() {
-                if beh[&d].get(combo) {
-                    next |= 1 << i;
-                }
-            }
-            if seen.insert(next) {
-                reachable.push(next);
-            }
-        }
-        behaviours.insert(code, beh);
-    }
-    reachable.sort();
+    // --- 1. and 2. Extract the state graph reachable from reset. ---
+    // Tracked roots: the next-state bits, then the outputs, then the other
+    // flops' D inputs.
+    let mut roots = state_d.clone();
+    roots.extend(&output_roots);
+    roots.extend(&other_d);
+    let graph = StateGraph::extract(nl, fsm, &roots, &others, max_codes)?;
+    let reachable = &graph.codes;
     let n_states = reachable.len();
     let idx_of: HashMap<u128, usize> = reachable.iter().enumerate().map(|(i, &c)| (c, i)).collect();
 
@@ -260,28 +190,11 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
     let mut root_tts: Vec<TruthTable> = Vec::new();
     for bit in 0..new_width {
         root_tts.push(root_tt(&|si, combo| {
-            let old_code = reachable[si];
-            let beh = &behaviours[&old_code];
-            let mut next = 0u128;
-            for (i, &d) in state_d.iter().enumerate() {
-                if beh[&d].get(combo) {
-                    next |= 1 << i;
-                }
-            }
-            let ni = idx_of[&next];
-            new_codes[ni] >> bit & 1 != 0
+            new_codes[idx_of[&graph.next_code(si, combo)]] >> bit & 1 != 0
         }));
     }
-    for &o in &output_roots {
-        root_tts.push(root_tt(&|si, combo| {
-            behaviours[&reachable[si]][&o].get(combo)
-        }));
-    }
-    for (fi, _) in other_flops.iter().enumerate() {
-        let d = other_d[fi];
-        root_tts.push(root_tt(&|si, combo| {
-            behaviours[&reachable[si]][&d].get(combo)
-        }));
+    for r in state_width..roots.len() {
+        root_tts.push(root_tt(&|si, combo| graph.value(si, r, combo)));
     }
     let covers =
         synthir_logic::espresso::minimize_tt_batch(&root_tts, Some(&dc_tt), &espresso_opts);
@@ -332,7 +245,88 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
         nl.rewrite_gate(fgate, g.kind, &inputs);
     }
     nl.sweep();
-    Ok(true)
+    Ok(())
+}
+
+/// The part of an FSM's state graph reachable from reset: for every
+/// reachable code (sorted), the value of every tracked root at every
+/// free-input combination, `words` words per root, root after root. Roots
+/// `0..width` are the next-state bits.
+struct StateGraph {
+    codes: Vec<u128>,
+    values: Vec<Vec<u64>>,
+    words: usize,
+    width: usize,
+}
+
+impl StateGraph {
+    /// Extracts the graph by a breadth-first search from the reset code.
+    /// `roots` starts with the state flops' D inputs in state-bit order;
+    /// bit `i` of a free-input combination is `others[i]`. The roots are
+    /// one cone program over the state nets and the free inputs; each
+    /// reachable code is one simulation of it, the state bits constant
+    /// words. Fails past `max_codes` reachable codes.
+    fn extract(
+        nl: &Netlist,
+        fsm: &FsmNets,
+        roots: &[NetId],
+        others: &[NetId],
+        max_codes: usize,
+    ) -> Result<StateGraph, SynthError> {
+        let width = fsm.state_nets.len();
+        let combos = 1usize << others.len();
+        let words = combos.div_ceil(64);
+        let mut support = fsm.state_nets.clone();
+        support.extend(others);
+        let cone = Cone::new(nl, roots, &support);
+        let mut graph = StateGraph {
+            codes: vec![fsm.reset_code],
+            values: Vec::new(),
+            words,
+            width,
+        };
+        let mut seen: HashSet<u128> = HashSet::from([fsm.reset_code]);
+        while let Some(&code) = graph.codes.get(graph.values.len()) {
+            if graph.codes.len() > max_codes {
+                return Err(SynthError::FsmExtraction("state explosion".into()));
+            }
+            let mut values = vec![0u64; roots.len() * words];
+            let state_word = |i: usize| if code >> i & 1 != 0 { u64::MAX } else { 0 };
+            cone.simulate(
+                words,
+                |i, w| match i.checked_sub(width) {
+                    None => state_word(i),
+                    Some(v) => variable_word(v, w),
+                },
+                |r, w, word| values[r * words + w] = word,
+            );
+            graph.values.push(values);
+            let si = graph.values.len() - 1;
+            for combo in 0..combos {
+                let next = graph.next_code(si, combo);
+                if seen.insert(next) {
+                    graph.codes.push(next);
+                }
+            }
+        }
+        let mut states: Vec<(u128, Vec<u64>)> = graph.codes.into_iter().zip(graph.values).collect();
+        states.sort_by_key(|&(code, _)| code);
+        (graph.codes, graph.values) = states.into_iter().unzip();
+        Ok(graph)
+    }
+
+    /// The value of root `r` in the `si`-th reachable state under input
+    /// combination `combo`.
+    fn value(&self, si: usize, r: usize, combo: usize) -> bool {
+        self.values[si][r * self.words + combo / 64] >> (combo % 64) & 1 != 0
+    }
+
+    /// The code the `si`-th reachable state steps to under `combo`.
+    fn next_code(&self, si: usize, combo: usize) -> u128 {
+        (0..self.width)
+            .filter(|&i| self.value(si, i, combo))
+            .fold(0, |code, i| code | 1 << i)
+    }
 }
 
 #[cfg(test)]
@@ -384,7 +378,7 @@ mod tests {
     fn reencode_preserves_behaviour() {
         let (mut nl, fsm) = mod3_counter(false);
         let golden = nl.clone();
-        assert!(fsm_reencode(&mut nl, &fsm, FsmEncoding::Binary).unwrap());
+        fsm_reencode(&mut nl, &fsm, FsmEncoding::Binary).unwrap();
         let res =
             synthir_sim::check_seq_equiv(&golden, &nl, &synthir_sim::EquivOptions::new()).unwrap();
         assert!(res.is_equivalent(), "{res:?}");
@@ -413,6 +407,197 @@ mod tests {
                 .unwrap();
             assert!(res.is_equivalent(), "{enc:?}: {res:?}");
         }
+    }
+
+    /// The per-code whole-netlist evaluator extraction ran before cone
+    /// programs: one value per net of the netlist, every combinational
+    /// gate evaluated in a whole-netlist topological order, the tracked
+    /// roots copied out bit by bit.
+    fn eval_code_oracle(
+        nl: &Netlist,
+        fsm: &FsmNets,
+        roots: &[NetId],
+        others: &[NetId],
+        code: u128,
+    ) -> Vec<synthir_logic::BitVec> {
+        let order = topo::topological_order(nl).unwrap();
+        let combos = 1usize << others.len();
+        let mut vals = vec![0u64; nl.num_nets()];
+        let mut out = vec![synthir_logic::BitVec::zeros(combos); roots.len()];
+        for w in 0..combos.div_ceil(64) {
+            for (i, &s) in others.iter().enumerate() {
+                let mut word = 0u64;
+                for b in 0..64 {
+                    let p = w * 64 + b;
+                    if p < combos && p >> i & 1 != 0 {
+                        word |= 1 << b;
+                    }
+                }
+                vals[s.index()] = word;
+            }
+            for (i, &s) in fsm.state_nets.iter().enumerate() {
+                vals[s.index()] = if code >> i & 1 != 0 { u64::MAX } else { 0 };
+            }
+            let mut ins = Vec::with_capacity(4);
+            for &gid in &order {
+                let g = nl.gate(gid);
+                if g.kind.is_sequential() {
+                    continue;
+                }
+                ins.clear();
+                ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
+                vals[g.output.index()] = g.kind.eval_words(&ins);
+            }
+            for (bv, r) in out.iter_mut().zip(roots) {
+                for b in 0..64 {
+                    let p = w * 64 + b;
+                    if p < combos && vals[r.index()] >> b & 1 != 0 {
+                        bv.set(p, true);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The state graph of `fsm` over every output port bit, checked against
+    /// a breadth-first search over the whole-netlist oracle: the same
+    /// reachable codes, and every next-state and output bit equal.
+    fn checked_state_graph(nl: &Netlist, fsm: &FsmNets) -> StateGraph {
+        let mut roots: Vec<NetId> = fsm
+            .state_nets
+            .iter()
+            .map(|&q| nl.gate(nl.driver(q).unwrap()).inputs[0])
+            .collect();
+        roots.extend(nl.output_nets());
+        let mut others = nl.input_nets();
+        others.extend(
+            nl.gates()
+                .filter(|(_, g)| g.kind.is_sequential() && !fsm.state_nets.contains(&g.output))
+                .map(|(_, g)| g.output),
+        );
+        let graph = StateGraph::extract(nl, fsm, &roots, &others, 1 << 12).unwrap();
+        let width = fsm.state_nets.len();
+        let mut codes = vec![fsm.reset_code];
+        let mut tables = Vec::new();
+        while let Some(&code) = codes.get(tables.len()) {
+            let bits = eval_code_oracle(nl, fsm, &roots, &others, code);
+            for combo in 0..1 << others.len() {
+                let next = (0..width)
+                    .filter(|&i| bits[i].get(combo))
+                    .fold(0, |c, i| c | 1 << i);
+                if !codes.contains(&next) {
+                    codes.push(next);
+                }
+            }
+            tables.push((code, bits));
+        }
+        tables.sort_by_key(|&(code, _)| code);
+        assert_eq!(graph.codes, tables.iter().map(|t| t.0).collect::<Vec<_>>());
+        for (si, (code, bits)) in tables.iter().enumerate() {
+            for (r, bv) in bits.iter().enumerate() {
+                for combo in 0..bv.len() {
+                    assert_eq!(
+                        graph.value(si, r, combo),
+                        bv.get(combo),
+                        "code {code} root {r}"
+                    );
+                }
+            }
+        }
+        graph
+    }
+
+    /// Random annotated table FSMs, some states unreachable: the extracted
+    /// tables match the oracle before re-encoding and after it in every
+    /// encoding, and the re-encoded machine steps through the same outputs
+    /// as the original from reset.
+    #[test]
+    fn extracted_tables_match_whole_netlist_oracle() {
+        use synthir_core::fsm::FsmSpec;
+        let mut rng = 0x5EED_u64;
+        let mut below = |n: usize| {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut pruned = 0;
+        for seed in 0..24 {
+            let (m, n, s) = (1 + below(3), 1 + below(3), 2 + below(6));
+            let reach = 1 + below(s);
+            // States below `reach` step only among themselves.
+            let next: Vec<Vec<usize>> = (0..s)
+                .map(|i| {
+                    (0..1 << m)
+                        .map(|_| below(if i < reach { reach } else { s }))
+                        .collect()
+                })
+                .collect();
+            let out: Vec<Vec<u128>> = (0..s)
+                .map(|_| (0..1 << m).map(|_| below(1 << n) as u128).collect())
+                .collect();
+            let spec = FsmSpec::from_dense("rand", m, n, &next, &out).unwrap();
+            let e = synthir_rtl::elaborate(&spec.to_table_module(true)).unwrap();
+            let (mut nl, mut fsm) = (e.netlist, e.fsm.unwrap());
+            if seed % 2 == 1 {
+                crate::aigopt::aig_optimize(&mut nl, Some(&mut fsm), &mut [], false);
+            }
+            let before = checked_state_graph(&nl, &fsm);
+            pruned += usize::from(before.codes.len() < s);
+            for enc in [
+                FsmEncoding::Binary,
+                FsmEncoding::Gray,
+                FsmEncoding::OneHot,
+                FsmEncoding::Keep,
+            ] {
+                let mut after = nl.clone();
+                fsm_reencode(&mut after, &fsm, enc).unwrap();
+                let flops: Vec<(NetId, bool)> = after
+                    .gates()
+                    .filter_map(|(_, g)| match g.kind {
+                        GateKind::Dff { init, .. } => Some((g.output, init)),
+                        _ => None,
+                    })
+                    .collect();
+                let reencoded = FsmNets {
+                    state_nets: flops.iter().map(|f| f.0).collect(),
+                    codes: Vec::new(),
+                    reset_code: (0..flops.len())
+                        .filter(|&i| flops[i].1)
+                        .fold(0, |c, i| c | 1 << i),
+                };
+                let graph = checked_state_graph(&after, &reencoded);
+                // Step both machines from reset in lockstep.
+                let (wa, wb) = (fsm.state_nets.len(), reencoded.state_nets.len());
+                let index = |g: &StateGraph, code| g.codes.binary_search(&code).unwrap();
+                let mut pairs = vec![(
+                    index(&before, fsm.reset_code),
+                    index(&graph, reencoded.reset_code),
+                )];
+                let mut seen: HashSet<(usize, usize)> = pairs.iter().copied().collect();
+                while let Some((a, b)) = pairs.pop() {
+                    for combo in 0..1 << nl.input_nets().len() {
+                        for o in 0..n {
+                            assert_eq!(
+                                before.value(a, wa + o, combo),
+                                graph.value(b, wb + o, combo),
+                                "seed {seed} {enc:?}: output {o} under {combo}"
+                            );
+                        }
+                        let step = (
+                            index(&before, before.next_code(a, combo)),
+                            index(&graph, graph.next_code(b, combo)),
+                        );
+                        if seen.insert(step) {
+                            pairs.push(step);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(pruned > 5, "only {pruned} machines with unreachable states");
     }
 
     #[test]

@@ -45,7 +45,7 @@
 
 pub mod aigopt;
 pub mod cache;
-pub mod conefn;
+mod conefn;
 pub mod cutmap;
 pub mod factor;
 pub mod flow;

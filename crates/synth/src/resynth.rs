@@ -10,12 +10,12 @@
 //! starting RTL can land in different local optima, exactly the scatter the
 //! paper attributes to the tool's "bumpy" optimization surface.
 
-use crate::conefn::cone_function;
+use crate::conefn::Cone;
 use crate::factor::emit_cover;
 use crate::uses::UseCounts;
 use synthir_logic::espresso::{minimize, EspressoOptions};
 use synthir_logic::{Cover, Cube, TruthTable};
-use synthir_netlist::{topo, GateKind, Library, NetId, Netlist};
+use synthir_netlist::{GateKind, Library, NetId, Netlist};
 
 /// Widest cone (in support nets) the pass collapses. Models the tool's
 /// effort limit; wider cones keep their structural form.
@@ -51,14 +51,15 @@ pub const MAX_COVER_CUBES: usize = 96;
 /// # Cost
 ///
 /// Apart from collecting the roots, counting uses and the final sweep, the
-/// work per root is O(cone): the support walk stops past
-/// [`COLLAPSE_SUPPORT`] nets, the cone's truth table is simulated over the
-/// cone's own gates ([`cone_function_on`](crate::conefn::cone_function_on)),
-/// and the area a rebuild would retire is found by a reference-count walk
-/// over the cone (ABC's `deref`) against per-net use counts. The use counts
-/// cost O(netlist) to build, once before phase 1 and again only when an
-/// accepted rebuild has changed the netlist — which then already pays
-/// O(netlist) for [`Netlist::replace_net_uses`].
+/// work per root is O(cone). A support walk that stops past
+/// [`COLLAPSE_SUPPORT`] nets refuses wide cones; any other cone is resolved
+/// once into one program (`conefn::Cone`), and the truth table, the
+/// structural cover and the area a rebuild would retire all read it. The
+/// area comes from a reference-count walk over the cone (ABC's `deref`)
+/// against per-net use counts. The use counts cost O(netlist) to build,
+/// once before phase 1 and again only when an accepted rebuild has changed
+/// the netlist — which then already pays O(netlist) for
+/// [`Netlist::replace_net_uses`].
 pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     let mut roots: Vec<NetId> = Vec::new();
     for net in nl.output_nets() {
@@ -176,28 +177,29 @@ fn plan_root<'u>(
     if kind.is_sequential() || kind.is_constant() {
         return Plan::Reject;
     }
-    let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
+    let Some(cone) = Cone::collapse(nl, root, COLLAPSE_SUPPORT) else {
         return Plan::Reject;
     };
+    let tt = cone.truth_table();
     if let Some(v) = tt.as_constant() {
         return Plan::Constant(v);
     }
-    let dying = uses().dying_area(nl, root, lib);
+    let dying = uses().dying_area(&cone, lib);
     if cannot_pay_off(&tt, dying, lib) {
         return Plan::Reject;
     }
     // Seed the minimizer with the structural cover when it is small enough;
     // otherwise fall back to the canonical minterm cover.
-    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
+    let start = structural_cover(&cone, 4 * MAX_COVER_CUBES)
         .unwrap_or_else(|| Cover::from_truth_table(&tt));
     let minimized = match prior {
-        Some(Plan::Rebuild(p)) if p.support == support && p.tt == tt && p.start == start => {
+        Some(Plan::Rebuild(p)) if p.support == cone.support && p.tt == tt && p.start == start => {
             p.minimized.clone()
         }
         _ => minimize(&start, None, &EspressoOptions::default()),
     };
     Plan::Rebuild(ConePlan {
-        support,
+        support: cone.support,
         tt,
         start,
         minimized,
@@ -288,51 +290,29 @@ fn cover_cost(cover: &Cover, lib: &Library) -> f64 {
     scratch.area_report(lib).combinational
 }
 
-/// Extracts a sum-of-products cover of the cone by structural collapse
-/// (the tool's internal "collapse" operation). Returns `None` if any
-/// intermediate cover exceeds `cap` cubes.
-pub fn structural_cover(nl: &Netlist, root: NetId, support: &[NetId], cap: usize) -> Option<Cover> {
-    let nvars = support.len();
-    let var_of = |n: NetId| support.iter().position(|&s| s == n);
-    let gates = topo::cone_gates(nl, root);
-    // Per-net cover (and its complement where cheap to track).
-    let mut covers: std::collections::HashMap<NetId, Cover> = std::collections::HashMap::new();
-    let lookup = |covers: &std::collections::HashMap<NetId, Cover>,
-                  nl: &Netlist,
-                  n: NetId|
-     -> Option<Cover> {
-        if let Some(v) = var_of(n) {
-            return Some(Cover::from_cubes(
-                nvars,
-                [Cube::new(nvars, 1u64 << v, 1u64 << v)],
-            ));
-        }
-        if let Some(c) = nl.as_constant(n) {
-            return Some(if c {
-                Cover::tautology_cover(nvars)
-            } else {
-                Cover::empty(nvars)
-            });
-        }
-        covers.get(&n).cloned()
-    };
-    for gid in gates {
-        let g = nl.gate(gid).clone();
-        let ins: Vec<Cover> = g
-            .inputs
-            .iter()
-            .map(|&i| lookup(&covers, nl, i))
-            .collect::<Option<Vec<_>>>()?;
-        let out = eval_cover(g.kind, &ins, cap)?;
+/// Extracts a sum-of-products cover of a single-root cone over its
+/// support by structural collapse (the tool's internal "collapse"
+/// operation): one cover per slot, each gate's built from its fanins'.
+/// Returns `None` if any intermediate cover exceeds `cap` cubes.
+pub(crate) fn structural_cover(cone: &Cone, cap: usize) -> Option<Cover> {
+    let nvars = cone.support.len();
+    let mut covers: Vec<Cover> = (0..nvars)
+        .map(|v| Cover::from_cubes(nvars, [Cube::new(nvars, 1u64 << v, 1u64 << v)]))
+        .collect();
+    covers.push(Cover::empty(nvars));
+    covers.push(Cover::tautology_cover(nvars));
+    for op in &cone.ops {
+        let ins = op.ins.map(|s| &covers[s]);
+        let out = eval_cover(op.kind, &ins[..op.kind.arity()], cap)?;
         if out.cube_count() > cap {
             return None;
         }
-        covers.insert(g.output, out);
+        covers.push(out);
     }
-    lookup(&covers, nl, root)
+    Some(covers.swap_remove(cone.roots[0]))
 }
 
-fn eval_cover(kind: GateKind, ins: &[Cover], cap: usize) -> Option<Cover> {
+fn eval_cover(kind: GateKind, ins: &[&Cover], cap: usize) -> Option<Cover> {
     use GateKind::*;
     let and2 = |a: &Cover, b: &Cover| -> Option<Cover> {
         let mut out = Cover::empty(a.nvars());
@@ -349,7 +329,7 @@ fn eval_cover(kind: GateKind, ins: &[Cover], cap: usize) -> Option<Cover> {
         out.remove_contained_cubes();
         Some(out)
     };
-    let or_all = |cs: &[Cover]| -> Option<Cover> {
+    let or_all = |cs: &[&Cover]| -> Option<Cover> {
         let mut out = cs[0].clone();
         for c in &cs[1..] {
             out = out.union(c);
@@ -361,7 +341,7 @@ fn eval_cover(kind: GateKind, ins: &[Cover], cap: usize) -> Option<Cover> {
             Some(out)
         }
     };
-    let and_all = |cs: &[Cover]| -> Option<Cover> {
+    let and_all = |cs: &[&Cover]| -> Option<Cover> {
         let mut out = cs[0].clone();
         for c in &cs[1..] {
             out = and2(&out, c)?;
@@ -377,55 +357,44 @@ fn eval_cover(kind: GateKind, ins: &[Cover], cap: usize) -> Option<Cover> {
         }
     };
     match kind {
-        Const0 => Some(Cover::empty(ins.first().map(|c| c.nvars()).unwrap_or(0))),
-        Const1 => Some(Cover::tautology_cover(
-            ins.first().map(|c| c.nvars()).unwrap_or(0),
-        )),
         Buf => Some(ins[0].clone()),
-        Inv => not(&ins[0]),
+        Inv => not(ins[0]),
         And2 | And3 | And4 => and_all(ins),
         Or2 | Or3 | Or4 => or_all(ins),
         Nand2 | Nand3 | Nand4 => not(&and_all(ins)?),
         Nor2 | Nor3 | Nor4 => not(&or_all(ins)?),
         Xor2 => {
-            let na = not(&ins[0])?;
-            let nb = not(&ins[1])?;
-            or_all(&[and2(&ins[0], &nb)?, and2(&na, &ins[1])?])
+            let na = not(ins[0])?;
+            let nb = not(ins[1])?;
+            or_all(&[&and2(ins[0], &nb)?, &and2(&na, ins[1])?])
         }
         Xnor2 => {
-            let na = not(&ins[0])?;
-            let nb = not(&ins[1])?;
-            or_all(&[and2(&ins[0], &ins[1])?, and2(&na, &nb)?])
+            let na = not(ins[0])?;
+            let nb = not(ins[1])?;
+            or_all(&[&and2(ins[0], ins[1])?, &and2(&na, &nb)?])
         }
         Mux2 => {
-            let ns = not(&ins[0])?;
-            or_all(&[and2(&ns, &ins[1])?, and2(&ins[0], &ins[2])?])
+            let ns = not(ins[0])?;
+            or_all(&[&and2(&ns, ins[1])?, &and2(ins[0], ins[2])?])
         }
-        Aoi21 => not(&or_all(&[and2(&ins[0], &ins[1])?, ins[2].clone()])?),
-        Oai21 => not(&and2(&or_all(&[ins[0].clone(), ins[1].clone()])?, &ins[2])?),
-        Aoi22 => not(&or_all(&[
-            and2(&ins[0], &ins[1])?,
-            and2(&ins[2], &ins[3])?,
-        ])?),
+        Aoi21 => not(&or_all(&[&and2(ins[0], ins[1])?, ins[2]])?),
+        Oai21 => not(&and2(&or_all(&[ins[0], ins[1]])?, ins[2])?),
+        Aoi22 => not(&or_all(&[&and2(ins[0], ins[1])?, &and2(ins[2], ins[3])?])?),
         Oai22 => not(&and2(
-            &or_all(&[ins[0].clone(), ins[1].clone()])?,
-            &or_all(&[ins[2].clone(), ins[3].clone()])?,
+            &or_all(&[ins[0], ins[1]])?,
+            &or_all(&[ins[2], ins[3]])?,
         )?),
-        Dff { .. } => None,
+        Const0 | Const1 | Dff { .. } => {
+            unreachable!("cone programs hold only non-constant combinational gates")
+        }
     }
-}
-
-/// The function of the cone at `root` over its support, or `None` past
-/// `max_support` nets: what a test compares before and after a pass.
-pub fn cone_tt(nl: &Netlist, root: NetId, max_support: usize) -> Option<TruthTable> {
-    cone_function(nl, root, max_support).map(|(_, tt)| tt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conefn::tests::random_netlist;
-    use synthir_netlist::Library;
+    use synthir_netlist::{topo, Library};
 
     /// The formulation `UseCounts::dying_area` replaced: a fanout map and an
     /// output-net set built for the whole netlist on every query.
@@ -468,7 +437,8 @@ mod tests {
                     continue;
                 }
                 let root = g.output;
-                let area = uses.dying_area(&nl, root, &lib);
+                let cone = Cone::collapse(&nl, root, usize::MAX).unwrap();
+                let area = uses.dying_area(&cone, &lib);
                 let expected = dying_cone_area_oracle(&nl, root, &lib);
                 assert_eq!(
                     area.to_bits(),
@@ -537,9 +507,9 @@ mod tests {
             nl.add_output("y", &[y]);
             crate::aigopt::aig_optimize(&mut nl, None, &mut [], false);
             let y = nl.output_nets()[0];
-            let (support, cone) = cone_function(&nl, y, n).unwrap();
-            let start = structural_cover(&nl, y, &support, 4 * MAX_COVER_CUBES)
-                .unwrap_or_else(|| Cover::from_truth_table(&cone));
+            let cone = Cone::collapse(&nl, y, n).unwrap();
+            let start = structural_cover(&cone, 4 * MAX_COVER_CUBES)
+                .unwrap_or_else(|| Cover::from_truth_table(&cone.truth_table()));
             let seeded = cover_cost(&minimize(&start, None, &EspressoOptions::default()), &lib);
             for cost in [direct, seeded] {
                 assert!(
@@ -580,16 +550,17 @@ mod tests {
             if kind.is_sequential() || kind.is_constant() {
                 continue;
             }
-            let Some((support, tt)) = cone_function(nl, root, COLLAPSE_SUPPORT) else {
+            let Some(cone) = Cone::collapse(nl, root, COLLAPSE_SUPPORT) else {
                 continue;
             };
+            let (support, tt) = (cone.support.to_vec(), cone.truth_table());
             let new_root = match tt.as_constant() {
                 Some(v) => nl.constant(v),
                 None => {
-                    let start = structural_cover(nl, root, &support, 4 * MAX_COVER_CUBES)
+                    let start = structural_cover(&cone, 4 * MAX_COVER_CUBES)
                         .unwrap_or_else(|| Cover::from_truth_table(&tt));
                     let minimized = minimize(&start, None, &EspressoOptions::default());
-                    let dying = UseCounts::count(nl).dying_area(nl, root, lib);
+                    let dying = UseCounts::count(nl).dying_area(&cone, lib);
                     if minimized.cube_count() > MAX_COVER_CUBES
                         || cover_cost(&minimized, lib) > dying
                     {
@@ -613,14 +584,15 @@ mod tests {
             let nl = random_netlist(seed);
             let uses = UseCounts::count(&nl);
             for root in nl.output_nets() {
-                let Some((_, tt)) = cone_function(&nl, root, COLLAPSE_SUPPORT) else {
+                let Some(cone) = Cone::collapse(&nl, root, COLLAPSE_SUPPORT) else {
                     continue;
                 };
+                let tt = cone.truth_table();
                 if nl
                     .driver(root)
                     .is_some_and(|g| !nl.gate(g).kind.is_sequential())
                     && tt.as_constant().is_none()
-                    && cannot_pay_off(&tt, uses.dying_area(&nl, root, &lib), &lib)
+                    && cannot_pay_off(&tt, uses.dying_area(&cone, &lib), &lib)
                 {
                     refused += 1; // the floor decides this root in phase 1
                 }
@@ -671,7 +643,7 @@ mod tests {
         assert!(nl.num_gates() < before);
         // Function preserved.
         let out = nl.output_nets()[0];
-        let tt2 = cone_tt(&nl, out, 8).unwrap();
+        let tt2 = Cone::collapse(&nl, out, 8).unwrap().truth_table();
         assert_eq!(tt2, tt);
         // Majority-of-3 factored: at most ~6 gates.
         assert!(nl.num_gates() <= 6, "got {}", nl.num_gates());
@@ -702,9 +674,10 @@ mod tests {
         let cd = nl.add_gate(GateKind::Nand2, &[x[2], x[3]]);
         let y = nl.add_gate(GateKind::Xor2, &[ab, cd]);
         nl.add_output("y", &[y]);
-        let cover = structural_cover(&nl, y, &x, 1000).unwrap();
-        let tt = cone_tt(&nl, y, 8).unwrap();
-        assert_eq!(cover.to_truth_table(4), tt);
+        let cone = Cone::collapse(&nl, y, 8).unwrap();
+        assert_eq!(cone.support, x);
+        let cover = structural_cover(&cone, 1000).unwrap();
+        assert_eq!(cover.to_truth_table(4), cone.truth_table());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! sound for level-sensitive async-reset behaviour — the same reason
 //! commercial tools decline) and the flops fan out only into that cone.
 
-use crate::conefn::cone_function_on;
+use crate::conefn::Cone;
 use synthir_netlist::{topo, GateId, GateKind, NetId, Netlist, ResetKind};
 
 /// Widest cone (in support nets) either retiming direction will move flops
@@ -102,13 +102,8 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
         }
         // Find an init preimage: an assignment of the support whose cone
         // image equals the flop init vector.
-        if support.len() > 20 {
-            continue;
-        }
-        let d_tts: Vec<_> = flops
-            .iter()
-            .map(|&f| cone_function_on(nl, nl.gate(f).inputs[0], &support))
-            .collect();
+        let ds: Vec<NetId> = flops.iter().map(|&f| nl.gate(f).inputs[0]).collect();
+        let d_tts = Cone::new(nl, &ds, &support).truth_tables();
         let inits: Vec<bool> = flops
             .iter()
             .map(|&f| match nl.gate(f).kind {
@@ -298,7 +293,7 @@ fn apply(nl: &mut Netlist, root: NetId) {
         _ => unreachable!(),
     };
     // New init = cone evaluated on the old init vector.
-    let tt = cone_function_on(nl, root, &support);
+    let tt = Cone::new(nl, &[root], &support).truth_table();
     let mut init_minterm = 0usize;
     for (i, &f) in flops.iter().enumerate() {
         if let GateKind::Dff { init, .. } = nl.gate(f).kind {

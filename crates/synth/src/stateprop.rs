@@ -7,6 +7,12 @@
 //! nets with identical columns are merged (the "merging nodes under
 //! observability" optimization of the paper's reference \[16\]).
 //!
+//! One topological scan finds the group's forward cone. The cone is then
+//! compiled into one `conefn::Cone` program whose leaves are the group
+//! nets, and simulated with the value set's patterns, 64 values per word.
+//! A group net that a gate drives (a decoder's outputs, say) is read at the
+//! net, as the annotation describes it, never through its driver.
+//!
 //! Two faithful limitations of the commercial tool are modelled:
 //!
 //! * **flop boundaries stop propagation** — the cone exploration never
@@ -17,6 +23,8 @@
 //!   paper's observation that annotating subfields wider than 32 bits stops
 //!   being effective.
 
+use crate::conefn::Cone;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use synthir_netlist::{topo, NetId, Netlist};
 use synthir_rtl::elaborate::NetGroupValues;
@@ -59,7 +67,7 @@ fn propagate_group(nl: &mut Netlist, group: &NetGroupValues, max_k: usize) -> us
     };
     let group_nets: HashSet<NetId> = group.nets.iter().copied().collect();
     let mut supported: HashSet<NetId> = group_nets.clone();
-    let mut cone: Vec<(NetId, synthir_netlist::GateId)> = Vec::new();
+    let mut cone: Vec<NetId> = Vec::new();
     for gid in &order {
         let g = nl.gate(*gid);
         if g.kind.is_sequential() {
@@ -71,96 +79,56 @@ fn propagate_group(nl: &mut Netlist, group: &NetGroupValues, max_k: usize) -> us
         }
         if g.inputs.iter().all(|i| supported.contains(i)) && !group_nets.contains(&g.output) {
             supported.insert(g.output);
-            cone.push((g.output, *gid));
+            cone.push(g.output);
         }
     }
     if cone.is_empty() {
         return 0;
     }
 
-    // Evaluate the cone over all k values, 64 per word.
+    // Evaluate the cone over all k values, 64 per word, as one program
+    // whose leaves are the group nets. A group net driven by a constant is
+    // no leaf, so it reads as that constant.
+    let (leaves, support): (Vec<usize>, Vec<NetId>) = (group.nets.iter().copied().enumerate())
+        .filter(|&(_, n)| nl.as_constant(n).is_none())
+        .unzip();
     let words = k.div_ceil(64);
-    let mut sigs: HashMap<NetId, Vec<u64>> = HashMap::new();
-    for (n, _) in &cone {
-        sigs.insert(*n, vec![0u64; words]);
-    }
-    let mut net_vals = vec![0u64; nl.num_nets()];
-    for w in 0..words {
-        for (bit_idx, &net) in group.nets.iter().enumerate() {
-            let mut word = 0u64;
-            for b in 0..64 {
-                let vi = w * 64 + b;
-                if vi < k && vals[vi] >> bit_idx & 1 != 0 {
-                    word |= 1 << b;
-                }
-            }
-            net_vals[net.index()] = word;
-        }
-        for (_, g) in nl.gates() {
-            if g.kind.is_constant() {
-                net_vals[g.output.index()] = g.kind.eval_words(&[]);
-            }
-        }
-        let mut ins = Vec::with_capacity(4);
-        for (n, gid) in &cone {
-            let g = nl.gate(*gid);
-            ins.clear();
-            ins.extend(g.inputs.iter().map(|i| net_vals[i.index()]));
-            let v = g.kind.eval_words(&ins);
-            net_vals[n.index()] = v;
-            sigs.get_mut(n).expect("cone net")[w] = v;
-        }
-    }
-
-    // Mask for the tail of the last word.
-    let tail_bits = k - (words - 1) * 64;
-    let tail_mask = if tail_bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << tail_bits) - 1
+    // Bits past the k-th value are masked off every signature.
+    let mask = |w: usize| match k - w * 64 {
+        bits @ 1..64 => (1u64 << bits) - 1,
+        _ => u64::MAX,
     };
-    let is_const = |sig: &[u64], val: bool| -> bool {
-        for (i, &w) in sig.iter().enumerate() {
-            let mask = if i + 1 == sig.len() {
-                tail_mask
-            } else {
-                u64::MAX
-            };
-            let expect = if val { mask } else { 0 };
-            if w & mask != expect {
-                return false;
-            }
-        }
-        true
+    let value_word = |i: usize, w: usize| -> u64 {
+        let bit = leaves[i];
+        (0..64)
+            .filter(|b| vals.get(w * 64 + b).is_some_and(|v| v >> bit & 1 != 0))
+            .fold(0, |word, b| word | 1 << b)
     };
+    let mut sigs = vec![vec![0u64; words]; cone.len()];
+    Cone::new(nl, &cone, &support).simulate(words, value_word, |r, w, word| {
+        sigs[r][w] = word & mask(w);
+    });
 
+    let zeros = vec![0u64; words];
+    let ones: Vec<u64> = (0..words).map(mask).collect();
     let mut changed = 0;
     let mut reps: HashMap<Vec<u64>, NetId> = HashMap::new();
-    for (n, _) in &cone {
-        let sig = sigs[n].clone();
-        if is_const(&sig, false) {
-            let c = nl.const0();
-            nl.replace_net_uses(*n, c);
-            changed += 1;
-        } else if is_const(&sig, true) {
-            let c = nl.const1();
-            nl.replace_net_uses(*n, c);
-            changed += 1;
+    for (&n, sig) in cone.iter().zip(sigs) {
+        let rep = if sig == zeros {
+            nl.const0()
+        } else if sig == ones {
+            nl.const1()
         } else {
-            let mut key = sig;
-            if let Some(last) = key.last_mut() {
-                *last &= tail_mask;
-            }
-            match reps.get(&key) {
-                Some(&rep) => {
-                    nl.replace_net_uses(*n, rep);
-                    changed += 1;
-                }
-                None => {
-                    reps.insert(key, *n);
+            match reps.entry(sig) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    e.insert(n);
+                    continue;
                 }
             }
-        }
+        };
+        nl.replace_net_uses(n, rep);
+        changed += 1;
     }
     changed
 }
@@ -259,6 +227,43 @@ mod tests {
         let changed = state_propagate(&mut nl, &groups, 32);
         assert!(changed > 0);
         assert_eq!(nl.as_constant(nl.output_nets()[0]), Some(false));
+    }
+
+    /// A group driven by a comb decoder: the annotation (a narrower set
+    /// than the decoder can produce) holds at the group nets, so the cone
+    /// program must read them as its leaves. Walking on into the decoder
+    /// would either read its inputs, outside the program's support, or
+    /// evaluate the decoder and lose the annotation's constants.
+    #[test]
+    fn decoder_driven_group_is_read_at_its_nets() {
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 2);
+        let nx: Vec<NetId> = x
+            .iter()
+            .map(|&b| nl.add_gate(GateKind::Inv, &[b]))
+            .collect();
+        let d = vec![
+            nl.add_gate(GateKind::And2, &[nx[0], nx[1]]),
+            nl.add_gate(GateKind::And2, &[x[0], nx[1]]),
+            nl.add_gate(GateKind::And2, &[nx[0], x[1]]),
+            nl.add_gate(GateKind::And2, &[x[0], x[1]]),
+        ];
+        let high = nl.add_gate(GateKind::Or2, &[d[2], d[3]]);
+        let d0 = nl.add_gate(GateKind::And2, &[d[0], d[0]]);
+        let nd1 = nl.add_gate(GateKind::Inv, &[d[1]]);
+        nl.add_output("high", &[high]);
+        nl.add_output("d0", &[d0]);
+        nl.add_output("nd1", &[nd1]);
+        // The designer's claim: only the two low decoder outputs fire.
+        let groups = vec![NetGroupValues {
+            nets: d,
+            values: ValueSet::from_values(4, [0b0001, 0b0010]),
+        }];
+        let changed = state_propagate(&mut nl, &groups, 32);
+        assert_eq!(changed, 2);
+        let outs = nl.output_nets();
+        assert_eq!(nl.as_constant(outs[0]), Some(false), "d2 | d3 folds to 0");
+        assert_eq!(outs[2], outs[1], "!d1 merges into d0");
     }
 
     #[test]

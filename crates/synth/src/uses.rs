@@ -1,8 +1,8 @@
 //! Per-net use counts: what resynthesis asks of a fanout map, kept current
 //! in place instead of rebuilt per query.
 
-use std::collections::HashMap;
-use synthir_netlist::{topo, Library, NetId, Netlist};
+use crate::conefn::Cone;
+use synthir_netlist::{Library, Netlist};
 
 /// How often each net is used: once per gate-input pin reading it (so
 /// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
@@ -29,40 +29,34 @@ impl UseCounts {
         UseCounts { refs }
     }
 
-    /// The area of the cone gates that would die if every consumer of
-    /// `root` were rewired away: the root's driver, then every cone gate
-    /// whose uses all come from dying gates. Visiting the cone in reverse
-    /// topological order settles each gate's consumers before the gate, so
-    /// one pass counts, per cone gate, the uses that dying gates take away
-    /// (the `deref` walk), in a cone-local tally that leaves `self` as it
-    /// is. The areas are summed in the cone's topological order, so the
-    /// `f64` total — and every accept/reject decision made on it — is the
-    /// same every run.
-    pub(crate) fn dying_area(&self, nl: &Netlist, root: NetId, lib: &Library) -> f64 {
-        let cone = topo::cone_gates(nl, root); // topological: inputs first
-        let pos: HashMap<NetId, usize> = cone
-            .iter()
-            .enumerate()
-            .map(|(j, &g)| (nl.gate(g).output, j))
-            .collect();
-        // Per cone gate: the uses of its output by dying cone gates.
-        let mut lost = vec![0u32; cone.len()];
-        let mut dying = vec![false; cone.len()];
-        for (j, &g) in cone.iter().enumerate().rev() {
-            let gate = nl.gate(g);
-            if gate.output == root || self.refs[gate.output.index()] == lost[j] {
+    /// The area of the gates of a single-root `cone` that would die if
+    /// every consumer of its root were rewired away: the root's driver,
+    /// then every cone gate whose uses all come from dying gates. Visiting
+    /// the program in reverse topological order settles each gate's
+    /// consumers before the gate, so one pass counts, per slot, the uses
+    /// that dying gates take away (the `deref` walk), in a cone-local tally
+    /// that leaves `self` as it is. The areas are summed in the cone's
+    /// topological order, so the `f64` total — and every accept/reject
+    /// decision made on it — is the same every run.
+    pub(crate) fn dying_area(&self, cone: &Cone, lib: &Library) -> f64 {
+        let root = cone.roots[0];
+        let first = cone.support.len() + 2; // the slot of gate 0
+        let ops = &cone.ops;
+        // Per slot: the uses of its value by dying cone gates.
+        let mut lost = vec![0u32; first + ops.len()];
+        let mut dying = vec![false; ops.len()];
+        for (j, op) in ops.iter().enumerate().rev() {
+            if first + j == root || self.refs[op.out.index()] == lost[first + j] {
                 dying[j] = true;
-                for i in &gate.inputs {
-                    if let Some(&p) = pos.get(i) {
-                        lost[p] += 1;
-                    }
+                for &i in &op.ins[..op.kind.arity()] {
+                    lost[i] += 1;
                 }
             }
         }
-        cone.iter()
+        ops.iter()
             .zip(&dying)
             .filter(|(_, &d)| d)
-            .map(|(&g, _)| lib.area(nl.gate(g).kind))
+            .map(|(op, _)| lib.area(op.kind))
             .sum()
     }
 }
