@@ -2,12 +2,9 @@
 //! program over slots, then simulated block by block.
 //!
 //! `Cone` is the one place where the synthesis passes compile a cone to
-//! evaluate it. Resynthesis builds one per root and reads its truth table,
-//! its dying area and its structural cover from it; FSM re-encoding builds
-//! one over every root it tracks and simulates it once per reachable state
-//! code; state propagation evaluates an annotated group's forward cone
-//! through one; backward retiming collapses a flop bank's D cones through
-//! one.
+//! evaluate it: resynthesis (one per root), FSM re-encoding (one over every
+//! root it tracks), state propagation (an annotated group's forward cone)
+//! and backward retiming (a flop bank's D cones).
 //!
 //! Slots number the values a cone program computes: the support nets
 //! first (`0..k`), then the constants 0 and 1 (`k`, `k + 1`), then the
@@ -57,11 +54,10 @@ enum Node {
 }
 
 impl Cone {
-    /// The cone of `root` over its whole combinational support: the
-    /// primary inputs, flop outputs and undriven nets it reads, sorted by
-    /// id. `None` if the support exceeds `max_support`; the support walk
-    /// ([`topo::comb_support_within`]) stops at the first source past it,
-    /// so refusing a wide cone costs only the part of it visited until then.
+    /// The cone of `root` over its whole combinational support (the sources
+    /// it reads, sorted by id), or `None` past `max_support` support nets:
+    /// the support walk ([`topo::comb_support_within`]) stops at the first
+    /// source past the limit, so refusing a wide cone is cheap.
     pub(crate) fn collapse(nl: &Netlist, root: NetId, max_support: usize) -> Option<Cone> {
         let support = topo::comb_support_within(nl, root, max_support)?;
         Some(Cone::new(nl, &[root], &support))

@@ -48,6 +48,11 @@ pub const FSM_ENUM_LIMIT: usize = 1 << 18;
 /// (a state net no longer driven by a flop) or the extraction exceeds
 /// [`FSM_ENUM_LIMIT`]; callers typically treat this as "skip the pass",
 /// exactly like a synthesis tool giving up on FSM extraction.
+///
+/// # Panics
+///
+/// Panics if the logic it extracts holds a combinational cycle
+/// ([`Netlist::validate`] rejects such a netlist, as `compile` does first).
 pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result<(), SynthError> {
     let state_width = fsm.state_nets.len();
     if state_width == 0 || state_width > 24 {
@@ -260,12 +265,10 @@ struct StateGraph {
 }
 
 impl StateGraph {
-    /// Extracts the graph by a breadth-first search from the reset code.
-    /// `roots` starts with the state flops' D inputs in state-bit order;
-    /// bit `i` of a free-input combination is `others[i]`. The roots are
-    /// one cone program over the state nets and the free inputs; each
-    /// reachable code is one simulation of it, the state bits constant
-    /// words. Fails past `max_codes` reachable codes.
+    /// Extracts the graph breadth-first from the reset code, simulating one
+    /// cone program over `[state nets, others]` per reachable code (the
+    /// state bits constant words) and failing past `max_codes` codes.
+    /// `roots` starts with the state flops' D inputs in state-bit order.
     fn extract(
         nl: &Netlist,
         fsm: &FsmNets,
