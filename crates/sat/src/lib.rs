@@ -100,6 +100,17 @@ pub enum SatResult {
     Unsat,
 }
 
+/// Search counters of a [`Solver`], summed over all its `solve` calls.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Stats {
+    /// Conflicts reached.
+    pub conflicts: u64,
+    /// Branching decisions made.
+    pub decisions: u64,
+    /// Trail literals propagated (each literal's watch list walked once).
+    pub propagations: u64,
+}
+
 const NO_REASON: u32 = u32::MAX;
 const LEVEL_NONE: u32 = u32::MAX;
 
@@ -241,7 +252,7 @@ pub struct Solver {
     model: Vec<bool>,
     ok: bool,
     num_learned: usize,
-    conflicts: u64,
+    stats: Stats,
 }
 
 impl Solver {
@@ -276,9 +287,9 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of conflicts encountered across all `solve` calls.
-    pub fn num_conflicts(&self) -> u64 {
-        self.conflicts
+    /// The search counters, summed over all `solve` calls so far.
+    pub fn stats(&self) -> Stats {
+        self.stats
     }
 
     /// Adds a clause (a disjunction of literals).
@@ -371,11 +382,11 @@ impl Solver {
             self.ok = false;
             return Some(SatResult::Unsat);
         }
-        let stop = self.conflicts.saturating_add(max_conflicts);
+        let stop = self.stats.conflicts.saturating_add(max_conflicts);
         let mut restarts = 0u32;
         let mut max_learned = (self.clauses.len() / 3).max(1000);
         loop {
-            let left = stop.saturating_sub(self.conflicts);
+            let left = stop.saturating_sub(self.stats.conflicts);
             if left == 0 {
                 return None;
             }
@@ -413,7 +424,7 @@ impl Solver {
         let mut local_conflicts = 0u64;
         loop {
             if let Some(confl) = self.propagate() {
-                self.conflicts += 1;
+                self.stats.conflicts += 1;
                 local_conflicts += 1;
                 if self.decision_level() == 0 {
                     return Some(SatResult::Unsat);
@@ -438,6 +449,7 @@ impl Solver {
                         return Some(SatResult::Sat);
                     }
                     Some(l) => {
+                        self.stats.decisions += 1;
                         self.trail_lim.push(self.trail.len());
                         self.unchecked_enqueue(l, NO_REASON);
                     }
@@ -488,6 +500,7 @@ impl Solver {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
+            self.stats.propagations += 1;
             let false_lit = !p;
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
@@ -826,7 +839,7 @@ mod tests {
     fn conflict_budget_gives_up_and_resumes() {
         let mut s = pigeonhole(6, 5);
         assert_eq!(s.solve_limited(10), None);
-        assert!(s.num_conflicts() >= 10);
+        assert!(s.stats().conflicts >= 10);
         assert_eq!(s.solve_limited(u64::MAX), Some(SatResult::Unsat));
         let mut s = pigeonhole(4, 4);
         assert_eq!(s.solve_limited(1_000_000), Some(SatResult::Sat));

@@ -144,3 +144,63 @@ fn incremental_clause_addition_matches_oracle() {
         );
     }
 }
+
+/// Random 3-SAT-style CNFs at the 4.26 clauses-per-variable threshold, where
+/// about half the instances are satisfiable and the search is hardest:
+/// widths 1–4, mostly 3, repeated and complementary literals kept.
+fn threshold_cnf(rng: &mut SplitMix, nvars: usize) -> Vec<Vec<(usize, bool)>> {
+    let nclauses = (4.26 * nvars as f64).round() as usize + rng.below(3) as usize;
+    (0..nclauses)
+        .map(|_| {
+            let len = match rng.below(10) {
+                0 => 1,
+                1 | 2 => 2,
+                9 => 4,
+                _ => 3,
+            };
+            (0..len)
+                .map(|_| (rng.below(nvars as u64) as usize, rng.below(2) == 1))
+                .collect()
+        })
+        .collect()
+}
+
+/// Checks `count` threshold CNFs of 1 to `max_vars` variables: the verdict
+/// against enumeration, and every model against every clause.
+fn check_threshold_cnfs(seed: u64, count: usize, max_vars: usize) {
+    let mut rng = SplitMix::new(seed);
+    for i in 0..count {
+        let nvars = 1 + i % max_vars;
+        let clauses = threshold_cnf(&mut rng, nvars);
+        let expect = brute_force(nvars, &clauses);
+        let (mut s, vars) = solver_for(nvars, &clauses);
+        let verdict = s.solve();
+        assert_eq!(
+            verdict == SatResult::Sat,
+            expect.is_some(),
+            "instance {i}: {clauses:?}"
+        );
+        if verdict == SatResult::Sat {
+            for clause in &clauses {
+                assert!(
+                    clause
+                        .iter()
+                        .any(|&(v, neg)| s.model_value(Lit::new(vars[v], neg))),
+                    "instance {i}: model violates a clause"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn threshold_cnfs_match_brute_force() {
+    check_threshold_cnfs(0x5A7_0001, 600, 12);
+}
+
+/// Up to 16 variables and many more instances: a few seconds in release.
+#[test]
+#[ignore]
+fn threshold_cnfs_match_brute_force_up_to_16_variables() {
+    check_threshold_cnfs(0x5A7_0016, 6000, 16);
+}
