@@ -114,20 +114,54 @@ pub struct Stats {
 const NO_REASON: u32 = u32::MAX;
 const LEVEL_NONE: u32 = u32::MAX;
 
-#[derive(Debug)]
-struct Clause {
-    lits: Vec<Lit>,
-    learned: bool,
-    deleted: bool,
-    activity: f64,
-}
+/// Header bit of a learned clause (followed by its activity).
+const LEARNED: u32 = 1;
+/// Header bit of a clause `reduce_db` is about to drop.
+const DELETED: u32 = 2;
+/// The literal count sits above the two flag bits.
+const LEN_SHIFT: u32 = 2;
 
+/// A clause: the offset of its header word in the solver's arena.
+type CRef = u32;
+
+/// A watch-list entry.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    cref: u32,
+    /// The clause's [`CRef`] shifted left once; the low bit marks a binary
+    /// clause.
+    tagged: u32,
     /// Any other literal of the clause; if it is already true the clause is
     /// satisfied and the watch list walk can skip the clause body entirely.
+    /// A binary clause's blocker is its other literal, so propagating it
+    /// never reads the clause body.
     blocker: Lit,
+}
+
+impl Watcher {
+    fn new(cref: CRef, binary: bool, blocker: Lit) -> Watcher {
+        Watcher {
+            tagged: cref << 1 | u32::from(binary),
+            blocker,
+        }
+    }
+
+    fn cref(self) -> CRef {
+        self.tagged >> 1
+    }
+
+    fn is_binary(self) -> bool {
+        self.tagged & 1 != 0
+    }
+}
+
+/// The clause a propagation conflict falsified.
+#[derive(Clone, Copy, Debug)]
+enum Conflict {
+    /// A clause of three or more literals, read from the arena.
+    Long(CRef),
+    /// A binary clause and its literals in conflict order: the watch
+    /// list's blocker, then the literal whose list was walked.
+    Binary(CRef, [Lit; 2]),
 }
 
 /// Assignment of a variable: `0` unassigned, `1` true, `-1` false.
@@ -235,11 +269,17 @@ impl VarHeap {
 /// assignment.
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
+    /// Every clause back to back: a header word (`len << LEN_SHIFT` plus
+    /// the flag bits), the literals, and for a learned clause its `f64`
+    /// activity in two words. `reduce_db` compacts it.
+    arena: Vec<u32>,
+    /// Clauses attached so far, deleted ones included: each `solve` starts
+    /// its learned-clause limit at a third of this.
+    attached: usize,
     watches: Vec<Vec<Watcher>>,
     assign: Vec<Assign>,
     level: Vec<u32>,
-    reason: Vec<u32>,
+    reason: Vec<CRef>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -253,6 +293,12 @@ pub struct Solver {
     ok: bool,
     num_learned: usize,
     stats: Stats,
+    /// Scratch for `add_clause`'s normalized literals.
+    scratch: Vec<Lit>,
+    /// Scratch for the clause `analyze` learns.
+    learnt: Vec<Lit>,
+    /// Scratch for the variables `analyze` marks seen.
+    to_clear: Vec<Var>,
 }
 
 impl Solver {
@@ -307,62 +353,110 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Normalize: sort, dedup, drop top-level-false literals, detect
-        // tautologies and top-level-satisfied clauses.
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
+        let mut keep = std::mem::take(&mut self.scratch);
+        let ok = if self.normalize(lits, &mut keep) {
+            match keep.len() {
+                0 => {
+                    self.ok = false;
+                    false
+                }
+                1 => {
+                    self.unchecked_enqueue(keep[0], NO_REASON);
+                    self.ok = self.propagate().is_none();
+                    self.ok
+                }
+                _ => {
+                    self.attach(&keep, false);
+                    true
+                }
+            }
+        } else {
+            true
+        };
+        self.scratch = keep;
+        ok
+    }
+
+    /// Sorts and dedups `lits` into `keep`, dropping literals false at
+    /// level 0. Returns `false` for a tautology (`x | !x`) or a clause
+    /// already satisfied at level 0, which need not be added.
+    fn normalize(&self, lits: &[Lit], keep: &mut Vec<Lit>) -> bool {
+        keep.clear();
+        keep.extend_from_slice(lits);
+        keep.sort_unstable();
+        keep.dedup();
         let mut prev: Option<Lit> = None;
-        let mut keep: Vec<Lit> = Vec::with_capacity(ls.len());
-        for &l in &ls {
+        let mut j = 0;
+        for i in 0..keep.len() {
+            let l = keep[i];
             assert!(l.var().index() < self.num_vars(), "unknown variable");
             if prev == Some(!l) {
-                return true; // tautology: x | !x
+                return false;
             }
             match lit_val(&self.assign, l) {
-                1 => return true, // already satisfied at level 0
-                -1 => {}          // false at level 0: drop the literal
-                _ => keep.push(l),
+                1 => return false,
+                -1 => {}
+                _ => {
+                    keep[j] = l;
+                    j += 1;
+                }
             }
             prev = Some(l);
         }
-        match keep.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(keep[0], NO_REASON);
-                self.ok = self.propagate().is_none();
-                self.ok
-            }
-            _ => {
-                self.attach(keep, false);
-                true
-            }
-        }
+        keep.truncate(j);
+        true
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learned: bool) -> u32 {
-        let cref = self.clauses.len() as u32;
-        self.watches[lits[0].code()].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[lits[1].code()].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
+    fn attach(&mut self, lits: &[Lit], learned: bool) -> CRef {
+        let cref = self.arena.len() as CRef;
+        let binary = lits.len() == 2;
+        self.arena
+            .push((lits.len() as u32) << LEN_SHIFT | if learned { LEARNED } else { 0 });
+        self.arena.extend(lits.iter().map(|l| l.0));
         if learned {
+            self.arena.extend([0, 0]);
             self.num_learned += 1;
         }
-        self.clauses.push(Clause {
-            lits,
-            learned,
-            deleted: false,
-            activity: 0.0,
-        });
+        self.watches[lits[0].code()].push(Watcher::new(cref, binary, lits[1]));
+        self.watches[lits[1].code()].push(Watcher::new(cref, binary, lits[0]));
+        self.attached += 1;
         cref
+    }
+
+    fn clause_len(&self, cref: CRef) -> usize {
+        (self.arena[cref as usize] >> LEN_SHIFT) as usize
+    }
+
+    fn is_learned(&self, cref: CRef) -> bool {
+        self.arena[cref as usize] & LEARNED != 0
+    }
+
+    /// Literal `k` of a clause.
+    fn clause_lit(&self, cref: CRef, k: usize) -> Lit {
+        Lit(self.arena[cref as usize + 1 + k])
+    }
+
+    /// Arena index of a learned clause's activity (low word first).
+    fn activity_at(&self, cref: CRef) -> usize {
+        cref as usize + 1 + self.clause_len(cref)
+    }
+
+    fn clause_activity(&self, cref: CRef) -> f64 {
+        let at = self.activity_at(cref);
+        f64::from_bits(u64::from(self.arena[at]) | u64::from(self.arena[at + 1]) << 32)
+    }
+
+    fn set_clause_activity(&mut self, cref: CRef, a: f64) {
+        let at = self.activity_at(cref);
+        let bits = a.to_bits();
+        self.arena[at] = bits as u32;
+        self.arena[at + 1] = (bits >> 32) as u32;
+    }
+
+    /// The clause after `cref` in the arena.
+    fn next_clause(&self, cref: CRef) -> CRef {
+        let header = self.arena[cref as usize];
+        cref + 1 + (header >> LEN_SHIFT) + if header & LEARNED != 0 { 2 } else { 0 }
     }
 
     /// Solves the current clause set.
@@ -384,7 +478,7 @@ impl Solver {
         }
         let stop = self.stats.conflicts.saturating_add(max_conflicts);
         let mut restarts = 0u32;
-        let mut max_learned = (self.clauses.len() / 3).max(1000);
+        let mut max_learned = (self.attached / 3).max(1000);
         loop {
             let left = stop.saturating_sub(self.stats.conflicts);
             if left == 0 {
@@ -429,9 +523,9 @@ impl Solver {
                 if self.decision_level() == 0 {
                     return Some(SatResult::Unsat);
                 }
-                let (learnt, back_level) = self.analyze(confl);
+                let back_level = self.analyze(confl);
                 self.cancel_until(back_level);
-                self.learn(learnt);
+                self.learn();
                 self.decay_activities();
             } else {
                 if local_conflicts >= budget {
@@ -445,7 +539,8 @@ impl Solver {
                 match self.pick_branch() {
                     None => {
                         // Everything assigned without conflict: a model.
-                        self.model = self.assign.iter().map(|&a| a == 1).collect();
+                        self.model.clear();
+                        self.model.extend(self.assign.iter().map(|&a| a == 1));
                         return Some(SatResult::Sat);
                     }
                     Some(l) => {
@@ -468,7 +563,7 @@ impl Solver {
         None
     }
 
-    fn unchecked_enqueue(&mut self, l: Lit, reason: u32) {
+    fn unchecked_enqueue(&mut self, l: Lit, reason: CRef) {
         let v = l.var().index();
         debug_assert_eq!(self.assign[v], 0);
         self.assign[v] = if l.is_negated() { -1 } else { 1 };
@@ -495,8 +590,8 @@ impl Solver {
         self.qhead = self.trail.len();
     }
 
-    /// Unit propagation; returns the conflicting clause, if any.
-    fn propagate(&mut self) -> Option<u32> {
+    /// Unit propagation; returns the falsified clause, if any.
+    fn propagate(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -509,35 +604,40 @@ impl Solver {
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if lit_val(&self.assign, w.blocker) == 1 {
+                let blocker = lit_val(&self.assign, w.blocker);
+                if blocker == 1 {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let c = &mut self.clauses[w.cref as usize];
-                if c.deleted {
-                    continue; // drop the stale watcher
+                if w.is_binary() {
+                    ws[j] = w;
+                    j += 1;
+                    if blocker == -1 {
+                        conflict = Some(Conflict::Binary(w.cref(), [w.blocker, false_lit]));
+                        break;
+                    }
+                    self.unchecked_enqueue(w.blocker, w.cref());
+                    continue;
                 }
-                if c.lits[0] == false_lit {
-                    c.lits.swap(0, 1);
+                // Keep the false literal in slot 1; slot 0 is the other watch.
+                let at = w.cref() as usize + 1;
+                if self.arena[at] == false_lit.0 {
+                    self.arena.swap(at, at + 1);
                 }
-                debug_assert_eq!(c.lits[1], false_lit);
-                let first = c.lits[0];
-                let w2 = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
+                debug_assert_eq!(self.arena[at + 1], false_lit.0);
+                let first = Lit(self.arena[at]);
+                let w2 = Watcher::new(w.cref(), false, first);
                 if first != w.blocker && lit_val(&self.assign, first) == 1 {
                     ws[j] = w2;
                     j += 1;
                     continue;
                 }
                 // Look for an unwatched non-false literal to take over.
-                for k in 2..c.lits.len() {
-                    if lit_val(&self.assign, c.lits[k]) != -1 {
-                        c.lits.swap(1, k);
-                        let new_watch = c.lits[1].code();
-                        self.watches[new_watch].push(w2);
+                for k in at + 2..at + self.clause_len(w.cref()) {
+                    if lit_val(&self.assign, Lit(self.arena[k])) != -1 {
+                        self.arena.swap(at + 1, k);
+                        self.watches[self.arena[at + 1] as usize].push(w2);
                         continue 'watchers;
                     }
                 }
@@ -545,22 +645,21 @@ impl Solver {
                 ws[j] = w2;
                 j += 1;
                 if lit_val(&self.assign, first) == -1 {
-                    conflict = Some(w.cref);
-                    self.qhead = self.trail.len();
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
+                    conflict = Some(Conflict::Long(w.cref()));
                     break;
                 }
-                self.unchecked_enqueue(first, w.cref);
+                self.unchecked_enqueue(first, w.cref());
+            }
+            if conflict.is_some() {
+                self.qhead = self.trail.len();
+                while i < ws.len() {
+                    ws[j] = ws[i];
+                    j += 1;
+                    i += 1;
+                }
             }
             ws.truncate(j);
-            // Propagation may have appended watchers for this literal (a new
-            // watch can be the propagated literal itself); keep them.
-            let mut tail = std::mem::take(&mut self.watches[false_lit.code()]);
-            ws.append(&mut tail);
+            debug_assert!(self.watches[false_lit.code()].is_empty());
             self.watches[false_lit.code()] = ws;
             if conflict.is_some() {
                 return conflict;
@@ -569,36 +668,51 @@ impl Solver {
         None
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize) {
-        let current = self.decision_level() as u32;
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0: asserting literal
-        let mut to_clear: Vec<Var> = Vec::new();
-        let mut path = 0u32;
-        let mut p: Option<Lit> = None;
-        let mut index = self.trail.len();
-        let mut confl = confl;
-        loop {
-            let skip = usize::from(p.is_some());
-            // Borrow-friendly copy: conflict clauses are short.
-            let clause_lits: Vec<Lit> = self.clauses[confl as usize].lits[skip..].to_vec();
-            if self.clauses[confl as usize].learned {
-                self.bump_clause(confl);
+    /// Marks `q`'s variable seen and bumps it, if it is not yet seen and
+    /// not fixed at level 0: a current-level literal adds a path to resolve
+    /// on, an earlier one joins the learned clause.
+    fn analyze_lit(&mut self, q: Lit, current: u32, path: &mut u32) {
+        let v = q.var();
+        if !self.seen[v.index()] && self.level[v.index()] > 0 {
+            self.seen[v.index()] = true;
+            self.to_clear.push(v);
+            self.bump_var(v);
+            if self.level[v.index()] >= current {
+                *path += 1;
+            } else {
+                self.learnt.push(q);
             }
-            for q in clause_lits {
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    to_clear.push(v);
-                    self.bump_var(v);
-                    if self.level[v.index()] >= current {
-                        path += 1;
-                    } else {
-                        learnt.push(q);
-                    }
+        }
+    }
+
+    /// First-UIP conflict analysis into `self.learnt` (asserting literal
+    /// first, highest-level other literal second). Returns the backtrack
+    /// level. Walks the conflict and reason clauses in place.
+    fn analyze(&mut self, confl: Conflict) -> usize {
+        let current = self.decision_level() as u32;
+        self.learnt.clear();
+        self.learnt.push(Lit(0)); // slot 0: asserting literal
+        let mut path = 0u32;
+        let mut index = self.trail.len();
+        let mut cref = match confl {
+            Conflict::Long(c) | Conflict::Binary(c, _) => c,
+        };
+        if self.is_learned(cref) {
+            self.bump_clause(cref);
+        }
+        match confl {
+            Conflict::Binary(_, lits) => {
+                for q in lits {
+                    self.analyze_lit(q, current, &mut path);
                 }
             }
+            Conflict::Long(_) => {
+                for k in 0..self.clause_len(cref) {
+                    self.analyze_lit(self.clause_lit(cref, k), current, &mut path);
+                }
+            }
+        }
+        loop {
             // Next literal to resolve on: most recent seen trail entry.
             loop {
                 index -= 1;
@@ -606,32 +720,49 @@ impl Solver {
                     break;
                 }
             }
-            let pl = self.trail[index];
-            p = Some(pl);
-            self.seen[pl.var().index()] = false;
+            let p = self.trail[index];
+            self.seen[p.var().index()] = false;
             path -= 1;
             if path == 0 {
-                learnt[0] = !pl;
+                self.learnt[0] = !p;
                 break;
             }
-            confl = self.reason[pl.var().index()];
-            debug_assert_ne!(confl, NO_REASON);
+            cref = self.reason[p.var().index()];
+            debug_assert_ne!(cref, NO_REASON);
+            if self.is_learned(cref) {
+                self.bump_clause(cref);
+            }
+            // The reason's literals other than `p` itself: a long clause
+            // keeps its implied literal in slot 0, a binary clause is never
+            // reordered.
+            let len = self.clause_len(cref);
+            if len == 2 {
+                let first = self.clause_lit(cref, 0);
+                let other = if first == p {
+                    self.clause_lit(cref, 1)
+                } else {
+                    first
+                };
+                self.analyze_lit(other, current, &mut path);
+            } else {
+                for k in 1..len {
+                    self.analyze_lit(self.clause_lit(cref, k), current, &mut path);
+                }
+            }
         }
         // Local minimization: drop literals whose entire reason is already
         // in the clause (or at level 0).
-        let keep = |solver: &Solver, q: Lit| -> bool {
-            let r = solver.reason[q.var().index()];
-            if r == NO_REASON {
-                return true;
+        let mut learnt = std::mem::take(&mut self.learnt);
+        let mut j = 1;
+        for i in 1..learnt.len() {
+            let q = learnt[i];
+            if self.is_needed(q) {
+                learnt[j] = q;
+                j += 1;
             }
-            solver.clauses[r as usize].lits[1..]
-                .iter()
-                .any(|&x| !solver.seen[x.var().index()] && solver.level[x.var().index()] > 0)
-        };
-        let mut minimized: Vec<Lit> = vec![learnt[0]];
-        minimized.extend(learnt[1..].iter().copied().filter(|&q| keep(self, q)));
-        let mut learnt = minimized;
-        for v in to_clear {
+        }
+        learnt.truncate(j);
+        for v in self.to_clear.drain(..) {
             self.seen[v.index()] = false;
         }
         // Backtrack level: highest level among the non-asserting literals;
@@ -648,16 +779,34 @@ impl Solver {
             learnt.swap(1, max_i);
             self.level[learnt[1].var().index()] as usize
         };
-        (learnt, back_level)
+        self.learnt = learnt;
+        back_level
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>) {
-        debug_assert!(!learnt.is_empty());
-        if learnt.len() == 1 {
-            self.unchecked_enqueue(learnt[0], NO_REASON);
+    /// Whether the learned-clause literal `q` must stay: it was decided, or
+    /// its reason has a literal outside the clause above level 0.
+    fn is_needed(&self, q: Lit) -> bool {
+        let r = self.reason[q.var().index()];
+        if r == NO_REASON {
+            return true;
+        }
+        (0..self.clause_len(r))
+            .map(|k| self.clause_lit(r, k))
+            .filter(|x| x.var() != q.var())
+            .any(|x| !self.seen[x.var().index()] && self.level[x.var().index()] > 0)
+    }
+
+    /// Adds the clause `analyze` just learned and asserts its first
+    /// literal.
+    fn learn(&mut self) {
+        debug_assert!(!self.learnt.is_empty());
+        let first = self.learnt[0];
+        if self.learnt.len() == 1 {
+            self.unchecked_enqueue(first, NO_REASON);
         } else {
-            let first = learnt[0];
-            let cref = self.attach(learnt, true);
+            let learnt = std::mem::take(&mut self.learnt);
+            let cref = self.attach(&learnt, true);
+            self.learnt = learnt;
             self.bump_clause(cref);
             self.unchecked_enqueue(first, cref);
         }
@@ -674,12 +823,17 @@ impl Solver {
         self.heap.bumped(v.0, &self.activity);
     }
 
-    fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
-            for c in self.clauses.iter_mut().filter(|c| c.learned) {
-                c.activity *= 1e-20;
+    fn bump_clause(&mut self, cref: CRef) {
+        let a = self.clause_activity(cref) + self.cla_inc;
+        self.set_clause_activity(cref, a);
+        if a > 1e20 {
+            let mut c = 0;
+            while (c as usize) < self.arena.len() {
+                if self.is_learned(c) {
+                    let scaled = self.clause_activity(c) * 1e-20;
+                    self.set_clause_activity(c, scaled);
+                }
+                c = self.next_clause(c);
             }
             self.cla_inc *= 1e-20;
         }
@@ -691,27 +845,59 @@ impl Solver {
     }
 
     /// Whether a clause is the reason of its first literal's assignment.
-    fn is_locked(&self, cref: u32) -> bool {
-        let c = &self.clauses[cref as usize];
-        let v = c.lits[0].var().index();
+    fn is_locked(&self, cref: CRef) -> bool {
+        let v = self.clause_lit(cref, 0).var().index();
         self.assign[v] != 0 && self.reason[v] == cref
     }
 
     /// Deletes the lower-activity half of the (unlocked, non-binary)
-    /// learned clauses. Watchers are dropped lazily during propagation.
+    /// learned clauses, then compacts the arena: surviving clauses keep
+    /// their order, and watchers and reasons move with them.
     fn reduce_db(&mut self) {
-        let mut candidates: Vec<(u32, f64)> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learned && !c.deleted && c.lits.len() > 2 && !self.is_locked(i)
-            })
-            .map(|i| (i, self.clauses[i as usize].activity))
-            .collect();
+        let mut candidates: Vec<(CRef, f64)> = Vec::new();
+        let mut c = 0;
+        while (c as usize) < self.arena.len() {
+            if self.is_learned(c) && self.clause_len(c) > 2 && !self.is_locked(c) {
+                candidates.push((c, self.clause_activity(c)));
+            }
+            c = self.next_clause(c);
+        }
         candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for &(i, _) in candidates.iter().take(candidates.len() / 2) {
-            self.clauses[i as usize].deleted = true;
-            self.clauses[i as usize].lits = Vec::new();
+        for &(c, _) in candidates.iter().take(candidates.len() / 2) {
+            self.arena[c as usize] |= DELETED;
             self.num_learned -= 1;
+        }
+        // Copy the survivors and leave each old header holding its clause's
+        // new offset (or `NO_REASON` if deleted) for the remapping below.
+        let mut to = Vec::with_capacity(self.arena.len());
+        let mut c = 0;
+        while (c as usize) < self.arena.len() {
+            let next = self.next_clause(c);
+            self.arena[c as usize] = if self.arena[c as usize] & DELETED != 0 {
+                NO_REASON
+            } else {
+                let moved = to.len() as CRef;
+                to.extend_from_slice(&self.arena[c as usize..next as usize]);
+                moved
+            };
+            c = next;
+        }
+        let old = std::mem::replace(&mut self.arena, to);
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| {
+                let moved = old[w.cref() as usize];
+                if moved == NO_REASON {
+                    return false;
+                }
+                w.tagged = moved << 1 | w.tagged & 1;
+                true
+            });
+        }
+        for l in &self.trail {
+            let r = &mut self.reason[l.var().index()];
+            if *r != NO_REASON {
+                *r = old[*r as usize];
+            }
         }
     }
 }
