@@ -69,7 +69,7 @@ pub use import::{from_netlist, NetLits, NetlistImport};
 pub use npn::{canonicalize, NpnTransform};
 pub use rewrite::{compact, fold_constant_latches, rewrite, Rebuilt};
 pub use satsweep::{sat_sweep, SweepOptions, SweepResult};
-pub use tseitin::{satisfy, satisfy_within};
+pub use tseitin::{satisfy, satisfy_with_stats, satisfy_within};
 
 /// Errors produced by AIG construction and conversion.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,7 +10,7 @@
 
 use crate::graph::{Aig, AigLit, AigNode};
 use crate::rewrite::{self, Rebuilt};
-use crate::tseitin::Tseitin;
+use crate::tseitin::{single_fanout, Tseitin};
 use std::collections::HashMap;
 
 /// Effort knobs for [`sat_sweep`].
@@ -89,9 +89,9 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
     let mut proofs = 0usize;
     let mut refutations = 0usize;
     let mut sat_calls = 0usize;
+    let single = single_fanout(aig);
     'outer: while let Some(group) = work.pop() {
         let (repr, repr_phase) = group[0];
-        let mut split: Vec<(u32, bool)> = Vec::new();
         let mut idx = 1;
         while idx < group.len() {
             let (member, phase) = group[idx];
@@ -104,7 +104,7 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
             }
             sat_calls += 1;
             let diff = phase != repr_phase;
-            match prove_pair(aig, repr, member, diff) {
+            match prove_pair(aig, &single, repr, member, diff) {
                 None => {
                     proofs += 1;
                     merges += 1;
@@ -112,32 +112,38 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
                 }
                 Some(pattern) => {
                     refutations += 1;
-                    // Refine: members the pattern separates from the
-                    // representative form their own candidate group. The
-                    // refuted member is split off unconditionally (the
-                    // model proves it differs), so this group strictly
-                    // shrinks and the loop terminates.
-                    let vals =
-                        aig.simulate(|node| if pattern[node as usize] { u64::MAX } else { 0 });
-                    let bit = |node: u32, ph: bool| (vals[node as usize] & 1 != 0) ^ ph;
-                    let repr_bit = bit(repr, repr_phase);
-                    split.push((member, phase));
-                    let mut still: Vec<(u32, bool)> = Vec::new();
-                    for &(m, p) in &group[idx..] {
-                        if bit(m, p) == repr_bit {
-                            still.push((m, p));
+                    // Refine: bit 0 of the stimulus replays the model, the
+                    // other 63 bits are fresh random patterns. Members whose
+                    // whole word still equals the representative's stay in
+                    // this group; the rest split into one candidate group
+                    // per word. The refuted member differs in bit 0, so this
+                    // group strictly shrinks and the loop terminates.
+                    let w = (opts.sim_words + refutations) as u64;
+                    let vals = aig.simulate(|node| {
+                        splitmix(opts.seed ^ (u64::from(node) << 20) ^ w) & !1
+                            | u64::from(pattern[node as usize])
+                    });
+                    let word =
+                        |node: u32, ph: bool| vals[node as usize] ^ (ph as u64).wrapping_neg();
+                    let repr_word = word(repr, repr_phase);
+                    let mut regroup = vec![(repr, repr_phase)];
+                    let mut split: Vec<(u64, (u32, bool))> = Vec::new();
+                    for &(m, p) in std::iter::once(&(member, phase)).chain(&group[idx..]) {
+                        let mw = word(m, p);
+                        if mw == repr_word {
+                            regroup.push((m, p));
                         } else {
-                            split.push((m, p));
+                            split.push((mw, (m, p)));
                         }
                     }
-                    if split.len() >= 2 {
-                        work.push(std::mem::take(&mut split));
-                    } else {
-                        split.clear();
+                    debug_assert_eq!(split.first().map(|s| s.1), Some((member, phase)));
+                    split.sort_by_key(|s| s.0); // stable: members keep their order
+                    for part in split.chunk_by(|x, y| x.0 == y.0) {
+                        if part.len() >= 2 {
+                            work.push(part.iter().map(|s| s.1).collect());
+                        }
                     }
                     // Continue with the members that still agree.
-                    let mut regroup = vec![(repr, repr_phase)];
-                    regroup.extend(still);
                     if regroup.len() >= 2 {
                         work.push(regroup);
                     }
@@ -164,8 +170,8 @@ pub fn sat_sweep(aig: &Aig, keep: &[AigLit], opts: &SweepOptions) -> SweepResult
 /// Asks the solver whether `member == repr ^ diff` over all input/latch
 /// valuations of their shared cone. `None` is a proof; a model holds the
 /// input/latch values of a distinguishing pattern.
-fn prove_pair(aig: &Aig, repr: u32, member: u32, diff: bool) -> Option<Vec<bool>> {
-    let mut enc = Tseitin::new(aig);
+fn prove_pair(aig: &Aig, single: &[bool], repr: u32, member: u32, diff: bool) -> Option<Vec<bool>> {
+    let mut enc = Tseitin::new(aig, single);
     let a = enc.encode(aig, AigLit::new(repr, false));
     let b = enc.encode(aig, AigLit::new(member, diff));
     // Miter: a != b.
