@@ -15,7 +15,7 @@
 //!
 //! Encoding is cone-local: only the nodes a root reaches get clauses. A
 //! node absorbed into one root's supergate has no variable of its own; if
-//! a later [`Tseitin::encode`] asks for it, it is encoded again as a root
+//! a later encode asks for it, it is encoded again as a root
 //! of its own, which is sound (its definition is implied by the same
 //! leaves). SAT sweeping proves its candidate merges through this encoder,
 //! and the equivalence checker in `synthir-sim` builds its combinational

@@ -7,12 +7,24 @@
 //! encoding of the miter, at any interface width. This crate provides
 //! exactly the solver core that workflow needs — nothing more:
 //!
-//! * two-watched-literal unit propagation,
-//! * first-UIP conflict analysis with local clause minimization,
+//! * two-watched-literal unit propagation with blocking literals; a binary
+//!   clause's watcher carries its other literal, so propagating it never
+//!   reads the clause body,
+//! * every clause in one flat arena (`Vec<u32>`: a header word, the
+//!   literals, a learned clause's activity), compacted when learned
+//!   clauses are deleted, so no clause owns an allocation of its own,
+//! * first-UIP conflict analysis with local clause minimization, walking
+//!   reason clauses in place,
 //! * VSIDS-style variable activities with exponential decay,
 //! * phase saving and Luby-sequence restarts,
 //! * activity-based learned-clause database reduction,
-//! * model extraction for counterexample decoding.
+//! * an optional conflict budget ([`Solver::solve_limited`]),
+//! * search counters ([`Solver::stats`]) and model extraction for
+//!   counterexample decoding.
+//!
+//! The search is deterministic and pinned: `tests/search_pin.rs` fixes the
+//! conflicts, decisions, propagations and a model hash over a seeded
+//! corpus, so a change to the data layout must leave them equal.
 //!
 //! ## Example
 //!
@@ -408,6 +420,8 @@ impl Solver {
     }
 
     fn attach(&mut self, lits: &[Lit], learned: bool) -> CRef {
+        // A watcher keeps the offset in 31 bits.
+        assert!(self.arena.len() < 1 << 31, "clause arena full");
         let cref = self.arena.len() as CRef;
         let binary = lits.len() == 2;
         self.arena
