@@ -684,3 +684,6 @@ mod tests {
         assert_eq!(tiny.len(), 0);
     }
 }
+
+#[cfg(test)]
+mod key_pin;
