@@ -441,7 +441,7 @@ mod tests {
                 init: true
             }
         );
-        assert_eq!(flop.inputs.len(), 2);
+        assert_eq!(flop.inputs().len(), 2);
         nl.validate().unwrap();
     }
 }

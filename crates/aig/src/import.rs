@@ -91,7 +91,7 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
     // Undriven nets that are not primary inputs read as constant false
     // (the simulator convention).
     for (_, g) in nl.gates() {
-        for &i in &g.inputs {
+        for &i in g.inputs() {
             if nl.driver(i).is_none() && !imp.lits.contains(i) {
                 imp.lits.insert(i, AigLit::FALSE);
             }
@@ -117,10 +117,10 @@ pub fn from_netlist(nl: &Netlist) -> Result<NetlistImport, AigError> {
     for (_, g) in nl.gates() {
         if let GateKind::Dff { reset, .. } = g.kind {
             let q = imp.lits.get(g.output).expect("latch mapped");
-            let next = imp.net_lit(g.inputs[0]);
+            let next = imp.net_lit(g.inputs()[0]);
             let reset_lit = match reset {
                 ResetKind::None => AigLit::FALSE,
-                _ => imp.net_lit(g.inputs[1]),
+                _ => imp.net_lit(g.inputs()[1]),
             };
             imp.aig.set_latch_next(q, next, reset_lit);
         }
@@ -154,7 +154,7 @@ impl Importer {
     ///
     /// Panics on sequential gates (callers filter them).
     fn gate_lit(&mut self, g: &Gate) -> AigLit {
-        let ins: Vec<AigLit> = g.inputs.iter().map(|&n| self.net_lit(n)).collect();
+        let ins: Vec<AigLit> = g.inputs().iter().map(|&n| self.net_lit(n)).collect();
         let aig = &mut self.aig;
         use GateKind::*;
         match g.kind {

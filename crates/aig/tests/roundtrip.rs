@@ -114,14 +114,14 @@ fn constant_flop_netlist(seed: u64) -> Netlist {
     let flops: Vec<_> = nl
         .gates()
         .filter(|(_, g)| g.kind.is_sequential())
-        .map(|(id, g)| (id, g.clone()))
+        .map(|(id, g)| (id, *g))
         .collect();
     let mut holding: Vec<(NetId, bool)> = Vec::new();
     for (id, g) in flops {
         let GateKind::Dff { init, .. } = g.kind else {
             unreachable!("sequential gates are flops")
         };
-        let mut ins = g.inputs.clone();
+        let mut ins = g.inputs().to_vec();
         ins[0] = match rng.below(5) {
             0 => nl.constant(init),
             1 => g.output,
@@ -306,7 +306,7 @@ fn cut_map_folds_constant_flops_equivalently() {
         // No flop that provably holds its init value survives the mapper.
         for (_, g) in mapped.gates() {
             if let GateKind::Dff { init, .. } = g.kind {
-                let d = g.inputs[0];
+                let d = g.inputs()[0];
                 assert!(
                     mapped.as_constant(d) != Some(init) && d != g.output,
                     "seed {seed}: a constant flop survived"

@@ -9,6 +9,34 @@
 //! is how the experiment harness measures the synthesized area of a design
 //! (the stand-in for the paper's TSMC 90 nm report).
 //!
+//! ## Layout
+//!
+//! A netlist is a few flat arrays, so copying one is a handful of bulk
+//! copies and building one allocates only when an array grows:
+//!
+//! * **Gates.** One slot per [`GateId`] (a removed gate leaves a hole, so
+//!   ids never move). A [`Gate`] is `Copy` plain data: its kind, its output
+//!   and four input pins held inline, as no kind has more
+//!   ([`Gate::inputs`] is the first `kind.arity()` of them; the unused
+//!   ones always hold the same value, so equality stays exact). Rewiring
+//!   goes through the netlist ([`Netlist::replace_net_uses`],
+//!   [`Netlist::remap_uses`], [`Netlist::rewrite_gate`]); a gate's inputs
+//!   are read-only from outside.
+//! * **Nets.** One driver entry per [`NetId`]. The netlist counts its live
+//!   gates as it goes, so [`Netlist::num_gates`] is O(1).
+//! * **Names.** Every net name lives in one string, with a table of the
+//!   named nets (sorted by net, since a net is named when it is created)
+//!   and where each name ends. [`Netlist::add_named_net`] writes a
+//!   `Display` value straight into it, so `format_args!` names a net
+//!   without building a `String`.
+//! * **Fanout.** [`Netlist::fanout_map`] returns one compressed-row
+//!   [`Fanout`] (offsets plus a single gate array); [`Netlist::fanout_counts`]
+//!   gives the counts alone.
+//!
+//! [`Netlist::encode_words`] and [`Netlist::decode_words`] convert to and
+//! from a self-delimiting `u32` encoding that keeps every gate and net
+//! number; it is what the compile cache hashes and stores.
+//!
 //! ## Example
 //!
 //! ```
@@ -41,7 +69,7 @@ pub mod verilog;
 
 pub use cell::{GateKind, ResetKind};
 pub use library::{CellSpec, Library};
-pub use netgraph::{Gate, GateId, NetId, Netlist, Port};
+pub use netgraph::{Fanout, Gate, GateId, NetId, Netlist, Port};
 pub use power::{estimate_power, PowerReport};
 pub use report::AreaReport;
 

@@ -6,6 +6,8 @@ use crate::report::AreaReport;
 use crate::NetlistError;
 use std::collections::HashMap;
 
+#[cfg(test)]
+mod oracle;
 mod words;
 
 /// Identifier of a net (a single-bit wire).
@@ -30,15 +32,56 @@ impl GateId {
     }
 }
 
-/// A single-output gate instance.
-#[derive(Clone, Debug, PartialEq)]
+/// The most input pins a gate kind has (`And4`, `Or4`, `Nand4`, `Nor4`,
+/// `Aoi22`, `Oai22`; a flop has at most two).
+pub(crate) const MAX_PINS: usize = 4;
+
+/// The value of every pin past a gate's arity, so that two gates with the
+/// same kind, inputs and output are equal as plain data.
+const NO_PIN: NetId = NetId(u32::MAX);
+
+/// A single-output gate instance: plain `Copy` data, its input pins held
+/// inline.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     /// The gate kind.
     pub kind: GateKind,
-    /// Input nets, in the order defined by [`GateKind`].
-    pub inputs: Vec<NetId>,
+    /// The first `kind.arity()` pins are the inputs; the rest are
+    /// [`NO_PIN`].
+    pins: [NetId; MAX_PINS],
     /// Output net.
     pub output: NetId,
+}
+
+impl Gate {
+    /// # Panics
+    ///
+    /// Panics unless `inputs` has exactly `kind.arity()` nets.
+    fn new(kind: GateKind, inputs: &[NetId], output: NetId) -> Gate {
+        assert_eq!(inputs.len(), kind.arity(), "arity mismatch for {kind:?}");
+        let pins = std::array::from_fn(|i| inputs.get(i).copied().unwrap_or(NO_PIN));
+        Gate { kind, pins, output }
+    }
+
+    /// Input nets, in the order defined by [`GateKind`].
+    pub fn inputs(&self) -> &[NetId] {
+        &self.pins[..self.kind.arity()]
+    }
+
+    fn inputs_mut(&mut self) -> &mut [NetId] {
+        let arity = self.kind.arity();
+        &mut self.pins[..arity]
+    }
+}
+
+impl std::fmt::Debug for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gate")
+            .field("kind", &self.kind)
+            .field("inputs", &self.inputs())
+            .field("output", &self.output)
+            .finish()
+    }
 }
 
 /// A named port bus.
@@ -50,20 +93,85 @@ pub struct Port {
     pub nets: Vec<NetId>,
 }
 
+/// The names of the named nets, all in one string.
+///
+/// A net can only be named when it is created, and a new net has the
+/// highest id so far, so appending keeps `ends` sorted by net.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct NetNames {
+    /// Every name, concatenated in net order.
+    text: String,
+    /// Per named net, in ascending net order: the net and the end of its
+    /// name in `text` (a name starts where the previous one ends).
+    ends: Vec<(NetId, u32)>,
+}
+
+impl NetNames {
+    /// Records that the text appended since the last name names `net`.
+    fn close(&mut self, net: NetId) {
+        debug_assert!(self.ends.last().is_none_or(|&(n, _)| n < net));
+        let end = u32::try_from(self.text.len()).expect("net names total under 4 GiB");
+        self.ends.push((net, end));
+    }
+
+    fn get(&self, net: NetId) -> Option<&str> {
+        let i = self.ends.binary_search_by_key(&net, |&(n, _)| n).ok()?;
+        Some(&self.text[self.start(i) as usize..self.ends[i].1 as usize])
+    }
+
+    fn start(&self, i: usize) -> u32 {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1].1
+        }
+    }
+
+    /// The named nets and their names, in net order.
+    fn iter(&self) -> impl Iterator<Item = (NetId, &str)> + '_ {
+        (0..self.ends.len()).map(|i| {
+            let (net, end) = self.ends[i];
+            (net, &self.text[self.start(i) as usize..end as usize])
+        })
+    }
+}
+
+/// Per-net fanout in compressed-row form: see [`Netlist::fanout_map`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Fanout {
+    /// Net `n`'s readers are `gates[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+    gates: Vec<GateId>,
+}
+
+impl Fanout {
+    /// The live gates reading `net`, in gate-id order; a gate reading the
+    /// net on several pins appears once per pin.
+    pub fn of(&self, net: NetId) -> &[GateId] {
+        let i = net.index();
+        &self.gates[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// A flat gate-level module.
 ///
-/// See the [crate-level documentation](crate) for an example. Equality is
-/// structural and exact: the same name, gate slots (removed gates included),
-/// net numbering, net names, ports and cached constant nets.
+/// See the [crate-level documentation](crate) for the layout and an
+/// example. Equality is structural and exact: the same name, gate slots
+/// (removed gates included), net numbering, net names, ports and cached
+/// constant nets.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Netlist {
     name: String,
-    net_names: Vec<Option<String>>,
+    /// Gate slots in id order; `None` is a removed gate.
     gates: Vec<Option<Gate>>,
+    /// Per net: the gate driving it.
     driver: Vec<Option<GateId>>,
+    names: NetNames,
     inputs: Vec<Port>,
     outputs: Vec<Port>,
     const_nets: [Option<NetId>; 2],
+    /// How many slots of `gates` hold a gate.
+    live: usize,
 }
 
 impl Netlist {
@@ -87,27 +195,30 @@ impl Netlist {
 
     /// Creates a fresh anonymous net.
     pub fn add_net(&mut self) -> NetId {
-        let id = NetId(self.net_names.len() as u32);
-        self.net_names.push(None);
+        let id = NetId(self.driver.len() as u32);
         self.driver.push(None);
         id
     }
 
-    /// Creates a fresh named net.
-    pub fn add_named_net(&mut self, name: impl Into<String>) -> NetId {
+    /// Creates a fresh net named by `name`'s display form, which is written
+    /// straight into the netlist's name store (pass `format_args!` to build
+    /// a name without an intermediate `String`).
+    pub fn add_named_net(&mut self, name: impl std::fmt::Display) -> NetId {
+        use std::fmt::Write;
         let id = self.add_net();
-        self.net_names[id.index()] = Some(name.into());
+        write!(self.names.text, "{name}").expect("a name's Display does not fail");
+        self.names.close(id);
         id
     }
 
     /// The optional name of a net.
     pub fn net_name(&self, net: NetId) -> Option<&str> {
-        self.net_names[net.index()].as_deref()
+        self.names.get(net)
     }
 
     /// Number of nets ever created (including dangling ones).
     pub fn num_nets(&self) -> usize {
-        self.net_names.len()
+        self.driver.len()
     }
 
     /// Declares an input port bus of `width` bits; returns its nets
@@ -115,7 +226,7 @@ impl Netlist {
     pub fn add_input(&mut self, name: impl Into<String>, width: usize) -> Vec<NetId> {
         let name = name.into();
         let nets: Vec<NetId> = (0..width)
-            .map(|i| self.add_named_net(format!("{name}[{i}]")))
+            .map(|i| self.add_named_net(format_args!("{name}[{i}]")))
             .collect();
         self.inputs.push(Port {
             name,
@@ -168,12 +279,18 @@ impl Netlist {
 
     /// All primary-input nets in port order.
     pub fn input_nets(&self) -> Vec<NetId> {
-        self.inputs.iter().flat_map(|p| p.nets.clone()).collect()
+        self.inputs
+            .iter()
+            .flat_map(|p| p.nets.iter().copied())
+            .collect()
     }
 
     /// All primary-output nets in port order.
     pub fn output_nets(&self) -> Vec<NetId> {
-        self.outputs.iter().flat_map(|p| p.nets.clone()).collect()
+        self.outputs
+            .iter()
+            .flat_map(|p| p.nets.iter().copied())
+            .collect()
     }
 
     /// Adds a gate, creating and returning its output net.
@@ -231,12 +348,9 @@ impl Netlist {
             return Err(NetlistError::MultipleDrivers { net: output });
         }
         let id = GateId(self.gates.len() as u32);
-        self.gates.push(Some(Gate {
-            kind,
-            inputs: inputs.to_vec(),
-            output,
-        }));
+        self.gates.push(Some(Gate::new(kind, inputs, output)));
         self.driver[output.index()] = Some(id);
+        self.live += 1;
         Ok(id)
     }
 
@@ -310,17 +424,17 @@ impl Netlist {
 
     /// Number of live gates.
     pub fn num_gates(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_some()).count()
+        self.live
     }
 
     /// Removes a gate, leaving its output net undriven.
     pub fn remove_gate(&mut self, id: GateId) {
         if let Some(g) = self.gates[id.index()].take() {
+            self.live -= 1;
             self.driver[g.output.index()] = None;
-            for (i, cn) in self.const_nets.iter_mut().enumerate() {
+            for cn in &mut self.const_nets {
                 if *cn == Some(g.output) {
-                    debug_assert!(matches!(g.kind, GateKind::Const0 | GateKind::Const1));
-                    let _ = i;
+                    debug_assert!(g.kind.is_constant());
                     *cn = None;
                 }
             }
@@ -334,20 +448,7 @@ impl Netlist {
         if old == new {
             return;
         }
-        for g in self.gates.iter_mut().flatten() {
-            for inp in &mut g.inputs {
-                if *inp == old {
-                    *inp = new;
-                }
-            }
-        }
-        for p in &mut self.outputs {
-            for n in &mut p.nets {
-                if *n == old {
-                    *n = new;
-                }
-            }
-        }
+        self.rewire(|n| (n == old).then_some(new));
     }
 
     /// Rewires every use of each key net (gate inputs and output ports) to
@@ -360,18 +461,17 @@ impl Netlist {
         if map.is_empty() {
             return;
         }
-        for g in self.gates.iter_mut().flatten() {
-            for inp in &mut g.inputs {
-                if let Some(&n) = map.get(inp) {
-                    *inp = n;
-                }
-            }
-        }
-        for p in &mut self.outputs {
-            for n in &mut p.nets {
-                if let Some(&m) = map.get(n) {
-                    *n = m;
-                }
+        self.rewire(|n| map.get(&n).copied());
+    }
+
+    /// Replaces each gate input and output-port net `n` for which `to(n)`
+    /// is `Some`.
+    fn rewire(&mut self, to: impl Fn(NetId) -> Option<NetId>) {
+        let gate_pins = self.gates.iter_mut().flatten().flat_map(Gate::inputs_mut);
+        let port_nets = self.outputs.iter_mut().flat_map(|p| p.nets.iter_mut());
+        for n in gate_pins.chain(port_nets) {
+            if let Some(m) = to(*n) {
+                *n = m;
             }
         }
     }
@@ -382,21 +482,43 @@ impl Netlist {
     ///
     /// Panics on arity mismatch or if the gate is dead.
     pub fn rewrite_gate(&mut self, id: GateId, kind: GateKind, inputs: &[NetId]) {
-        assert_eq!(inputs.len(), kind.arity(), "arity mismatch for {kind:?}");
         let g = self.gates[id.index()].as_mut().expect("live gate");
-        g.kind = kind;
-        g.inputs = inputs.to_vec();
+        *g = Gate::new(kind, inputs, g.output);
     }
 
-    /// Per-net fanout: the live gates reading each net.
-    pub fn fanout_map(&self) -> Vec<Vec<GateId>> {
-        let mut fo = vec![Vec::new(); self.num_nets()];
-        for (id, g) in self.gates() {
-            for &inp in &g.inputs {
-                fo[inp.index()].push(id);
+    /// Per net, how many pins of live gates read it.
+    pub fn fanout_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.num_nets()];
+        for (_, g) in self.gates() {
+            for &inp in g.inputs() {
+                counts[inp.index()] += 1;
             }
         }
-        fo
+        counts
+    }
+
+    /// Per-net fanout: the live gates reading each net, as one flat array
+    /// (see [`Fanout::of`]).
+    pub fn fanout_map(&self) -> Fanout {
+        let mut offsets = Vec::with_capacity(self.num_nets() + 1);
+        offsets.push(0u32);
+        let mut total = 0;
+        for c in self.fanout_counts() {
+            total += c;
+            offsets.push(total);
+        }
+        // Fill each net's range from its front; `next` ends as `offsets`
+        // shifted by one net.
+        let mut next = offsets[..self.num_nets()].to_vec();
+        let mut gates = vec![GateId(0); total as usize];
+        for (id, g) in self.gates() {
+            for &inp in g.inputs() {
+                let at = &mut next[inp.index()];
+                gates[*at as usize] = id;
+                *at += 1;
+            }
+        }
+        Fanout { offsets, gates }
     }
 
     /// Removes gates whose outputs transitively reach no output port.
@@ -404,17 +526,18 @@ impl Netlist {
     pub fn sweep(&mut self) -> usize {
         let mut live = vec![false; self.gates.len()];
         let mut stack: Vec<GateId> = Vec::new();
-        for net in self.output_nets() {
-            if let Some(g) = self.driver(net) {
-                if !live[g.index()] {
-                    live[g.index()] = true;
-                    stack.push(g);
+        for p in &self.outputs {
+            for &net in &p.nets {
+                if let Some(g) = self.driver(net) {
+                    if !live[g.index()] {
+                        live[g.index()] = true;
+                        stack.push(g);
+                    }
                 }
             }
         }
         while let Some(g) = stack.pop() {
-            let inputs = self.gate(g).inputs.clone();
-            for inp in inputs {
+            for &inp in self.gate(g).inputs() {
                 if let Some(d) = self.driver(inp) {
                     if !live[d.index()] {
                         live[d.index()] = true;
@@ -423,16 +546,14 @@ impl Netlist {
                 }
             }
         }
-        let mut removed = 0;
+        let before = self.live;
         for (i, alive) in live.iter().enumerate() {
-            if self.gates[i].is_some() && !alive {
+            if !alive {
                 self.remove_gate(GateId(i as u32));
-                removed += 1;
             }
         }
-        removed
+        before - self.live
     }
-
     /// Gate-count histogram by kind.
     pub fn gate_histogram(&self) -> HashMap<GateKind, usize> {
         let mut h = HashMap::new();
@@ -465,27 +586,39 @@ impl Netlist {
         self.gates().filter(|(_, g)| g.kind.is_sequential()).count()
     }
 
-    /// Checks structural invariants: every gate's inputs exist, arity
-    /// matches, drivers are consistent, and the combinational part is
-    /// acyclic.
+    /// Checks structural invariants: drivers are consistent and the
+    /// combinational part is acyclic. (Arity holds by construction.)
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), NetlistError> {
         for (id, g) in self.gates() {
-            if g.inputs.len() != g.kind.arity() {
-                return Err(NetlistError::ArityMismatch {
-                    kind: g.kind,
-                    got: g.inputs.len(),
-                    expected: g.kind.arity(),
-                });
-            }
             if self.driver[g.output.index()] != Some(id) {
                 return Err(NetlistError::MultipleDrivers { net: g.output });
             }
         }
+        if self.ids_order_comb_edges() {
+            return Ok(());
+        }
         crate::topo::topological_order(self).map(|_| ())
+    }
+
+    /// Whether every combinational gate reads only nets driven by lower
+    /// gate ids, flops, constants or nothing. Then gate ids are a
+    /// topological order and the netlist is acyclic without a search, as
+    /// for a netlist built driver first (elaboration, decoding, mapping).
+    fn ids_order_comb_edges(&self) -> bool {
+        self.gates().all(|(id, g)| {
+            g.kind.is_sequential()
+                || g.inputs().iter().all(|&n| match self.driver(n) {
+                    None => true,
+                    Some(d) => {
+                        let k = self.gate(d).kind;
+                        d < id || k.is_sequential() || k.is_constant()
+                    }
+                })
+        })
     }
 }
 
@@ -554,7 +687,7 @@ mod tests {
         let c1 = nl.const1();
         nl.replace_net_uses(b, c1);
         let g = nl.driver(y).unwrap();
-        assert_eq!(nl.gate(g).inputs[1], c1);
+        assert_eq!(nl.gate(g).inputs()[1], c1);
     }
 
     #[test]
@@ -590,6 +723,27 @@ mod tests {
     }
 
     #[test]
+    fn validate_finds_cycles_whatever_the_gate_order() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_input("a", 1)[0];
+        let late = nl.add_net();
+        // Built consumer first: ids do not order this acyclic netlist.
+        let y = nl.add_gate(GateKind::And2, &[a, late]);
+        nl.attach_gate(GateKind::Inv, &[a], late).unwrap();
+        nl.add_output("y", &[y]);
+        nl.validate().unwrap();
+        // Closing a loop through the later gate.
+        let g = nl.driver(late).unwrap();
+        nl.rewrite_gate(g, GateKind::Inv, &[y]);
+        assert_eq!(nl.validate(), Err(NetlistError::CombinationalCycle));
+        // A gate reading itself.
+        let mut nl = Netlist::new("self_loop");
+        let x = nl.add_net();
+        nl.attach_gate(GateKind::Buf, &[x], x).unwrap();
+        assert_eq!(nl.validate(), Err(NetlistError::CombinationalCycle));
+    }
+
+    #[test]
     fn area_report_splits_comb_seq() {
         let mut nl = tiny();
         let a = nl.input("a").unwrap().nets[0];
@@ -621,8 +775,8 @@ mod tests {
         let mut nl = tiny();
         let y = nl.output_nets()[0];
         let g = nl.driver(y).unwrap();
-        let ins = nl.gate(g).inputs.clone();
-        nl.rewrite_gate(g, GateKind::Or2, &ins);
+        let ins = *nl.gate(g);
+        nl.rewrite_gate(g, GateKind::Or2, ins.inputs());
         assert_eq!(nl.gate(g).kind, GateKind::Or2);
         nl.validate().unwrap();
     }

@@ -1,7 +1,7 @@
 //! A compact `u32` word encoding of a [`Netlist`]: see
 //! [`Netlist::encode_words`].
 
-use super::{Gate, GateId, NetId, Netlist, Port};
+use super::{Gate, GateId, NetId, Netlist, Port, MAX_PINS, NO_PIN};
 use crate::cell::GateKind;
 use crate::NetlistError;
 
@@ -36,15 +36,16 @@ impl Netlist {
         // Destructured so that a new field cannot be left out silently.
         let Netlist {
             name: _,
-            net_names,
             gates,
-            driver: _,
+            driver,
+            names,
             inputs,
             outputs,
             const_nets,
+            live: _,
         } = self;
         out.reserve(4 + 5 * gates.len());
-        out.push(net_names.len() as u32);
+        out.push(driver.len() as u32);
         out.push(gates.len() as u32);
         for c in const_nets {
             out.push(c.map_or(0, |n| n.0 + 1));
@@ -54,18 +55,17 @@ impl Netlist {
                 None => out.push(0),
                 Some(g) => {
                     out.push(g.kind.word_code() + 1);
-                    out.extend(g.inputs.iter().map(|n| n.0));
+                    out.extend(g.inputs().iter().map(|n| n.0));
                     out.push(g.output.0);
                 }
             }
         }
-        out.extend(net_names.chunks(32).map(|chunk| {
-            chunk
-                .iter()
-                .enumerate()
-                .fold(0u32, |m, (i, n)| m | u32::from(n.is_some()) << i)
-        }));
-        for name in net_names.iter().flatten() {
+        let bitmap = out.len();
+        out.resize(bitmap + driver.len().div_ceil(32), 0);
+        for &(net, _) in &names.ends {
+            out[bitmap + net.index() / 32] |= 1 << (net.index() % 32);
+        }
+        for (_, name) in names.iter() {
             push_str(out, name);
         }
         for ports in [inputs, outputs] {
@@ -81,6 +81,9 @@ impl Netlist {
     /// Rebuilds a netlist named `name` from [`Netlist::encode_words`]
     /// output. The whole slice must be one encoding.
     ///
+    /// One pass fills the gate, driver and name arrays; nothing is
+    /// allocated per gate or per net name.
+    ///
     /// # Errors
     ///
     /// Returns [`NetlistError::MalformedEncoding`] if the words end early,
@@ -93,59 +96,69 @@ impl Netlist {
             return Err(r.error());
         }
         let slots = r.word()? as usize;
-        let mut nl = Netlist {
-            name: name.into(),
-            net_names: vec![None; num_nets],
-            gates: Vec::with_capacity(slots.min(words.len())),
-            driver: vec![None; num_nets],
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            const_nets: [None; 2],
-        };
-        for i in 0..2 {
-            let c = r.word()?;
-            if c != 0 {
-                nl.const_nets[i] = Some(r.net_id(c - 1, num_nets)?);
+        let mut const_nets = [None; 2];
+        for c in &mut const_nets {
+            let w = r.word()?;
+            if w != 0 {
+                *c = Some(r.net_id(w - 1, num_nets)?);
             }
         }
+        let mut gates = Vec::with_capacity(slots.min(words.len()));
+        let mut driver = vec![None; num_nets];
+        let mut live = 0;
         for id in 0..slots {
             let code = r.word()?;
             if code == 0 {
-                nl.gates.push(None);
+                gates.push(None);
                 continue;
             }
             let kind = GateKind::from_word_code(code - 1).ok_or(r.error())?;
-            let inputs = (0..kind.arity())
-                .map(|_| r.net(num_nets))
-                .collect::<Result<Vec<_>, _>>()?;
+            let mut pins = [NO_PIN; MAX_PINS];
+            for pin in &mut pins[..kind.arity()] {
+                *pin = r.net(num_nets)?;
+            }
             let output = r.net(num_nets)?;
-            if nl.driver[output.index()].is_some() {
+            let d = &mut driver[output.index()];
+            if d.is_some() {
                 return Err(r.error());
             }
-            nl.driver[output.index()] = Some(GateId(id as u32));
-            nl.gates.push(Some(Gate {
-                kind,
-                inputs,
-                output,
-            }));
+            *d = Some(GateId(id as u32));
+            gates.push(Some(Gate { kind, pins, output }));
+            live += 1;
         }
-        let mut named = Vec::new();
-        for base in (0..num_nets).step_by(32) {
-            let mask = r.word()?;
-            let width = (num_nets - base).min(32);
-            // Bits past the last net must be clear, or two bitmaps would
-            // share one netlist.
-            if width < 32 && mask >> width != 0 {
+        let mut nl = Netlist {
+            name: name.into(),
+            gates,
+            driver,
+            const_nets,
+            live,
+            ..Netlist::default()
+        };
+        let bitmap = r.take(num_nets.div_ceil(32))?;
+        // Bits past the last net must be clear, or two bitmaps would share
+        // one netlist.
+        if let Some(&last) = bitmap.last() {
+            if !num_nets.is_multiple_of(32) && last >> (num_nets % 32) != 0 {
                 return Err(r.error());
             }
-            named.extend((0..width).filter(|i| mask >> i & 1 != 0).map(|i| base + i));
         }
-        for i in named {
-            nl.net_names[i] = Some(r.string()?);
+        let mut text = Vec::new();
+        for (w, &mask) in bitmap.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                let net = NetId((32 * w) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                r.string_into(&mut text)?;
+                let end = u32::try_from(text.len()).map_err(|_| r.error())?;
+                nl.names.ends.push((net, end));
+            }
         }
+        nl.names.text = String::from_utf8(text).expect("every name was checked as UTF-8");
         for ports in [&mut nl.inputs, &mut nl.outputs] {
             for _ in 0..r.word()? {
-                let name = r.string()?;
+                let mut name = Vec::new();
+                r.string_into(&mut name)?;
+                let name = String::from_utf8(name).expect("checked as UTF-8");
                 let width = r.word()? as usize;
                 let nets = (0..width)
                     .map(|_| r.net(num_nets))
@@ -174,7 +187,7 @@ struct Reader<'a> {
     at: usize,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn error(&self) -> NetlistError {
         NetlistError::MalformedEncoding { at: self.at }
     }
@@ -183,6 +196,18 @@ impl Reader<'_> {
         let w = *self.words.get(self.at).ok_or(self.error())?;
         self.at += 1;
         Ok(w)
+    }
+
+    /// The next `n` words.
+    fn take(&mut self, n: usize) -> Result<&'a [u32], NetlistError> {
+        let words =
+            self.words
+                .get(self.at..self.at + n)
+                .ok_or(NetlistError::MalformedEncoding {
+                    at: self.words.len(),
+                })?;
+        self.at += n;
+        Ok(words)
     }
 
     fn net_id(&self, raw: u32, num_nets: usize) -> Result<NetId, NetlistError> {
@@ -198,22 +223,27 @@ impl Reader<'_> {
         self.net_id(raw, num_nets)
     }
 
-    fn string(&mut self) -> Result<String, NetlistError> {
+    /// Appends the next string's bytes to `out`, which must hold whole
+    /// UTF-8 strings; the appended bytes are checked to be one too.
+    fn string_into(&mut self, out: &mut Vec<u8>) -> Result<(), NetlistError> {
         let len = self.word()? as usize;
         let packed = self
             .words
             .get(self.at..self.at + len.div_ceil(4))
             .ok_or(self.error())?;
-        let mut bytes: Vec<u8> = packed.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let start = out.len();
+        out.extend(packed.iter().flat_map(|w| w.to_le_bytes()));
         // The padding of the last word must be zero, or two strings could
         // share one encoding.
-        if bytes[len..].iter().any(|&b| b != 0) {
+        if out[start + len..].iter().any(|&b| b != 0)
+            || std::str::from_utf8(&out[start..start + len]).is_err()
+        {
+            out.truncate(start);
             return Err(self.error());
         }
-        bytes.truncate(len);
-        let s = String::from_utf8(bytes).map_err(|_| self.error())?;
+        out.truncate(start + len);
         self.at += packed.len();
-        Ok(s)
+        Ok(())
     }
 }
 

@@ -14,23 +14,22 @@ use std::collections::HashSet;
 /// Returns [`NetlistError::CombinationalCycle`] if the combinational part is
 /// cyclic.
 pub fn topological_order(nl: &Netlist) -> Result<Vec<GateId>, NetlistError> {
+    // Flops first, then the combinational gates as the DFS finishes them.
     let mut order = Vec::with_capacity(nl.num_gates());
     // 0 = unvisited, 1 = on stack, 2 = done
     let mut mark = vec![0u8; nl.num_nets()];
-    let mut seq_first = Vec::new();
     for (id, g) in nl.gates() {
         if g.kind.is_sequential() {
-            seq_first.push(id);
+            order.push(id);
             mark[g.output.index()] = 2;
         }
     }
-    // Iterative DFS from every driven net.
+    // Iterative DFS from every driven net, sharing one stack.
+    let mut stack = Vec::new();
     for (id, _) in nl.gates() {
-        visit(nl, id, &mut mark, &mut order)?;
+        visit(nl, id, &mut mark, &mut order, &mut stack)?;
     }
-    let mut result = seq_first;
-    result.extend(order);
-    Ok(result)
+    Ok(order)
 }
 
 fn visit(
@@ -38,13 +37,15 @@ fn visit(
     gate: GateId,
     mark: &mut [u8],
     order: &mut Vec<GateId>,
+    stack: &mut Vec<(GateId, usize)>,
 ) -> Result<(), NetlistError> {
     let out = nl.gate(gate).output;
     if mark[out.index()] == 2 {
         return Ok(());
     }
     // Iterative DFS with an explicit stack of (gate, next input index).
-    let mut stack: Vec<(GateId, usize)> = vec![(gate, 0)];
+    stack.clear();
+    stack.push((gate, 0));
     mark[out.index()] = 1;
     while let Some((g, idx)) = stack.pop() {
         let gi = nl.gate(g);
@@ -53,13 +54,13 @@ fn visit(
             mark[gi.output.index()] = 2;
             continue;
         }
-        if idx >= gi.inputs.len() {
+        if idx >= gi.inputs().len() {
             mark[gi.output.index()] = 2;
             order.push(g);
             continue;
         }
         stack.push((g, idx + 1));
-        let inp = gi.inputs[idx];
+        let inp = gi.inputs()[idx];
         match mark[inp.index()] {
             2 => {}
             1 => return Err(NetlistError::CombinationalCycle),
@@ -102,7 +103,7 @@ pub fn comb_support_within(nl: &Netlist, net: NetId, max: usize) -> Option<Vec<N
         match nl.driver(n) {
             // A constant has no inputs: it contributes nothing.
             Some(g) if !nl.gate(g).kind.is_sequential() => {
-                stack.extend(nl.gate(g).inputs.iter().copied());
+                stack.extend(nl.gate(g).inputs().iter().copied());
             }
             _ => {
                 if support.len() == max {
@@ -140,7 +141,7 @@ pub fn cone_gates(nl: &Netlist, net: NetId) -> Vec<GateId> {
             continue;
         }
         stack.push((n, true));
-        for &inp in &gate.inputs {
+        for &inp in gate.inputs() {
             stack.push((inp, false));
         }
     }
@@ -158,7 +159,7 @@ pub fn logic_depths(nl: &Netlist) -> Result<Vec<usize>, NetlistError> {
             continue;
         }
         let d = gate
-            .inputs
+            .inputs()
             .iter()
             .map(|i| depth[i.index()])
             .max()
@@ -193,7 +194,7 @@ mod tests {
         let pos: std::collections::HashMap<GateId, usize> =
             order.iter().enumerate().map(|(i, &g)| (g, i)).collect();
         for (id, g) in nl.gates() {
-            for &inp in &g.inputs {
+            for &inp in g.inputs() {
                 if let Some(d) = nl.driver(inp) {
                     assert!(pos[&d] < pos[&id], "driver after consumer");
                 }

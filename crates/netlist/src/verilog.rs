@@ -65,7 +65,7 @@ pub fn to_verilog(nl: &Netlist) -> String {
     let _ = writeln!(s);
     for (idx, (_, g)) in nl.gates().enumerate() {
         let out = wire(nl, g.output);
-        let ins: Vec<String> = g.inputs.iter().map(|&n| net_ref(nl, n)).collect();
+        let ins: Vec<String> = g.inputs().iter().map(|&n| net_ref(nl, n)).collect();
         match g.kind {
             GateKind::Const0 => {
                 let _ = writeln!(s, "  assign {out} = 1'b0;");

@@ -93,7 +93,7 @@ impl<'m> Ctx<'m> {
         // them.
         for r in m.registers() {
             let nets: Vec<NetId> = (0..r.width)
-                .map(|i| nl.add_named_net(format!("{}[{i}]", r.name)))
+                .map(|i| nl.add_named_net(format_args!("{}[{i}]", r.name)))
                 .collect();
             signals.insert(r.name.clone(), nets);
         }
@@ -105,7 +105,7 @@ impl<'m> Ctx<'m> {
                 let words: Vec<Vec<NetId>> = (0..mem.depth)
                     .map(|w| {
                         (0..mem.width)
-                            .map(|b| nl.add_named_net(format!("{}[{w}][{b}]", mem.name)))
+                            .map(|b| nl.add_named_net(format_args!("{}[{w}][{b}]", mem.name)))
                             .collect()
                     })
                     .collect();
@@ -208,12 +208,16 @@ impl<'m> Ctx<'m> {
                     reset: r.reset.kind,
                     init,
                 };
-                let inputs: Vec<NetId> = match r.reset.kind {
-                    ResetKind::None => vec![d[bit]],
-                    _ => vec![d[bit], self.rst.expect("reset input exists")],
+                let with_rst;
+                let inputs: &[NetId] = match r.reset.kind {
+                    ResetKind::None => &d[bit..=bit],
+                    _ => {
+                        with_rst = [d[bit], self.rst.expect("reset input exists")];
+                        &with_rst
+                    }
                 };
                 self.nl
-                    .attach_gate(kind, &inputs, q[bit])
+                    .attach_gate(kind, inputs, q[bit])
                     .expect("pre-created q net is undriven");
             }
         }
@@ -221,6 +225,9 @@ impl<'m> Ctx<'m> {
     }
 
     fn elaborate_memories(&mut self) -> Result<(), RtlError> {
+        // Every read site has been elaborated; the write logic is the
+        // storage's last use.
+        let mut mem_storage = std::mem::take(&mut self.mem_storage);
         for mem in self.m.memories() {
             if mem.contents.is_some() {
                 continue; // bound tables produce logic at their read sites
@@ -254,7 +261,7 @@ impl<'m> Ctx<'m> {
                     right: 1,
                 });
             }
-            let storage = self.mem_storage[&mem.name].clone();
+            let storage = mem_storage.remove(&mem.name).expect("storage exists");
             for (w, word_nets) in storage.iter().enumerate() {
                 // wen_w = en & (addr == w)
                 let eq = self.addr_eq(&addr, w as u128);
@@ -443,11 +450,10 @@ impl<'m> Ctx<'m> {
                 Ok(out)
             }
             Expr::ReadMem { mem, addr } => {
-                let mem = self
-                    .m
+                let m: &'m Module = self.m;
+                let mem = m
                     .memory(mem)
-                    .ok_or_else(|| RtlError::UnknownSignal { name: mem.clone() })?
-                    .clone();
+                    .ok_or_else(|| RtlError::UnknownSignal { name: mem.clone() })?;
                 let addr = self.elab_expr(addr)?;
                 let abits = log2_exact(mem.depth).ok_or_else(|| RtlError::BadMemory {
                     context: format!(
@@ -477,10 +483,12 @@ impl<'m> Ctx<'m> {
                         Ok(out)
                     }
                     None => {
-                        let storage = self.mem_storage[&mem.name].clone();
                         let mut out = Vec::with_capacity(mem.width);
                         for b in 0..mem.width {
-                            let leaves: Vec<NetId> = storage.iter().map(|word| word[b]).collect();
+                            let leaves: Vec<NetId> = self.mem_storage[&mem.name]
+                                .iter()
+                                .map(|word| word[b])
+                                .collect();
                             out.push(self.mux_tree(&leaves, &addr));
                         }
                         Ok(out)

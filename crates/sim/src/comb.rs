@@ -48,7 +48,7 @@ impl CombSim {
                 continue;
             }
             ins.clear();
-            ins.extend(gate.inputs.iter().map(|i| vals[i.index()]));
+            ins.extend(gate.inputs().iter().map(|i| vals[i.index()]));
             vals[gate.output.index()] = gate.kind.eval_words(&ins);
         }
         vals

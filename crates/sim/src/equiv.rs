@@ -1444,12 +1444,12 @@ mod induction_tests {
             if mask >> (k % 64) & 1 == 0 {
                 continue;
             }
-            let g = nl.gate(f).clone();
+            let g = *nl.gate(f);
             let GateKind::Dff { reset, init } = g.kind else {
                 unreachable!("sequential gates are flops")
             };
-            let mut ins = g.inputs.clone();
-            ins[0] = nl.add_gate(GateKind::Inv, &[g.inputs[0]]);
+            let mut ins = g.inputs().to_vec();
+            ins[0] = nl.add_gate(GateKind::Inv, &[g.inputs()[0]]);
             let q = nl.add_gate(GateKind::Dff { reset, init: !init }, &ins);
             let nq = nl.add_gate(GateKind::Inv, &[q]);
             nl.replace_net_uses(g.output, nq);
@@ -1463,11 +1463,11 @@ mod induction_tests {
         let mut nl = nl.clone();
         let fs = flops(&nl);
         let f = fs[pick % fs.len()];
-        let g = nl.gate(f).clone();
+        let g = *nl.gate(f);
         let GateKind::Dff { reset, init } = g.kind else {
             unreachable!("sequential gates are flops")
         };
-        nl.rewrite_gate(f, GateKind::Dff { reset, init: !init }, &g.inputs);
+        nl.rewrite_gate(f, GateKind::Dff { reset, init: !init }, g.inputs());
         nl
     }
 
@@ -1478,10 +1478,10 @@ mod induction_tests {
         let cfg = nl.add_input("cfg", 1)[0];
         let fs = flops(&nl);
         let f = fs[pick % fs.len()];
-        let g = nl.gate(f).clone();
-        let alt = nl.add_gate(GateKind::Inv, &[g.inputs[0]]);
-        let mut ins = g.inputs.clone();
-        ins[0] = nl.add_gate(GateKind::Mux2, &[cfg, g.inputs[0], alt]);
+        let g = *nl.gate(f);
+        let alt = nl.add_gate(GateKind::Inv, &[g.inputs()[0]]);
+        let mut ins = g.inputs().to_vec();
+        ins[0] = nl.add_gate(GateKind::Mux2, &[cfg, g.inputs()[0], alt]);
         nl.rewrite_gate(f, g.kind, &ins);
         nl
     }

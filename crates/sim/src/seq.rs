@@ -76,11 +76,11 @@ impl<'nl> SeqSim<'nl> {
             let GateKind::Dff { reset, init } = g.kind else {
                 continue;
             };
-            let d = vals[g.inputs[0].index()] & 1 != 0;
+            let d = vals[g.inputs()[0].index()] & 1 != 0;
             let v = match reset {
                 ResetKind::None => d,
                 ResetKind::Sync | ResetKind::Async => {
-                    let rst = vals[g.inputs[1].index()] & 1 != 0;
+                    let rst = vals[g.inputs()[1].index()] & 1 != 0;
                     if rst {
                         init
                     } else {

@@ -85,7 +85,7 @@ fn demorgan_twin(nl: &Netlist) -> Netlist {
     let mut gates: Vec<_> = nl.gates().collect();
     gates.sort_by_key(|(id, _)| *id);
     for (_, g) in gates {
-        let ins: Vec<NetId> = g.inputs.iter().map(|i| map[i]).collect();
+        let ins: Vec<NetId> = g.inputs().iter().map(|i| map[i]).collect();
         let n = match g.kind {
             GateKind::And2 => {
                 let t = out.add_gate(GateKind::Nand2, &[ins[0], ins[1]]);

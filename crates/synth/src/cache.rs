@@ -460,16 +460,16 @@ mod tests {
             e.netlist
                 .gates()
                 .find(|(_, g)| g.kind == kind)
-                .map(|(id, g)| (id, g.clone()))
+                .map(|(id, g)| (id, *g))
                 .unwrap()
         };
         let mut e = base.clone();
         let (id, g) = gate(&e, GateKind::And2);
         e.netlist
-            .rewrite_gate(id, g.kind, &[g.inputs[1], g.inputs[1]]);
+            .rewrite_gate(id, g.kind, &[g.inputs()[1], g.inputs()[1]]);
         push("one gate input", e);
         let mut e = base.clone();
-        e.netlist.rewrite_gate(id, GateKind::Nand2, &g.inputs);
+        e.netlist.rewrite_gate(id, GateKind::Nand2, g.inputs());
         push("one gate kind", e);
         push("a port name", design("z", "w"));
         push("an internal net name", design("x", "v"));
@@ -485,7 +485,7 @@ mod tests {
             reset: ResetKind::Sync,
             init: true,
         };
-        e.netlist.rewrite_gate(flop, kind, &g.inputs);
+        e.netlist.rewrite_gate(flop, kind, g.inputs());
         push("a flop's init value", e);
         let mut e = base.clone();
         e.netlist.remove_gate(flop);

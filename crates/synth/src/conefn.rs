@@ -97,7 +97,7 @@ impl Cone {
                 Some(g) if !g.kind.is_sequential() => {
                     nodes.insert(n, Node::Open);
                     stack.push((n, true));
-                    stack.extend(g.inputs.iter().map(|&i| (i, false)));
+                    stack.extend(g.inputs().iter().map(|&i| (i, false)));
                 }
                 _ => panic!("cone of {roots:?} depends on {n:?}, which is not in the support"),
             }
@@ -108,7 +108,7 @@ impl Cone {
             _ => k + usize::from(nl.as_constant(n).expect("the walk resolved every net")),
         };
         let ops = gates.iter().map(|gate| {
-            let ins = std::array::from_fn(|p| gate.inputs.get(p).map_or(0, |&i| slot(i)));
+            let ins = std::array::from_fn(|p| gate.inputs().get(p).map_or(0, |&i| slot(i)));
             let (kind, out) = (gate.kind, gate.output);
             Op { kind, ins, out }
         });
@@ -224,7 +224,7 @@ pub(crate) mod tests {
                     continue;
                 }
                 ins.clear();
-                ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
+                ins.extend(g.inputs().iter().map(|i| vals[i.index()]));
                 vals[g.output.index()] = g.kind.eval_words(&ins);
             }
             for (bv, r) in bits.iter_mut().zip(roots) {

@@ -419,16 +419,16 @@ mod tests {
         let flop = golden
             .gates()
             .find(|(_, g)| g.kind.is_sequential())
-            .map(|(id, g)| (id, g.clone()))
+            .map(|(id, g)| (id, *g))
             .unwrap();
         let GateKind::Dff { reset, init } = flop.1.kind else {
             unreachable!("sequential gates are flops")
         };
         let mut flipped_init = golden.clone();
         let kind = GateKind::Dff { reset, init: !init };
-        flipped_init.rewrite_gate(flop.0, kind, &flop.1.inputs);
+        flipped_init.rewrite_gate(flop.0, kind, flop.1.inputs());
         let mut inverted_next = golden.clone();
-        let mut ins = flop.1.inputs.clone();
+        let mut ins = flop.1.inputs().to_vec();
         ins[0] = inverted_next.add_gate(GateKind::Inv, &[ins[0]]);
         inverted_next.rewrite_gate(flop.0, flop.1.kind, &ins);
         let swapped_codes = table(vec![vec![2, 1], vec![1, 3], vec![3, 0], vec![0, 2]]);

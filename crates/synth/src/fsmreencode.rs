@@ -78,11 +78,14 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
     let (reset_kind, rst_net) = {
         let g = nl.gate(state_flops[0]);
         match g.kind {
-            GateKind::Dff { reset, .. } => (reset, g.inputs.get(1).copied()),
+            GateKind::Dff { reset, .. } => (reset, g.inputs().get(1).copied()),
             _ => unreachable!(),
         }
     };
-    let state_d: Vec<NetId> = state_flops.iter().map(|&g| nl.gate(g).inputs[0]).collect();
+    let state_d: Vec<NetId> = state_flops
+        .iter()
+        .map(|&g| nl.gate(g).inputs()[0])
+        .collect();
 
     // Roots whose logic must be re-expressed over the new encoding: only
     // those that actually depend on the state register. Logic behind other
@@ -102,11 +105,16 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
     let other_flops: Vec<GateId> = nl
         .gates()
         .filter(|(id, g)| {
-            g.kind.is_sequential() && !state_flops.contains(id) && depends_on_state(nl, g.inputs[0])
+            g.kind.is_sequential()
+                && !state_flops.contains(id)
+                && depends_on_state(nl, g.inputs()[0])
         })
         .map(|(id, _)| id)
         .collect();
-    let other_d: Vec<NetId> = other_flops.iter().map(|&g| nl.gate(g).inputs[0]).collect();
+    let other_d: Vec<NetId> = other_flops
+        .iter()
+        .map(|&g| nl.gate(g).inputs()[0])
+        .collect();
 
     // The free inputs: every non-state comb source feeding a rebuilt root.
     let mut others: BTreeSet<NetId> = BTreeSet::new();
@@ -173,7 +181,7 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
     let espresso_opts = EspressoOptions::default();
 
     let new_q: Vec<NetId> = (0..new_width)
-        .map(|i| nl.add_named_net(format!("fsm_state[{i}]")))
+        .map(|i| nl.add_named_net(format_args!("fsm_state[{i}]")))
         .collect();
     let mut support: Vec<NetId> = new_q.clone();
     support.extend(others.iter().copied());
@@ -244,8 +252,8 @@ pub fn fsm_reencode(nl: &mut Netlist, fsm: &FsmNets, enc: FsmEncoding) -> Result
         nl.replace_net_uses(old, new);
     }
     for (fgate, new_d) in new_other_d {
-        let g = nl.gate(fgate).clone();
-        let mut inputs = g.inputs.clone();
+        let g = *nl.gate(fgate);
+        let mut inputs = g.inputs().to_vec();
         inputs[0] = new_d;
         nl.rewrite_gate(fgate, g.kind, &inputs);
     }
@@ -448,7 +456,7 @@ mod tests {
                     continue;
                 }
                 ins.clear();
-                ins.extend(g.inputs.iter().map(|i| vals[i.index()]));
+                ins.extend(g.inputs().iter().map(|i| vals[i.index()]));
                 vals[g.output.index()] = g.kind.eval_words(&ins);
             }
             for (bv, r) in out.iter_mut().zip(roots) {
@@ -470,7 +478,7 @@ mod tests {
         let mut roots: Vec<NetId> = fsm
             .state_nets
             .iter()
-            .map(|&q| nl.gate(nl.driver(q).unwrap()).inputs[0])
+            .map(|&q| nl.gate(nl.driver(q).unwrap()).inputs()[0])
             .collect();
         roots.extend(nl.output_nets());
         let mut others = nl.input_nets();

@@ -67,7 +67,7 @@ pub fn resynthesize(nl: &mut Netlist, lib: &Library) -> usize {
     }
     for (_, g) in nl.gates() {
         if g.kind.is_sequential() {
-            roots.push(g.inputs[0]);
+            roots.push(g.inputs()[0]);
         }
     }
     roots.sort();
@@ -412,7 +412,8 @@ mod tests {
                 continue;
             }
             let survives = out_nets.contains(&out)
-                || fanout[out.index()]
+                || fanout
+                    .of(out)
                     .iter()
                     .any(|c| !in_cone.contains(c) || !dying.contains(c));
             if !survives {
@@ -537,7 +538,7 @@ mod tests {
         roots.extend(
             nl.gates()
                 .filter(|(_, g)| g.kind.is_sequential())
-                .map(|(_, g)| g.inputs[0]),
+                .map(|(_, g)| g.inputs()[0]),
         );
         roots.sort();
         roots.dedup();
@@ -600,8 +601,7 @@ mod tests {
             let (mut fast, mut full) = (nl.clone(), nl);
             let n = resynthesize(&mut fast, &lib);
             assert_eq!(n, resynthesize_full_work(&mut full, &lib), "seed {seed}");
-            let gates =
-                |nl: &Netlist| -> Vec<_> { nl.gates().map(|(id, g)| (id, g.clone())).collect() };
+            let gates = |nl: &Netlist| -> Vec<_> { nl.gates().map(|(id, g)| (id, *g)).collect() };
             assert_eq!(gates(&fast), gates(&full), "seed {seed}");
             assert_eq!(fast.outputs(), full.outputs(), "seed {seed}");
             rebuilt += n;
@@ -705,6 +705,6 @@ mod tests {
             .find(|(_, g)| g.kind.is_sequential())
             .map(|(id, _)| id)
             .unwrap();
-        assert_eq!(nl.gate(flop).inputs[0], a);
+        assert_eq!(nl.gate(flop).inputs()[0], a);
     }
 }

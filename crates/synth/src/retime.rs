@@ -59,7 +59,7 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
     for (id, g) in nl.gates() {
         if let GateKind::Dff { reset, .. } = g.kind {
             groups
-                .entry((reset, g.inputs.get(1).copied()))
+                .entry((reset, g.inputs().get(1).copied()))
                 .or_default()
                 .push(id);
         }
@@ -71,7 +71,7 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
         // Union support of the D cones must be primary inputs only.
         let mut support: std::collections::BTreeSet<NetId> = std::collections::BTreeSet::new();
         for &f in &flops {
-            for s in topo::comb_support(nl, nl.gate(f).inputs[0]) {
+            for s in topo::comb_support(nl, nl.gate(f).inputs()[0]) {
                 if nl.driver(s).is_some() {
                     continue 'groups; // fed by another gate/flop: skip group
                 }
@@ -87,13 +87,14 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
         let out_nets: std::collections::HashSet<NetId> = nl.output_nets().into_iter().collect();
         let mut cone_gates: std::collections::HashSet<GateId> = std::collections::HashSet::new();
         for &f in &flops {
-            cone_gates.extend(topo::cone_gates(nl, nl.gate(f).inputs[0]));
+            cone_gates.extend(topo::cone_gates(nl, nl.gate(f).inputs()[0]));
         }
         let flop_set: std::collections::HashSet<GateId> = flops.iter().copied().collect();
         let escapes = cone_gates.iter().any(|&cg| {
             let out = nl.gate(cg).output;
             out_nets.contains(&out)
-                || fanout[out.index()]
+                || fanout
+                    .of(out)
                     .iter()
                     .any(|g| !cone_gates.contains(g) && !flop_set.contains(g))
         });
@@ -102,7 +103,7 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
         }
         // Find an init preimage: an assignment of the support whose cone
         // image equals the flop init vector.
-        let ds: Vec<NetId> = flops.iter().map(|&f| nl.gate(f).inputs[0]).collect();
+        let ds: Vec<NetId> = flops.iter().map(|&f| nl.gate(f).inputs()[0]).collect();
         let d_tts = Cone::new(nl, &ds, &support).truth_tables();
         let inits: Vec<bool> = flops
             .iter()
@@ -140,7 +141,7 @@ fn find_backward_candidate(nl: &Netlist) -> Option<BackwardBank> {
 
 fn apply_backward(nl: &mut Netlist, bank: &BackwardBank) {
     let (reset, rst_net) = match nl.gate(bank.flops[0]).kind {
-        GateKind::Dff { reset, .. } => (reset, nl.gate(bank.flops[0]).inputs.get(1).copied()),
+        GateKind::Dff { reset, .. } => (reset, nl.gate(bank.flops[0]).inputs().get(1).copied()),
         _ => unreachable!(),
     };
     // New flops on the support.
@@ -160,14 +161,14 @@ fn apply_backward(nl: &mut Netlist, bank: &BackwardBank) {
     // Recompute each old flop's function combinationally after the new
     // flops, and rewire its consumers.
     for &f in &bank.flops {
-        let d = nl.gate(f).inputs[0];
+        let d = nl.gate(f).inputs()[0];
         let q_old = nl.gate(f).output;
         let cone = topo::cone_gates(nl, d);
         let mut local = sub.clone();
         for gid in cone {
-            let g = nl.gate(gid).clone();
+            let g = *nl.gate(gid);
             let inputs: Vec<NetId> = g
-                .inputs
+                .inputs()
                 .iter()
                 .map(|i| local.get(i).copied().unwrap_or(*i))
                 .collect();
@@ -244,7 +245,7 @@ fn find_candidate(nl: &Netlist) -> Option<NetId> {
         // No feedback: the flops' D cones must not read any absorbed flop.
         let support_set: std::collections::HashSet<NetId> = support.iter().copied().collect();
         if flops.iter().any(|&f| {
-            topo::comb_support(nl, nl.gate(f).inputs[0])
+            topo::comb_support(nl, nl.gate(f).inputs()[0])
                 .iter()
                 .any(|s| support_set.contains(s))
         }) {
@@ -258,7 +259,7 @@ fn find_candidate(nl: &Netlist) -> Option<NetId> {
             topo::cone_gates(nl, root).into_iter().collect();
         if support
             .iter()
-            .any(|s| out_nets.contains(s) || fanout[s.index()].iter().any(|g| !cone.contains(g)))
+            .any(|s| out_nets.contains(s) || fanout.of(*s).iter().any(|g| !cone.contains(g)))
         {
             continue;
         }
@@ -267,8 +268,7 @@ fn find_candidate(nl: &Netlist) -> Option<NetId> {
         let escapes = cone.iter().any(|&cg| {
             let out = nl.gate(cg).output;
             out != root
-                && (out_nets.contains(&out)
-                    || fanout[out.index()].iter().any(|g| !cone.contains(g)))
+                && (out_nets.contains(&out) || fanout.of(out).iter().any(|g| !cone.contains(g)))
         });
         if escapes {
             continue;
@@ -289,7 +289,7 @@ fn apply(nl: &mut Netlist, root: NetId) {
         .map(|&s| nl.driver(s).expect("validated"))
         .collect();
     let (reset_kind, rst_net) = match nl.gate(flops[0]).kind {
-        GateKind::Dff { reset, .. } => (reset, nl.gate(flops[0]).inputs.get(1).copied()),
+        GateKind::Dff { reset, .. } => (reset, nl.gate(flops[0]).inputs().get(1).copied()),
         _ => unreachable!(),
     };
     // New init = cone evaluated on the old init vector.
@@ -307,13 +307,13 @@ fn apply(nl: &mut Netlist, root: NetId) {
     let mut sub: std::collections::HashMap<NetId, NetId> = std::collections::HashMap::new();
     for &f in &flops {
         let g = nl.gate(f);
-        sub.insert(g.output, g.inputs[0]);
+        sub.insert(g.output, g.inputs()[0]);
     }
     let cone = topo::cone_gates(nl, root);
     for gid in cone {
-        let g = nl.gate(gid).clone();
+        let g = *nl.gate(gid);
         let inputs: Vec<NetId> = g
-            .inputs
+            .inputs()
             .iter()
             .map(|i| sub.get(i).copied().unwrap_or(*i))
             .collect();

@@ -77,7 +77,7 @@ fn propagate_group(nl: &mut Netlist, group: &NetGroupValues, max_k: usize) -> us
             supported.insert(g.output);
             continue;
         }
-        if g.inputs.iter().all(|i| supported.contains(i)) && !group_nets.contains(&g.output) {
+        if g.inputs().iter().all(|i| supported.contains(i)) && !group_nets.contains(&g.output) {
             supported.insert(g.output);
             cone.push(g.output);
         }

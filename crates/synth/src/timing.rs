@@ -45,7 +45,7 @@ impl TimingReport {
 /// Panics if the netlist has a combinational cycle (validate first).
 pub fn sta(nl: &Netlist, lib: &Library) -> TimingReport {
     let order = topo::topological_order(nl).expect("acyclic netlist");
-    let fanout = nl.fanout_map();
+    let fanout = nl.fanout_counts();
     let mut arrival = vec![0.0f64; nl.num_nets()];
     // Launch points: flop outputs start at clock-to-Q.
     for (_, g) in nl.gates() {
@@ -61,11 +61,11 @@ pub fn sta(nl: &Netlist, lib: &Library) -> TimingReport {
             continue;
         }
         let input_arrival = g
-            .inputs
+            .inputs()
             .iter()
             .map(|i| arrival[i.index()])
             .fold(0.0, f64::max);
-        let fo = fanout[g.output.index()].len().saturating_sub(1) as f64;
+        let fo = f64::from(fanout[g.output.index()].saturating_sub(1));
         let t = input_arrival + lib.delay(g.kind) + fo * lib.fanout_delay;
         arrival[g.output.index()] = t;
         if t > critical {
@@ -77,10 +77,10 @@ pub fn sta(nl: &Netlist, lib: &Library) -> TimingReport {
     let mut critical_delay = critical;
     for (_, g) in nl.gates() {
         if g.kind.is_sequential() {
-            let t = arrival[g.inputs[0].index()] + lib.setup_time;
+            let t = arrival[g.inputs()[0].index()] + lib.setup_time;
             if t > critical_delay {
                 critical_delay = t;
-                critical_net = Some(g.inputs[0]);
+                critical_net = Some(g.inputs()[0]);
             }
         }
     }

@@ -17,7 +17,7 @@ impl UseCounts {
     pub(crate) fn count(nl: &Netlist) -> Self {
         let mut refs = vec![0u32; nl.num_nets()];
         for (_, g) in nl.gates() {
-            for &i in &g.inputs {
+            for &i in g.inputs() {
                 refs[i.index()] += 1;
             }
         }
