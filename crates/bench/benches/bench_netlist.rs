@@ -85,7 +85,9 @@ fn bench(_: &mut Criterion) {
         (
             "sta",
             50,
-            Box::new(|| drop(std::hint::black_box(sta(&mapped, &lib)))),
+            Box::new(|| {
+                std::hint::black_box(sta(&mapped, &lib));
+            }),
         ),
         (
             "elaborate",

@@ -4,24 +4,24 @@
 //! input/output-equivalent to the flexible one it came from. This
 //! subcommand checks exactly that:
 //!
-//! * for KISS2 specs, two *bound* styles (`table`, `table-annotated`,
-//!   `case`) are compared with [`synthir_sim::check_seq_equiv`] — reset
-//!   both, drive identical input sequences, compare every output, every
-//!   cycle — as a SAT proof: induction, else bounded model checking to
-//!   `--depth` cycles;
-//! * against the `programmable` style the check becomes
-//!   *program-then-compare*: the flexible design's tables are first written
-//!   through its config port (one word per cycle), the state register is
-//!   re-reset, and only then does the lockstep comparison start — the
-//!   hardware analogue of binding the generator parameters;
+//! * for KISS2 specs, the two lowerings are compared with
+//!   [`synthir_sim::check_seq_equiv`] — reset both, drive identical input
+//!   sequences, compare every output, every cycle — as a SAT proof:
+//!   induction, else bounded model checking to `--depth` cycles;
+//! * a `programmable` side is checked *program-then-compare*: its tables
+//!   are first written through its config port (one word per cycle) and
+//!   the state register is re-reset — the hardware analogue of binding the
+//!   generator parameters. The prover then starts that side from the
+//!   programmed state with the write port tied off, so program-then-compare
+//!   is the same proof as a pair of bound styles;
 //! * for a pair of `.pla` files, the ON-set covers are lowered to
 //!   two-level gate networks and checked combinationally by a SAT miter,
 //!   which proves equivalence (or produces a concrete counterexample) at
 //!   any width.
 //!
-//! `--vcd` dumps the left design as a waveform for debugging: the
-//! program-then-compare run, or on a bound pair the counterexample's input
-//! prefix replayed up to the failing cycle.
+//! `--vcd` dumps the left design (programmed, if programmable) as a
+//! waveform for debugging: the counterexample's input prefix replayed up
+//! to the failing cycle, or a seeded run when the designs are equivalent.
 
 use crate::args::Args;
 use crate::fsm::Style;
@@ -31,9 +31,8 @@ use synthir_core::format_conv::from_kiss2;
 use synthir_core::FsmSpec;
 use synthir_logic::cube::Literal;
 use synthir_logic::pla::Pla;
-use synthir_netlist::{GateKind, Library, NetId, Netlist};
+use synthir_netlist::{GateKind, Library, NetId, Netlist, ResetKind};
 use synthir_rtl::elaborate;
-use synthir_sim::vcd::VcdRecorder;
 use synthir_sim::{
     check_comb_equiv, check_seq_equiv, Counterexample, EquivOptions, EquivResult, SeqSim,
 };
@@ -51,27 +50,24 @@ check programs the config tables first, then compares (program-then-
 compare). Two .pla operands are compared combinationally (ON-set covers
 under f-type semantics).
 
-Every check between bound styles or .pla files is a SAT proof: a miter
-for .pla pairs; for bound styles an induction proof, else a bounded model
-check from reset to --depth cycles. Program-then-compare is a random
-lockstep run and proves nothing beyond the cycles it ran.
+Every check is a SAT proof: a miter for .pla pairs; for KISS2 lowerings,
+program-then-compare included, an induction proof, else a bounded model
+check from reset to --depth cycles.
 
 options:
   --left <style>   left coding style (default table; .kiss2 only)
   --right <style>  right coding style (default programmable; .kiss2 only)
-  --cycles <n>     program-then-compare lockstep cycles, and the length of
-                   the --vcd run on an equivalent bound pair (default 256;
-                   .kiss2 only)
-  --depth <k>      bounded-model-check depth for bound styles (default 8;
-                   .kiss2 only)
-  --seed <s>       seed of the random input sequences and of the induction
+  --cycles <n>     length of the --vcd run on an equivalent pair (default
+                   256; .kiss2 only)
+  --depth <k>      bounded-model-check depth (default 8; .kiss2 only)
+  --seed <s>       seed of the --vcd run's inputs and of the induction
                    prover's simulation, which cannot change a verdict
                    (default 0x5EED; .kiss2 only)
   --synth          compare synthesized netlists instead of elaborations
-  --vcd <file>     dump the left design as VCD (.kiss2 only): the
-                   program-then-compare run; on a bound pair the
-                   counterexample's inputs up to the failing cycle when
-                   INEQUIVALENT, else a seeded --cycles run
+  --vcd <file>     dump the left design as VCD (.kiss2 only), programmed
+                   if programmable: the counterexample's inputs up to the
+                   failing cycle when INEQUIVALENT, else a seeded --cycles
+                   run
 ";
 
 /// Boolean flags `synthir equiv` accepts (each documented in [`USAGE`]).
@@ -143,16 +139,26 @@ pub fn run(args: &Args) -> CmdResult {
         )));
     }
 
-    let lower = |spec: &FsmSpec, style: Style| -> Result<Netlist, CliError> {
+    // Program-then-compare as a proof: a programmable side is lowered,
+    // `programmed`, and checked with its config write port bound to 0.
+    let mut opts = EquivOptions::new();
+    opts.seed = seed;
+    opts.bmc_depth = depth;
+    let lower = |spec: &FsmSpec, style: Style, binds: &mut HashMap<String, u128>| {
         let elab = elaborate(&style.lower(spec))?;
-        if args.flag("synth") {
-            Ok(compile(&elab, &Library::vt90(), &SynthOptions::default())?.netlist)
+        let nl = if args.flag("synth") {
+            compile(&elab, &Library::vt90(), &SynthOptions::default())?.netlist
         } else {
-            Ok(elab.netlist)
+            elab.netlist
+        };
+        if style != Style::Programmable {
+            return Ok(nl);
         }
+        binds.extend(WRITE_PORT.map(|port| (port.to_string(), 0)));
+        programmed(&nl, spec)
     };
-    let left_nl = lower(&left_spec, left_style)?;
-    let right_nl = lower(&right_spec, right_style)?;
+    let left_nl = lower(&left_spec, left_style, &mut opts.bind_left)?;
+    let right_nl = lower(&right_spec, right_style, &mut opts.bind_right)?;
 
     let mut out = format!(
         "left  : {} ({:?}, {} gates)\nright : {} ({:?}, {} gates)\n",
@@ -164,60 +170,23 @@ pub fn run(args: &Args) -> CmdResult {
         right_nl.num_gates(),
     );
 
-    let programmable = (
-        left_style == Style::Programmable,
-        right_style == Style::Programmable,
-    );
-    let lockstep = programmable.0 || programmable.1;
-    let verdict = if lockstep {
-        lockstep_with_programming(
-            &left_nl,
-            &left_spec,
-            programmable.0,
-            &right_nl,
-            &right_spec,
-            programmable.1,
-            cycles,
-            seed,
-            args.option("vcd"),
-        )?
-    } else {
-        let mut opts = EquivOptions::new();
-        opts.seed = seed;
-        opts.bmc_depth = depth;
-        let res = check_seq_equiv(&left_nl, &right_nl, &opts)?;
-        let vcd = args.option("vcd");
-        match res {
-            EquivResult::Equivalent => {
-                if let Some(path) = vcd {
-                    record_vcd(&left_nl, cycles, seed, path)?;
-                }
-                None
+    let vcd = args.option("vcd");
+    match check_seq_equiv(&left_nl, &right_nl, &opts)? {
+        EquivResult::Equivalent => {
+            if let Some(path) = vcd {
+                record_vcd(&left_nl, cycles, seed, path)?;
             }
-            EquivResult::Inequivalent(cex) => {
-                if let Some(path) = vcd {
-                    record_counterexample(&left_nl, &cex, path)?;
-                }
-                Some(format!(
-                    "output `{}` differs: left {:#x} vs right {:#x} (inputs {:?})",
-                    cex.output, cex.left, cex.right, cex.inputs
-                ))
-            }
-        }
-    };
-
-    // Only the bound pair is a proof: program-then-compare is a random
-    // lockstep run.
-    match verdict {
-        None => {
-            out.push_str(&if lockstep {
-                format!("{EQUIVALENT} over {cycles} cycles (seed {seed:#x})\n")
-            } else {
-                format!("{EQUIVALENT} for all input sequences up to {depth} cycles (BMC proof)\n")
-            });
+            out.push_str(&format!(
+                "{EQUIVALENT} for all input sequences up to {depth} cycles (BMC proof)\n"
+            ));
             Ok(out)
         }
-        Some(msg) => Err(CliError(format!("INEQUIVALENT: {msg}"))),
+        EquivResult::Inequivalent(cex) => {
+            if let Some(path) = vcd {
+                record_counterexample(&left_nl, &cex, path)?;
+            }
+            Err(inequivalent(&cex))
+        }
     }
 }
 
@@ -274,11 +243,16 @@ fn run_pla_pair(args: &Args, left_path: &str, right_path: &str) -> CmdResult {
             out.push_str(&format!("{EQUIVALENT} (proved by SAT)\n"));
             Ok(out)
         }
-        EquivResult::Inequivalent(cex) => Err(CliError(format!(
-            "INEQUIVALENT: output `{}` differs: left {:#x} vs right {:#x} (inputs {:?})",
-            cex.output, cex.left, cex.right, cex.inputs
-        ))),
+        EquivResult::Inequivalent(cex) => Err(inequivalent(&cex)),
     }
+}
+
+/// The error that reports a counterexample.
+fn inequivalent(cex: &Counterexample) -> CliError {
+    CliError(format!(
+        "INEQUIVALENT: output `{}` differs: left {:#x} vs right {:#x} (inputs {:?})",
+        cex.output, cex.left, cex.right, cex.inputs
+    ))
 }
 
 /// Lowers a PLA's ON-set covers (f-type semantics) to a flat two-level
@@ -324,84 +298,47 @@ pub fn pla_netlist(name: &str, pla: &Pla) -> Netlist {
     nl
 }
 
-/// Lockstep comparison where at least one side is the programmable style:
-/// program each flexible side through its config port, re-reset the state
-/// registers, then drive identical random inputs and compare `out` each
-/// cycle. Returns `None` on success or a counterexample description.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_with_programming(
-    left_nl: &Netlist,
-    left_spec: &FsmSpec,
-    left_programmable: bool,
-    right_nl: &Netlist,
-    right_spec: &FsmSpec,
-    right_programmable: bool,
-    cycles: usize,
-    seed: u64,
-    vcd: Option<&str>,
-) -> Result<Option<String>, CliError> {
-    let mut left = SeqSim::new(left_nl)?;
-    let mut right = SeqSim::new(right_nl)?;
+/// The config write port of the `programmable` style.
+const WRITE_PORT: [&str; 4] = ["cfg_addr", "cfg_next", "cfg_out", "cfg_wen"];
 
-    // Phase 1: program each flexible side, one table word per cycle. The
-    // bound side idles at reset (we simply don't step it).
-    let program = |sim: &mut SeqSim, spec: &FsmSpec| {
-        let (next_words, out_words) = spec.to_table_words();
-        for addr in 0..next_words.len() {
-            let mut m = HashMap::new();
-            m.insert("cfg_addr".to_string(), addr as u128);
-            m.insert("cfg_next".to_string(), next_words[addr]);
-            m.insert("cfg_out".to_string(), out_words[addr]);
-            m.insert("cfg_wen".to_string(), 1);
-            sim.step(&m);
-        }
-        // Re-reset: the µ-state register wandered during programming; the
-        // config memory flops have no reset wiring and keep their contents.
-        let mut rst = HashMap::new();
-        rst.insert("rst".to_string(), 1u128);
-        sim.step(&rst);
-    };
-    if left_programmable {
-        program(&mut left, left_spec);
+/// Programs a flexible design and returns it as a bound one: `spec`'s
+/// table words are written through the `cfg_*` port, one word per cycle,
+/// and the state register is re-reset (it wandered during programming).
+/// The copy's flops then start in the state the simulator holds, so the
+/// reset-less config flops start out holding the program.
+///
+/// # Panics
+///
+/// Panics if a flop with reset wiring does not hold its `init` after the
+/// re-reset.
+fn programmed(nl: &Netlist, spec: &FsmSpec) -> Result<Netlist, CliError> {
+    let mut sim = SeqSim::new(nl)?;
+    let (next_words, out_words) = spec.to_table_words();
+    for (addr, (&next, &out)) in next_words.iter().zip(&out_words).enumerate() {
+        sim.step(&HashMap::from([
+            ("cfg_addr".to_string(), addr as u128),
+            ("cfg_next".to_string(), next),
+            ("cfg_out".to_string(), out),
+            ("cfg_wen".to_string(), 1),
+        ]));
     }
-    if right_programmable {
-        program(&mut right, right_spec);
-    }
-
-    // Phase 2: lockstep with identical random input sequences.
-    let mut recorder = vcd.map(|_| VcdRecorder::new(left_nl, "1ns"));
-    let mut rng = seed;
-    let mask = if left_spec.num_inputs() >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << left_spec.num_inputs()) - 1
-    };
-    let mut verdict = None;
-    for cycle in 0..cycles {
-        let input = (splitmix_next(&mut rng) & mask) as u128;
-        let mut inputs = HashMap::new();
-        inputs.insert("in".to_string(), input);
-        let lout = left.step(&inputs);
-        let rout = right.step(&inputs);
-        if let Some(rec) = recorder.as_mut() {
-            rec.sample(&inputs, &lout);
-        }
-        if lout["out"] != rout["out"] {
-            verdict = Some(format!(
-                "cycle {cycle}: in={input:#x} → left out {:#x} vs right out {:#x}",
-                lout["out"], rout["out"]
-            ));
-            break;
+    sim.step(&HashMap::from([("rst".to_string(), 1)]));
+    let mut bound = nl.clone();
+    for (id, g) in nl.gates() {
+        if let GateKind::Dff { reset, init } = g.kind {
+            let state = sim.flop_state(g.output).expect("every flop has a state");
+            assert!(
+                reset == ResetKind::None || state == init,
+                "a reset flop holds its init after reset"
+            );
+            bound.rewrite_gate(id, GateKind::Dff { reset, init: state }, g.inputs());
         }
     }
-    if let (Some(rec), Some(path)) = (recorder, vcd) {
-        write_file(path, rec.finish())?;
-    }
-    Ok(verdict)
+    Ok(bound)
 }
 
 /// Records a seeded standalone run of one design for `--vcd` on an
-/// equivalent bound pair (the proof itself came from `check_seq_equiv`).
+/// equivalent pair (the proof itself came from `check_seq_equiv`).
 fn record_vcd(nl: &Netlist, cycles: usize, seed: u64, path: &str) -> Result<(), CliError> {
     let in_width = nl
         .inputs()
@@ -423,7 +360,7 @@ fn record_vcd(nl: &Netlist, cycles: usize, seed: u64, path: &str) -> Result<(), 
     write_file(path, text)
 }
 
-/// Replays a bound pair's counterexample through one design for `--vcd`:
+/// Replays a counterexample through one design for `--vcd`:
 /// its `name@t` input prefix, cycle by cycle, so the dump's last timestep
 /// is the reported `__cycle`.
 fn record_counterexample(nl: &Netlist, cex: &Counterexample, path: &str) -> Result<(), CliError> {
@@ -446,8 +383,7 @@ fn write_file(path: &str, text: String) -> Result<(), CliError> {
     std::fs::write(path, text).map_err(|e| CliError(format!("cannot write `{path}`: {e}")))
 }
 
-/// One SplitMix64 step — the stimulus generator of the lockstep and
-/// `--vcd` runs.
+/// One SplitMix64 step — the stimulus generator of the `--vcd` run.
 fn splitmix_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -503,23 +439,22 @@ mod tests {
         assert!(out.contains(EQUIVALENT), "{out}");
     }
 
+    /// Different specs are refuted with a sequential counterexample, bound
+    /// or programmed, each spec on either side.
     #[test]
     fn different_specs_are_caught() {
         let a = write_temp("cli_eq_a.kiss2", TOGGLE);
         let b = write_temp("cli_eq_b.kiss2", BROKEN);
-        let e = run(&parse(&[&a, &b, "--left", "table", "--right", "table"])).unwrap_err();
-        assert!(e.to_string().contains("INEQUIVALENT"), "{e}");
-        // And against the programmed flexible design too.
-        let e = run(&parse(&[
-            &a,
-            &b,
-            "--left",
-            "table",
-            "--right",
-            "programmable",
-        ]))
-        .unwrap_err();
-        assert!(e.to_string().contains("INEQUIVALENT"), "{e}");
+        for (l, r) in [(&a, &b), (&b, &a)] {
+            for (ls, rs) in [
+                ("table", "table"),
+                ("table", "programmable"),
+                ("programmable", "case"),
+            ] {
+                let e = run(&parse(&[l, r, "--left", ls, "--right", rs])).unwrap_err();
+                cex_cycle(&e.to_string());
+            }
+        }
     }
 
     #[test]
@@ -536,31 +471,37 @@ mod tests {
         assert!(out.contains(EQUIVALENT), "{out}");
     }
 
-    /// On an inequivalent bound pair `--vcd` replays the counterexample:
-    /// one timestep per cycle up to the reported `__cycle`, so the dump
-    /// ends at `#(__cycle + 1)`, and it is written before the error.
+    /// On an inequivalent pair `--vcd` replays the counterexample through
+    /// the left design, programmed if programmable: one timestep per cycle
+    /// up to the reported `__cycle`, so the dump ends at `#(__cycle + 1)`,
+    /// and it is written before the error.
     #[test]
     fn vcd_replays_the_counterexample_of_a_bound_pair() {
         let a = write_temp("cli_eq_vcd_cex_a.kiss2", TOGGLE);
         let b = write_temp("cli_eq_vcd_cex_b.kiss2", BROKEN);
         let vcd = std::env::temp_dir().join("cli_eq_vcd_cex.vcd");
-        let _ = std::fs::remove_file(&vcd);
         let vcd_s = vcd.to_string_lossy().into_owned();
-        let e = run(&parse(&[
-            &a, &b, "--left", "table", "--right", "table", "--vcd", &vcd_s,
-        ]))
-        .unwrap_err()
-        .to_string();
+        for (l, r, ls) in [(&a, &b, "table"), (&b, &a, "programmable")] {
+            let _ = std::fs::remove_file(&vcd);
+            let e = run(&parse(&[
+                l, r, "--left", ls, "--right", "table", "--vcd", &vcd_s,
+            ]))
+            .unwrap_err()
+            .to_string();
+            let text = std::fs::read_to_string(&vcd).unwrap();
+            let last = text.lines().last().unwrap();
+            assert_eq!(last, format!("#{}", cex_cycle(&e) + 1), "{ls}: {text}");
+        }
+    }
+
+    /// The `__cycle` an INEQUIVALENT message reports.
+    fn cex_cycle(e: &str) -> usize {
         assert!(e.contains("INEQUIVALENT"), "{e}");
-        let cycle: usize = e
-            .split("\"__cycle\": ")
+        e.split("\"__cycle\": ")
             .nth(1)
             .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
             .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("no __cycle in {e}"));
-        let text = std::fs::read_to_string(&vcd).unwrap();
-        let last = text.lines().last().unwrap();
-        assert_eq!(last, format!("#{}", cycle + 1), "{text}");
+            .unwrap_or_else(|| panic!("no __cycle in {e}"))
     }
 
     #[test]
@@ -586,14 +527,58 @@ mod tests {
         assert!(e.to_string().contains("INEQUIVALENT"), "{e}");
     }
 
-    /// The program-then-compare path is a random lockstep run: its verdict
-    /// must not overclaim a BMC proof.
+    /// Program-then-compare goes through the same prover as a bound pair,
+    /// so its verdict is the BMC proof line.
     #[test]
-    fn programmable_path_never_claims_a_bmc_proof() {
+    fn programmable_path_is_a_bmc_proof() {
         let p = write_temp("cli_eq_noclaim.kiss2", TOGGLE);
         let out = run(&parse(&[&p, "--right", "programmable"])).unwrap();
-        assert!(!out.contains("BMC proof"), "{out}");
-        assert!(out.contains(EQUIVALENT), "{out}");
+        assert!(
+            out.contains(&format!(
+                "{EQUIVALENT} for all input sequences up to 8 cycles (BMC proof)"
+            )),
+            "{out}"
+        );
+    }
+
+    /// The programmed copy carries the program in its config flops' `init`:
+    /// flipping one of them is a different controller, and the proof sees
+    /// it.
+    #[test]
+    fn flipped_config_flop_is_refuted() {
+        let spec = from_kiss2("toggle", TOGGLE).unwrap();
+        let table = elaborate(&Style::Table.lower(&spec)).unwrap().netlist;
+        let flexible = elaborate(&Style::Programmable.lower(&spec))
+            .unwrap()
+            .netlist;
+        let good = programmed(&flexible, &spec).unwrap();
+        let mut opts = EquivOptions::new();
+        opts.bind_right
+            .extend(WRITE_PORT.map(|port| (port.to_string(), 0)));
+        assert!(check_seq_equiv(&table, &good, &opts)
+            .unwrap()
+            .is_equivalent());
+        let config: Vec<_> = good
+            .gates()
+            .filter_map(|(id, g)| match g.kind {
+                GateKind::Dff {
+                    reset: ResetKind::None,
+                    init,
+                } => Some((id, init, *g)),
+                _ => None,
+            })
+            .collect();
+        assert!(!config.is_empty(), "the flexible design has config flops");
+        for (id, init, g) in config {
+            let mut bad = good.clone();
+            let kind = GateKind::Dff {
+                reset: ResetKind::None,
+                init: !init,
+            };
+            bad.rewrite_gate(id, kind, g.inputs());
+            let res = check_seq_equiv(&table, &bad, &opts).unwrap();
+            assert!(!res.is_equivalent(), "flop {id:?} flipped");
+        }
     }
 
     const PLA_A: &str = ".i 3\n.o 1\n11- 1\n1-1 1\n-11 1\n.e\n";

@@ -12,8 +12,8 @@
 //! * [`ucode`] — `synthir ucode prog.uasm -o out.v`: textual microcode →
 //!   assembler → microcode sequencer → synthesis;
 //! * [`equiv`] — `synthir equiv spec.kiss2 --left table --right
-//!   programmable`: the methodology's soundness check, program-then-compare
-//!   co-simulation included, with optional VCD waveform dump.
+//!   programmable`: the methodology's soundness check as a SAT proof,
+//!   program-then-compare included, with optional VCD waveform dump.
 //!
 //! Each subcommand is a library function taking parsed [`args::Args`], so
 //! the whole pipeline is testable without spawning the binary; the

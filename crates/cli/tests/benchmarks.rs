@@ -176,6 +176,36 @@ fn kiss2_benchmarks_bmc_proves_bound_styles() {
     }
 }
 
+/// Program-then-compare is a SAT proof on every KISS2 benchmark: `table`
+/// and `case` against `programmable` in either position, and
+/// `programmable` against itself, elaborated and synthesized.
+#[test]
+fn kiss2_benchmarks_bmc_prove_program_then_compare() {
+    let pairs = [
+        ("table", "programmable"),
+        ("programmable", "table"),
+        ("case", "programmable"),
+        ("programmable", "case"),
+        ("programmable", "programmable"),
+    ];
+    for path in kiss2_benchmarks() {
+        for (left, right) in pairs {
+            for synth in [None, Some("--synth")] {
+                let mut raw = vec![path.as_str(), "--left", left, "--right", right];
+                raw.extend(synth);
+                let out = equiv::run(&equiv_args(&raw)).unwrap();
+                assert!(
+                    out.contains(&format!(
+                        "{} for all input sequences up to 8 cycles (BMC proof)",
+                        equiv::EQUIVALENT
+                    )),
+                    "{path} {left} vs {right} {synth:?}: {out}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn ucode_benchmark_assembles_and_synthesizes() {
     let path = bench_path("dma_copy.uasm");

@@ -476,7 +476,9 @@ impl Netlist {
         }
     }
 
-    /// Rewrites one gate in place (same output net, new kind/inputs).
+    /// Rewrites one gate in place (same output net, new kind/inputs). A
+    /// cached constant net whose driver stops being that constant is
+    /// forgotten, so [`Netlist::constant`] makes a fresh one.
     ///
     /// # Panics
     ///
@@ -484,6 +486,15 @@ impl Netlist {
     pub fn rewrite_gate(&mut self, id: GateId, kind: GateKind, inputs: &[NetId]) {
         let g = self.gates[id.index()].as_mut().expect("live gate");
         *g = Gate::new(kind, inputs, g.output);
+        for (cn, k) in self
+            .const_nets
+            .iter_mut()
+            .zip([GateKind::Const0, GateKind::Const1])
+        {
+            if *cn == Some(g.output) && kind != k {
+                *cn = None;
+            }
+        }
     }
 
     /// Per net, how many pins of live gates read it.
@@ -779,5 +790,22 @@ mod tests {
         nl.rewrite_gate(g, GateKind::Or2, ins.inputs());
         assert_eq!(nl.gate(g).kind, GateKind::Or2);
         nl.validate().unwrap();
+    }
+
+    #[test]
+    fn rewriting_a_cached_constant_forgets_it() {
+        let mut nl = tiny();
+        let a = nl.input("a").unwrap().nets[0];
+        for v in [false, true] {
+            let c = nl.constant(v);
+            nl.rewrite_gate(nl.driver(c).unwrap(), GateKind::Buf, &[a]);
+            let fresh = nl.constant(v);
+            assert_ne!(fresh, c);
+            assert_eq!(nl.as_constant(fresh), Some(v));
+        }
+        // Rewriting a constant into itself keeps the cache.
+        let c = nl.const0();
+        nl.rewrite_gate(nl.driver(c).unwrap(), GateKind::Const0, &[]);
+        assert_eq!(nl.const0(), c);
     }
 }

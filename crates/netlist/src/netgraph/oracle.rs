@@ -140,6 +140,13 @@ impl Oracle {
         let g = self.gates[id.index()].as_mut().expect("live gate");
         g.kind = kind;
         g.inputs = inputs.to_vec();
+        let out = g.output;
+        for (v, cn) in self.const_nets.iter_mut().enumerate() {
+            let still = matches!((v, kind), (0, GateKind::Const0) | (1, GateKind::Const1));
+            if *cn == Some(out) && !still {
+                *cn = None;
+            }
+        }
     }
 
     fn fanout_map(&self) -> Vec<Vec<GateId>> {
@@ -374,12 +381,7 @@ fn run(seed: u64, steps: usize) {
                 o.remap_uses(&map);
             }
             10 => {
-                // The cached constants stay constants.
-                let live: Vec<GateId> = nl
-                    .gates()
-                    .filter(|(_, g)| !g.kind.is_constant())
-                    .map(|(id, _)| id)
-                    .collect();
+                let live: Vec<GateId> = nl.gates().map(|(id, _)| id).collect();
                 if !live.is_empty() {
                     let id = live[rng.below(live.len())];
                     let kind = kinds[rng.below(kinds.len())];

@@ -12,8 +12,8 @@ impl Netlist {
     /// gate slot in id order (removed gates included, as holes), the cached
     /// constant nets, every net name and both port lists. Decoding therefore
     /// rebuilds the same gate and net numbering, so data indexed by [`NetId`]
-    /// or [`GateId`] (timing arrivals, a critical net) stays valid against the
-    /// decoded netlist. Every variable-length field carries its length (the
+    /// or [`GateId`] (a critical net) stays valid against the decoded
+    /// netlist. Every variable-length field carries its length (the
     /// named-net bitmap announces the names), so the encoding is self-
     /// delimiting: two netlists that differ in anything but their name encode
     /// to different word streams, which is what lets a content hash of the

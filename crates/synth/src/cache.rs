@@ -165,7 +165,6 @@ struct Entry {
     area: AreaReport,
     critical_delay: f64,
     critical_net: Option<NetId>,
-    arrival: Box<[f64]>,
     /// The flow's pass statistics, `elapsed` zeroed.
     stats: Box<[PassStat]>,
 }
@@ -179,7 +178,6 @@ impl Entry {
             area: r.area,
             critical_delay: r.timing.critical_delay,
             critical_net: r.timing.critical_net,
-            arrival: r.timing.arrival.clone().into_boxed_slice(),
             stats: r
                 .stats
                 .iter()
@@ -195,7 +193,6 @@ impl Entry {
     fn bytes(&self) -> usize {
         std::mem::size_of::<Entry>()
             + std::mem::size_of_val(&*self.netlist)
-            + std::mem::size_of_val(&*self.arrival)
             + std::mem::size_of_val(&*self.stats)
     }
 
@@ -208,7 +205,6 @@ impl Entry {
             timing: TimingReport {
                 critical_delay: self.critical_delay,
                 critical_net: self.critical_net,
-                arrival: self.arrival.to_vec(),
             },
             stats: self.stats.to_vec(),
         }

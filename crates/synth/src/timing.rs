@@ -22,8 +22,6 @@ pub struct TimingReport {
     pub critical_delay: f64,
     /// The net where the critical path ends.
     pub critical_net: Option<NetId>,
-    /// Per-net arrival times (ns).
-    pub arrival: Vec<f64>,
 }
 
 impl TimingReport {
@@ -94,7 +92,6 @@ pub fn sta(nl: &Netlist, lib: &Library) -> TimingReport {
     TimingReport {
         critical_delay,
         critical_net,
-        arrival,
     }
 }
 
