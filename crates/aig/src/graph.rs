@@ -494,47 +494,6 @@ impl Aig {
         lit_word(vals, l)
     }
 
-    /// Marks the nodes reachable from `roots` through AND fanins (latches
-    /// and inputs are sources; latch *cones* are not followed — pass latch
-    /// next/reset literals as extra roots for a sequential sweep).
-    pub fn reachable(&self, roots: &[AigLit]) -> Vec<bool> {
-        let mut mark = vec![false; self.nodes.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        for &r in roots {
-            if !mark[r.node() as usize] {
-                mark[r.node() as usize] = true;
-                stack.push(r.node());
-            }
-        }
-        while let Some(n) = stack.pop() {
-            if let AigNode::And(a, b) = self.nodes[n as usize] {
-                for f in [a, b] {
-                    if !mark[f.node() as usize] {
-                        mark[f.node() as usize] = true;
-                        stack.push(f.node());
-                    }
-                }
-            }
-        }
-        mark
-    }
-
-    /// The roots every sequential sweep must keep alive: all output-port
-    /// literals plus every latch's next-state and reset literals.
-    pub fn sequential_roots(&self) -> Vec<AigLit> {
-        let mut roots: Vec<AigLit> = self
-            .output_ports
-            .iter()
-            .flat_map(|p| p.lits.iter().copied())
-            .collect();
-        for l in &self.latches {
-            roots.push(AigLit::new(l.output, false));
-            roots.push(l.next);
-            roots.push(l.reset_lit);
-        }
-        roots
-    }
-
     /// Liveness marks: the nodes transitively observable from the output
     /// ports (plus `extra` roots), where reaching a latch pulls in its
     /// next-state and reset cones — the fixpoint a dangling-node sweep

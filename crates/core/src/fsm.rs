@@ -2,6 +2,7 @@
 
 use crate::CoreError;
 use synthir_logic::Cube;
+use synthir_rtl::styles::cover_expr;
 use synthir_rtl::{Expr, FsmInfo, Memory, Module, RegReset, Register, ResetKind};
 
 /// A state handle within an [`FsmSpec`].
@@ -403,7 +404,7 @@ impl FsmSpec {
             Some(&dc),
             &synthir_logic::espresso::EspressoOptions::default(),
         );
-        let mut exprs = covers.iter().map(|c| cover_expr_on("sel", c));
+        let mut exprs = covers.iter().map(|c| cover_expr("sel", c));
         let next_bits: Vec<Expr> = (0..sb).map(|_| exprs.next().expect("next bit")).collect();
         let out_bits: Vec<Expr> = (0..self.num_outputs)
             .map(|_| exprs.next().expect("output bit"))
@@ -423,43 +424,18 @@ impl FsmSpec {
     }
 }
 
-/// [`synthir_rtl::styles::cover_expr`] generalized to an arbitrary bus name.
-pub fn cover_expr_on(bus: &str, cover: &synthir_logic::Cover) -> Expr {
-    use synthir_logic::cube::Literal;
-    if cover.is_empty() {
-        return Expr::bit(false);
-    }
-    let mut terms: Vec<Expr> = Vec::new();
-    for cube in cover.cubes() {
-        let mut lits: Vec<Expr> = Vec::new();
-        for v in 0..cube.nvars() {
-            match cube.literal(v) {
-                Literal::DontCare => {}
-                Literal::Positive => lits.push(Expr::reference(bus).index(v)),
-                Literal::Negative => lits.push(Expr::reference(bus).index(v).not()),
-            }
-        }
-        let term = if lits.is_empty() {
-            Expr::bit(true)
-        } else {
-            let mut acc = lits.remove(0);
-            for l in lits {
-                acc = acc.and(l);
-            }
-            acc
-        };
-        terms.push(term);
-    }
-    let mut acc = terms.remove(0);
-    for t in terms {
-        acc = acc.or(t);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fsm_info_has_all_states() {
+        let f = crate::random::random_fsm(2, 4, 5, 1);
+        let info = f.fsm_info();
+        assert_eq!(info.codes.len(), 5);
+        assert_eq!(info.reset_code, 0);
+        assert_eq!(info.state_reg, "state");
+    }
 
     /// Traffic light: GREEN -> YELLOW (on `expire`) -> RED -> GREEN.
     fn traffic() -> FsmSpec {

@@ -19,10 +19,11 @@
 //! * [`sequencer`] — lowering of a microprogram to a microcode sequencer
 //!   module: µPC, microcode store (programmable or bound), condition
 //!   dispatch, and per-field outputs;
-//! * [`anno`] — derivation of the annotations the paper shows are needed
-//!   for full optimization: `fsm_state_vector` metadata and value-set
-//!   annotations of non-optimally-encoded (e.g. one-hot) output fields,
-//!   both computed *from the tables themselves*;
+//! * the annotations the paper shows are needed for full optimization,
+//!   both computed *from the tables themselves*: `fsm_state_vector`
+//!   metadata ([`FsmSpec::fsm_info`]) and value-set annotations of
+//!   non-optimally-encoded (e.g. one-hot) output fields over the reachable
+//!   microcode rows ([`sequencer::generate`]);
 //! * [`pe`] — the partial-evaluation driver: compile the flexible and the
 //!   specialized instance of a controller and compare;
 //! * [`random`] — the seeded random design generators used by the paper's
@@ -44,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anno;
 pub mod asm;
 pub mod format_conv;
 pub mod fsm;

@@ -369,25 +369,6 @@ impl MicroProgram {
         trace
     }
 
-    /// The distinct values each field takes across the program (used to
-    /// derive value-set annotations).
-    pub fn field_value_sets(&self) -> Vec<std::collections::BTreeSet<u128>> {
-        let nf = self.format.fields().len();
-        let mut sets = vec![std::collections::BTreeSet::new(); nf];
-        for i in &self.instrs {
-            for (fi, &v) in i.fields.iter().enumerate() {
-                sets[fi].insert(v);
-            }
-        }
-        // Rows beyond the program length read as zero words.
-        if self.instrs.len() < (1 << self.upc_bits()) {
-            for s in &mut sets {
-                s.insert(0);
-            }
-        }
-        sets
-    }
-
     /// The addresses reachable from address 0 through the program's static
     /// control flow. Rows outside this set (padding, leftover microcode
     /// from other configurations) can never execute — the knowledge behind
@@ -422,9 +403,9 @@ impl MicroProgram {
         out
     }
 
-    /// Like [`MicroProgram::field_value_sets`], restricted to reachable
-    /// rows (the correct basis for generator-derived annotations when the
-    /// table carries unreachable filler).
+    /// The distinct values each field takes across the reachable rows: the
+    /// basis of generator-derived value-set annotations (unreachable
+    /// filler rows never execute, so they add no value).
     pub fn field_value_sets_reachable(&self) -> Vec<std::collections::BTreeSet<u128>> {
         let nf = self.format.fields().len();
         let mut sets = vec![std::collections::BTreeSet::new(); nf];
@@ -603,24 +584,6 @@ mod tests {
         // Condition high at the branch: loop back.
         let t = p.simulate(&[0, 1, 0, 0], 4);
         assert_eq!(t[2][0], 0b0001);
-    }
-
-    #[test]
-    fn field_value_sets_include_fill() {
-        let mut p = MicroProgram::new("t", fmt(), 1);
-        p.must_emit(&[("pipe", 0b0001)], NextCtl::Jump(1));
-        p.must_emit(&[("pipe", 0b0010)], NextCtl::Halt);
-        let sets = p.field_value_sets();
-        // 2 instrs, upc_bits = 1, table exactly full: no zero fill needed;
-        // pipe takes {1, 2}.
-        assert_eq!(sets[0], [0b0001u128, 0b0010].into_iter().collect());
-        let mut p = MicroProgram::new("t", fmt(), 1);
-        p.must_emit(&[("pipe", 0b0001)], NextCtl::Jump(1));
-        p.must_emit(&[("pipe", 0b0010)], NextCtl::Jump(2));
-        p.must_emit(&[("pipe", 0b0100)], NextCtl::Halt);
-        let sets = p.field_value_sets();
-        // Table depth 4 > 3 instrs: zero fill included.
-        assert!(sets[0].contains(&0));
     }
 
     #[test]

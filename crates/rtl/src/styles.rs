@@ -28,7 +28,7 @@ pub fn sop_module(name: impl Into<String>, num_inputs: usize, covers: &[Cover]) 
     let mut bits = Vec::with_capacity(covers.len());
     for c in covers {
         assert_eq!(c.nvars(), num_inputs, "cover arity mismatch");
-        bits.push(cover_expr(c));
+        bits.push(cover_expr(INPUT_BUS, c));
     }
     m.add_output(OUTPUT_BUS, covers.len(), Expr::concat(bits));
     m
@@ -96,38 +96,22 @@ pub fn table_module_programmable(
     m
 }
 
-/// Converts a cover into a sum-of-products [`Expr`] over the input bus.
-pub fn cover_expr(cover: &Cover) -> Expr {
-    if cover.is_empty() {
-        return Expr::bit(false);
-    }
-    let mut terms: Vec<Expr> = cover.cubes().iter().map(cube_expr).collect();
-    let mut acc = terms.remove(0);
-    for t in terms {
-        acc = acc.or(t);
-    }
-    acc
-}
-
-/// Converts a cube into a product-term [`Expr`] over the input bus.
-pub fn cube_expr(cube: &Cube) -> Expr {
+/// Converts a cover into a sum-of-products [`Expr`] over the bus `bus`
+/// (variable `v` of the cover reads `bus[v]`).
+pub fn cover_expr(bus: &str, cover: &Cover) -> Expr {
     use synthir_logic::cube::Literal;
-    let mut lits: Vec<Expr> = Vec::new();
-    for v in 0..cube.nvars() {
-        match cube.literal(v) {
-            Literal::DontCare => {}
-            Literal::Positive => lits.push(Expr::reference(INPUT_BUS).index(v)),
-            Literal::Negative => lits.push(Expr::reference(INPUT_BUS).index(v).not()),
-        }
-    }
-    if lits.is_empty() {
-        return Expr::bit(true);
-    }
-    let mut acc = lits.remove(0);
-    for l in lits {
-        acc = acc.and(l);
-    }
-    acc
+    let cube_expr = |cube: &Cube| {
+        let mut lits = (0..cube.nvars()).filter_map(|v| match cube.literal(v) {
+            Literal::DontCare => None,
+            Literal::Positive => Some(Expr::reference(bus).index(v)),
+            Literal::Negative => Some(Expr::reference(bus).index(v).not()),
+        });
+        let first = lits.next().unwrap_or_else(|| Expr::bit(true));
+        lits.fold(first, Expr::and)
+    };
+    let mut terms = cover.cubes().iter().map(cube_expr);
+    let first = terms.next().unwrap_or_else(|| Expr::bit(false));
+    terms.fold(first, Expr::or)
 }
 
 #[cfg(test)]
@@ -173,11 +157,11 @@ mod tests {
     #[test]
     fn cover_expr_handles_edges() {
         assert!(matches!(
-            cover_expr(&Cover::empty(3)),
+            cover_expr(INPUT_BUS, &Cover::empty(3)),
             Expr::Const { value: 0, .. }
         ));
         assert!(matches!(
-            cover_expr(&Cover::tautology_cover(3)),
+            cover_expr(INPUT_BUS, &Cover::tautology_cover(3)),
             Expr::Const { value: 1, .. }
         ));
     }

@@ -5,12 +5,11 @@
 //! flexible design it came from, with the flexible design's configuration
 //! inputs bound to the programmed values.
 
-use crate::comb::CombSim;
 use crate::seq::SeqSim;
 use crate::SimError;
 use std::collections::HashMap;
 use synthir_aig::{from_netlist, satisfy, satisfy_within, Aig, AigLit, AigNode};
-use synthir_netlist::{NetId, Netlist};
+use synthir_netlist::Netlist;
 
 /// The equivalence prover. SAT is the only one: combinational checks are a
 /// one-frame AIG miter, sequential checks an induction proof backed by
@@ -209,35 +208,6 @@ pub fn check_comb_equiv(
     check_sat(left, right, &designs, &iface, opts, None)
 }
 
-fn eval_once(
-    nl: &Netlist,
-    inputs: &HashMap<String, u128>,
-    binds: &HashMap<String, u128>,
-    output: &str,
-) -> u128 {
-    let sim = CombSim::new(nl).expect("validated earlier");
-    let mut sources: Vec<(NetId, u64)> = Vec::new();
-    for p in nl.inputs() {
-        let v = binds
-            .get(&p.name)
-            .or_else(|| inputs.get(&p.name))
-            .copied()
-            .unwrap_or(0);
-        for (i, &n) in p.nets.iter().enumerate() {
-            sources.push((n, if v >> i & 1 != 0 { u64::MAX } else { 0 }));
-        }
-    }
-    let vals = sim.eval_with(nl, &sources);
-    let port = nl.output(output).expect("output exists");
-    let mut v = 0u128;
-    for (i, &n) in port.nets.iter().enumerate() {
-        if vals[n.index()] & 1 != 0 {
-            v |= 1 << i;
-        }
-    }
-    v
-}
-
 /// One imported design of a SAT check: its graph, its input bindings, and
 /// its live nodes (those an output observes, through latches).
 struct Design<'a> {
@@ -346,7 +316,7 @@ fn iface_outputs<'a>(d: &'a Design, iface: &'a Interface) -> impl Iterator<Item 
 /// [`next_state`]. The target — some output bit differs in some frame —
 /// hashes to false when construction alone proves the designs equal;
 /// otherwise the solver either proves it unsatisfiable or returns inputs
-/// that are replayed through the simulators. `bmc_depth: None` is the
+/// that are replayed through [`SeqSim`]. `bmc_depth: None` is the
 /// combinational check (one frame, no latches); `Some(k)` unrolls `k`
 /// cycles from reset with a shared `rst` input held at 0.
 fn check_sat(
@@ -408,65 +378,44 @@ fn check_sat(
                 .collect()
         })
         .collect();
-    if bmc_depth.is_none() {
-        let inputs = sequence.into_iter().next().expect("one frame");
-        // Replay through the simulator: validates the miter and pins down
-        // which output differs.
-        for (name, _) in &iface.outputs {
-            let lv = eval_once(left, &inputs, &opts.bind_left, name);
-            let rv = eval_once(right, &inputs, &opts.bind_right, name);
-            if lv != rv {
-                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                    inputs,
-                    output: name.clone(),
-                    left: lv,
-                    right: rv,
-                })));
-            }
-        }
-        return Err(SimError::InvalidNetlist(
-            "internal: SAT counterexample failed simulation replay".into(),
-        ));
-    }
-    // Replay the sequence cycle-accurately to find the first differing
-    // cycle.
-    let mut lsim = SeqSim::new(left)?;
-    let mut rsim = SeqSim::new(right)?;
+    // Replay the sequence through the simulators, cycle by cycle (a
+    // flop-free design's one step is its combinational evaluation): this
+    // validates the miter and pins down the first differing cycle and
+    // output.
+    let (mut lsim, mut rsim) = (SeqSim::new(left)?, SeqSim::new(right)?);
     for (cycle, inputs) in sequence.iter().enumerate() {
-        let overlay = |binds: &HashMap<String, u128>| {
-            let mut m = inputs.clone();
-            for (k, v) in binds {
-                m.insert(k.clone(), *v);
-            }
-            m
+        let bound = |binds: &HashMap<String, u128>| {
+            let mut bound = inputs.clone();
+            bound.extend(binds.iter().map(|(k, &v)| (k.clone(), v)));
+            bound
         };
-        let lout = lsim.step(&overlay(&opts.bind_left));
-        let rout = rsim.step(&overlay(&opts.bind_right));
-        for (name, _) in &iface.outputs {
-            if lout[name] != rout[name] {
-                // The failing cycle's inputs under their plain names (the
-                // lockstep checker's convention), plus the full
-                // solver-chosen prefix as `name@cycle` — without it the
-                // mismatch is not reproducible, since the divergence may
-                // need state built up over earlier cycles.
-                let mut cex_inputs = inputs.clone();
-                cex_inputs.insert("__cycle".into(), cycle as u128);
-                for (t, cyc) in sequence.iter().enumerate().take(cycle + 1) {
-                    for (name, v) in cyc {
-                        cex_inputs.insert(format!("{name}@{t}"), *v);
-                    }
+        let lout = lsim.step(&bound(&opts.bind_left));
+        let rout = rsim.step(&bound(&opts.bind_right));
+        let Some((name, _)) = iface.outputs.iter().find(|(n, _)| lout[n] != rout[n]) else {
+            continue;
+        };
+        let mut cex_inputs = inputs.clone();
+        if bmc_depth.is_some() {
+            // The failing cycle's inputs under their plain names, plus the
+            // full solver-chosen prefix as `name@cycle` — without it the
+            // mismatch is not reproducible, since the divergence may need
+            // state built up over earlier cycles.
+            cex_inputs.insert("__cycle".into(), cycle as u128);
+            for (t, cyc) in sequence.iter().enumerate().take(cycle + 1) {
+                for (name, v) in cyc {
+                    cex_inputs.insert(format!("{name}@{t}"), *v);
                 }
-                return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
-                    inputs: cex_inputs,
-                    output: name.clone(),
-                    left: lout[name],
-                    right: rout[name],
-                })));
             }
         }
+        return Ok(EquivResult::Inequivalent(Box::new(Counterexample {
+            inputs: cex_inputs,
+            output: name.clone(),
+            left: lout[name],
+            right: rout[name],
+        })));
     }
     Err(SimError::InvalidNetlist(
-        "internal: BMC counterexample failed simulation replay".into(),
+        "internal: SAT counterexample failed simulation replay".into(),
     ))
 }
 
@@ -540,8 +489,7 @@ fn flip(l: AigLit, c: bool) -> AigLit {
 /// differ now? A counterexample splits the classes it separates and the
 /// round repeats; an unsatisfiable target proves the classes inductive and
 /// the outputs equal in every reachable state, which is BMC passing at
-/// every depth. The latch-only candidate set runs first (one frame); when
-/// it cannot prove, the same routine runs on the widened set.
+/// every depth. All candidates refine together to one fixpoint.
 ///
 /// Returns `false` — leaving the verdict to BMC — when simulation already
 /// sees an output differ, when a counterexample splits no class, after
@@ -559,7 +507,6 @@ fn prove_by_induction(designs: &[Design; 2], iface: &Interface, opts: &EquivOpti
         let live = d.aig.latches().iter().filter(|l| d.live[l.output as usize]);
         cands.extend(live.map(|l| cand(side, l.output)));
     }
-    let latch_cands = cands.len();
     for (side, marks) in state_only.iter().enumerate() {
         let ands = (0..marks.len()).filter(|&i| marks[i]);
         cands.extend(ands.map(|i| cand(side, i as u32)));
@@ -568,25 +515,8 @@ fn prove_by_induction(designs: &[Design; 2], iface: &Interface, opts: &EquivOpti
     let Some(sigs) = simulate_from_reset(designs, iface, &mut rng, &mut cands) else {
         return false;
     };
-    for pool in [latch_cands, cands.len()] {
-        let classes = classes_by_signature(0..pool, &sigs);
-        let widened = pool > latch_cands;
-        if refine_to_fixpoint(
-            designs,
-            iface,
-            &mut rng,
-            &cands,
-            &state_only,
-            widened,
-            classes,
-        ) {
-            return true;
-        }
-        if latch_cands == cands.len() {
-            break;
-        }
-    }
-    false
+    let classes = classes_by_signature(&sigs);
+    refine_to_fixpoint(designs, iface, &mut rng, &cands, &state_only, classes)
 }
 
 /// Marks the live ANDs with no free input in their cone: only latches,
@@ -685,11 +615,10 @@ fn simulate_from_reset(
 /// keep candidate order, so each class's first member — its
 /// representative — is the constant, a latch, or the earliest AND, and is
 /// always built before the members that read it.
-fn classes_by_signature(pool: std::ops::Range<usize>, sigs: &[u64]) -> Vec<Vec<usize>> {
+fn classes_by_signature(sigs: &[u64]) -> Vec<Vec<usize>> {
     let mut index: HashMap<&[u64], usize> = HashMap::new();
     let mut classes: Vec<Vec<usize>> = Vec::new();
-    for c in pool {
-        let sig = &sigs[c * INDUCTION_SIM_CYCLES..(c + 1) * INDUCTION_SIM_CYCLES];
+    for (c, sig) in sigs.chunks(INDUCTION_SIM_CYCLES).enumerate() {
         let k = *index.entry(sig).or_insert_with(|| {
             classes.push(Vec::new());
             classes.len() - 1
@@ -700,15 +629,14 @@ fn classes_by_signature(pool: std::ops::Range<usize>, sigs: &[u64]) -> Vec<Vec<u
     classes
 }
 
-/// The refinement loop of [`prove_by_induction`] over one candidate set:
-/// `true` once the classes and the outputs are proved inductive.
+/// The refinement loop of [`prove_by_induction`]: `true` once the classes
+/// and the outputs are proved inductive.
 fn refine_to_fixpoint(
     designs: &[Design; 2],
     iface: &Interface,
     rng: &mut SplitMix,
     cands: &[Cand],
     state_only: &[Vec<bool>; 2],
-    widened: bool,
     mut classes: Vec<Vec<usize>>,
 ) -> bool {
     let kind = |c: Cand| designs[c.side].aig.nodes()[c.node as usize];
@@ -781,23 +709,14 @@ fn refine_to_fixpoint(
             let d = m.xor(l, r);
             target = m.or(target, d);
         }
-        // Frame t + 1, unreduced: the latches' next values and, widened,
-        // the state-only ANDs over them.
+        // Frame t + 1, unreduced: the latches' next values and the
+        // state-only ANDs over them.
         let next = [0, 1].map(|s| next_state(&mut m, &designs[s], &maps[s]));
         let after = [0, 1].map(|s| {
-            if widened {
-                let d = &designs[s];
-                frame(
-                    &mut m,
-                    d,
-                    &inputs,
-                    &next[s],
-                    &state_only[s],
-                    |m, _, _, a, b| m.and(a, b),
-                )
-            } else {
-                Vec::new()
-            }
+            let (d, mask) = (&designs[s], &state_only[s]);
+            frame(&mut m, d, &inputs, &next[s], mask, |m, _, _, a, b| {
+                m.and(a, b)
+            })
         });
         let lit_after = |c: Cand| {
             let l = match kind(c) {
@@ -881,7 +800,7 @@ impl SplitMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synthir_netlist::GateKind;
+    use synthir_netlist::{GateKind, NetId};
 
     fn and_module(extra_inv: bool) -> Netlist {
         let mut nl = Netlist::new("m");
@@ -1049,9 +968,8 @@ mod tests {
         ];
         let table = |nl: &Netlist| -> Vec<u128> {
             let inputs = |m: u128| HashMap::from([("a".into(), m & 1), ("b".into(), m >> 1)]);
-            (0..4)
-                .map(|m| eval_once(nl, &inputs(m), &HashMap::new(), "y"))
-                .collect()
+            let sim = SeqSim::new(nl).unwrap();
+            (0..4).map(|m| sim.peek(&inputs(m))["y"]).collect()
         };
         for l in kinds.map(gate) {
             for r in kinds.map(gate).into_iter().chain([and_module(true)]) {
@@ -1121,6 +1039,36 @@ mod tests {
                 assert_ne!(cex.left, cex.right);
             }
             EquivResult::Equivalent => panic!("missed wide inequivalence"),
+        }
+    }
+
+    /// A combinational counterexample names the first differing output in
+    /// interface order (the left design's port order) and reports only
+    /// the plain input names: no `__cycle`, no `name@cycle` prefix.
+    #[test]
+    fn comb_counterexample_names_first_differing_output_plainly() {
+        let build = |invert: bool| {
+            let mut nl = Netlist::new("two");
+            let a = nl.add_input("a", 1)[0];
+            let b = nl.add_input("b", 2);
+            let (mut z, mut y) = (a, nl.add_gate(GateKind::Xor2, &[b[0], b[1]]));
+            if invert {
+                z = nl.add_gate(GateKind::Inv, &[z]);
+                y = nl.add_gate(GateKind::Inv, &[y]);
+            }
+            nl.add_output("z", &[z]);
+            nl.add_output("y", &[y]);
+            nl
+        };
+        match check_comb_equiv(&build(false), &build(true), &EquivOptions::new()).unwrap() {
+            EquivResult::Inequivalent(cex) => {
+                assert_eq!(cex.output, "z", "{cex:?}");
+                assert_ne!(cex.left, cex.right);
+                let mut keys: Vec<&str> = cex.inputs.keys().map(String::as_str).collect();
+                keys.sort_unstable();
+                assert_eq!(keys, ["a", "b"], "{cex:?}");
+            }
+            EquivResult::Equivalent => panic!("missed inverted outputs"),
         }
     }
 
@@ -1355,7 +1303,7 @@ mod tests {
 mod induction_tests {
     use super::*;
     use synthir_core::fsm::FsmSpec;
-    use synthir_netlist::{GateId, GateKind};
+    use synthir_netlist::{GateId, GateKind, NetId};
     use synthir_rtl::elaborate;
     use synthir_synth::fsmreencode::fsm_reencode;
     use synthir_synth::FsmEncoding;
@@ -1639,6 +1587,53 @@ mod induction_tests {
             }
         }
         (proved, provable)
+    }
+
+    /// Two pairs the prover must settle on its own. In the first, the
+    /// left output `p & q` (two latches sampling `d` and `e`) equals the
+    /// right's single latch sampling `d & e`, so no latch matches another
+    /// and the proof needs the AND `p & q` as a candidate. In the second,
+    /// the latches correspond one to one.
+    #[test]
+    fn induction_proves_and_and_latch_correspondences() {
+        use synthir_netlist::ResetKind;
+        let dff = |nl: &mut Netlist, d: NetId, rst: NetId| {
+            let kind = GateKind::Dff {
+                reset: ResetKind::Sync,
+                init: false,
+            };
+            nl.add_gate(kind, &[d, rst])
+        };
+        let build = |split: bool, double_inv: bool| {
+            let mut nl = Netlist::new("t");
+            let rst = nl.add_input("rst", 1)[0];
+            let d = nl.add_input("d", 1)[0];
+            let e = nl.add_input("e", 1)[0];
+            let y = if split {
+                let (p, q) = (dff(&mut nl, d, rst), dff(&mut nl, e, rst));
+                nl.add_gate(GateKind::And2, &[p, q])
+            } else {
+                let mut de = nl.add_gate(GateKind::And2, &[d, e]);
+                if double_inv {
+                    let t = nl.add_gate(GateKind::Inv, &[de]);
+                    de = nl.add_gate(GateKind::Inv, &[t]);
+                }
+                dff(&mut nl, de, rst)
+            };
+            nl.add_output("y", &[y]);
+            nl
+        };
+        let opts = EquivOptions::new();
+        assert!(proved_by_induction(
+            &build(true, false),
+            &build(false, false),
+            &opts
+        ));
+        assert!(proved_by_induction(
+            &build(false, false),
+            &build(false, true),
+            &opts
+        ));
     }
 
     #[test]

@@ -324,6 +324,11 @@ fn map_aig(aig: &Aig, lib: &Library) -> Mapped {
         },
         "the cover's phase accounting disagrees with the emitted area"
     );
+    debug_assert_eq!(
+        mapped.netlist.clone().sweep(),
+        0,
+        "the mapper emitted a dead gate"
+    );
     mapped
 }
 
@@ -793,10 +798,14 @@ fn emit(aig: &Aig, cands: &Cands, choice: &[usize], cover: &Cover, live: &[bool]
         let cand = cands.chosen(i, choice);
         match cand.real {
             Real::Constant(v) => {
-                // Both polarities are free tie cells — pre-populating the
-                // complement keeps `resolve` from building Inv(TIELO).
-                plain_net[i] = Some(nl.constant(v));
-                inv_net[i] = Some(nl.constant(!v));
+                // Each polarity read is its own free tie cell, so `resolve`
+                // never builds Inv(TIELO); an unread one is never built.
+                if cover.uses[i].plain > 0 {
+                    plain_net[i] = Some(nl.constant(v));
+                }
+                if cover.uses[i].compl > 0 {
+                    inv_net[i] = Some(nl.constant(!v));
+                }
             }
             Real::Alias { leaf, neg } => {
                 // No gate: each polarity of the node IS the matching
@@ -1117,8 +1126,32 @@ mod tests {
             let golden = nl.clone();
             cut_map(&mut nl, &lib);
             nl.validate().unwrap();
+            assert_eq!(nl.clone().sweep(), 0, "round {round}: dead gates");
             let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
             assert!(res.is_equivalent(), "round {round}: {res:?}");
         }
+    }
+
+    /// `(a & b & c) & (!a & b & d)` is constant 0, but only over the cut
+    /// `{a, b, c, d}`: no two-level rule of the AIG sees it. The mapper
+    /// ties it low with one cell and builds no tie cell nothing reads.
+    #[test]
+    fn contextually_constant_cut_emits_only_the_read_tie_cell() {
+        let mut nl = Netlist::new("t");
+        let x = nl.add_input("x", 4);
+        let ab = nl.add_gate(GateKind::And2, &[x[0], x[1]]);
+        let abc = nl.add_gate(GateKind::And2, &[ab, x[2]]);
+        let na = nl.add_gate(GateKind::Inv, &[x[0]]);
+        let nab = nl.add_gate(GateKind::And2, &[na, x[1]]);
+        let nabd = nl.add_gate(GateKind::And2, &[nab, x[3]]);
+        let y = nl.add_gate(GateKind::And2, &[abc, nabd]);
+        nl.add_output("y", &[y]);
+        let golden = nl.clone();
+        cut_map(&mut nl, &lib());
+        assert_eq!(nl.clone().sweep(), 0, "{:?}", nl.gate_histogram());
+        let kinds: Vec<GateKind> = nl.gates().map(|(_, g)| g.kind).collect();
+        assert_eq!(kinds, [GateKind::Const0], "{:?}", nl.gate_histogram());
+        let res = check_comb_equiv(&golden, &nl, &EquivOptions::new()).unwrap();
+        assert!(res.is_equivalent());
     }
 }

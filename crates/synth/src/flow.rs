@@ -61,25 +61,6 @@ pub fn compile(
     CompileCache::global().compile(elab, lib, opts)
 }
 
-/// Records one pass into `stats`, timing it and sampling gate counts.
-fn run_pass(
-    stats: &mut Vec<PassStat>,
-    nl: &mut Netlist,
-    name: &'static str,
-    f: impl FnOnce(&mut Netlist) -> usize,
-) {
-    let gates_before = nl.num_gates();
-    let t0 = Instant::now();
-    let rewrites = f(nl);
-    stats.push(PassStat {
-        name,
-        rewrites,
-        gates_before,
-        gates_after: nl.num_gates(),
-        elapsed: t0.elapsed(),
-    });
-}
-
 /// Compiles a raw netlist with optional FSM metadata and annotations: the
 /// uncached flow every [`compile`] miss runs.
 ///
@@ -90,7 +71,10 @@ fn run_pass(
 /// the netlist is handed to FSM re-encoding, optional retiming, state
 /// propagation and resynthesis. Technology mapping ([`crate::cutmap`])
 /// closes the flow: it imports the result into the AIG once more and
-/// emits library cells from k-feasible cuts.
+/// emits library cells from k-feasible cuts, with no dead gate left to
+/// sweep. Every pass is timed and recorded in [`CompileResult::stats`]
+/// and, under [`SynthOptions::verify_each_pass`], SAT-checked against the
+/// netlist before it, so the netlist returned is the last one checked.
 ///
 /// # Errors
 ///
@@ -104,39 +88,31 @@ pub fn compile_netlist(
 ) -> Result<CompileResult, SynthError> {
     nl.validate()
         .map_err(|e| SynthError::InvalidNetlist(e.to_string()))?;
-    let mut stats: Vec<PassStat> = Vec::new();
-    let mut verifier = PassVerifier::new(opts.verify_each_pass, &nl);
+    let mut passes = Passes {
+        stats: Vec::new(),
+        verifier: PassVerifier::new(opts.verify_each_pass, &nl),
+    };
     // The AIG round-trips rebuild the netlist, so the metadata must follow
     // it through owned, remappable copies.
     let mut fsm: Option<FsmNets> = fsm.cloned();
     let mut annos: Vec<NetGroupValues> = annotations.to_vec();
 
     // 1. Baseline cleanup: constant folding plus sharing in one AIG pass.
-    run_pass(&mut stats, &mut nl, "aig_opt", |nl| {
-        crate::aigopt::aig_optimize(nl, fsm.as_mut(), &mut annos, opts.sat_sweep)
-    });
-    verifier.check(&nl, "aig_opt")?;
+    passes.run(&mut nl, |nl| {
+        let merged = crate::aigopt::aig_optimize(nl, fsm.as_mut(), &mut annos, opts.sat_sweep);
+        ("aig_opt", merged)
+    })?;
 
-    // 2. FSM re-encoding (only with metadata, like the real tool).
+    // 2. FSM re-encoding (only with metadata, like the real tool). Its only
+    // error is an extraction it gives up on, which leaves the netlist as
+    // it was: the pass is recorded as skipped.
     if let Some(f) = fsm.as_ref() {
-        let t0 = Instant::now();
-        let gates_before = nl.num_gates();
-        // Its only error is an extraction it gives up on: skip the pass.
-        let reencoded = crate::fsmreencode::fsm_reencode(&mut nl, f, opts.fsm_encoding).is_ok();
-        stats.push(PassStat {
-            name: if reencoded {
-                "fsm_reencode"
-            } else {
-                "fsm_reencode_skipped"
-            },
-            rewrites: 1,
-            gates_before,
-            gates_after: nl.num_gates(),
-            elapsed: t0.elapsed(),
-        });
-        if reencoded {
-            verifier.check(&nl, "fsm_reencode")?;
-        }
+        passes.run(&mut nl, |nl| {
+            match crate::fsmreencode::fsm_reencode(nl, f, opts.fsm_encoding) {
+                Ok(()) => ("fsm_reencode", 1),
+                Err(_) => ("fsm_reencode_skipped", 1),
+            }
+        })?;
     }
 
     // 3. Optional retiming (Fig. 8's "Retimed" variants): forward moves
@@ -144,37 +120,33 @@ pub fn compile_netlist(
     // inputs of their driving cones. Both expose previously flop-separated
     // logic to combinational optimization.
     if opts.retime {
-        run_pass(&mut stats, &mut nl, "retime", |nl| {
-            crate::retime::retime_forward(nl) + crate::retime::retime_backward(nl)
-        });
-        verifier.check(&nl, "retime")?;
+        passes.run(&mut nl, |nl| {
+            let moved = crate::retime::retime_forward(nl) + crate::retime::retime_backward(nl);
+            ("retime", moved)
+        })?;
     }
 
     // 4. State propagation and folding over annotated groups.
     if !annos.is_empty() {
-        run_pass(&mut stats, &mut nl, "state_propagation", |nl| {
-            crate::stateprop::state_propagate(nl, &annos, crate::stateprop::MAX_VALUESET)
-        });
-        verifier.check(&nl, "state_propagation")?;
+        passes.run(&mut nl, |nl| {
+            let folded =
+                crate::stateprop::state_propagate(nl, &annos, crate::stateprop::MAX_VALUESET);
+            ("state_propagation", folded)
+        })?;
     }
 
     // 5. Collapse-and-re-cover resynthesis.
-    run_pass(&mut stats, &mut nl, "resynthesize", |nl| {
-        crate::resynth::resynthesize(nl, lib)
-    });
-    verifier.check(&nl, "resynthesize")?;
+    passes.run(&mut nl, |nl| {
+        ("resynthesize", crate::resynth::resynthesize(nl, lib))
+    })?;
 
-    // 6. Technology mapping: the netlist is re-imported into the AIG
-    // (which folds constants and hashes structure on the way in, and folds
-    // latches that never leave their init value) and the mapped netlist
-    // is emitted directly from the chosen cuts: at most one cell, and one
-    // shared inverter, per AIG node.
-    run_pass(&mut stats, &mut nl, "cutmap", |nl| {
-        crate::cutmap::cut_map(nl, lib)
-    });
-    verifier.check(&nl, "cutmap")?;
-    nl.sweep();
-    verifier.check(&nl, "sweep")?;
+    // 6. Technology mapping, the last pass: the netlist is re-imported into
+    // the AIG (which folds constants and hashes structure on the way in,
+    // and folds latches that never leave their init value) and the mapped
+    // netlist is emitted directly from the chosen cuts: at most one cell,
+    // and one shared inverter, per AIG node, and no dead gate. The
+    // netlist returned is the one its check proved.
+    passes.run(&mut nl, |nl| ("cutmap", crate::cutmap::cut_map(nl, lib)))?;
     nl.validate()
         .map_err(|e| SynthError::InvalidNetlist(e.to_string()))?;
 
@@ -184,12 +156,42 @@ pub fn compile_netlist(
         netlist: nl,
         area,
         timing,
-        stats,
+        stats: passes.stats,
     })
 }
 
+/// The passes of one compile so far: [`Passes::run`] is the one way a
+/// pass runs, so every pass is timed, recorded and verified alike.
+struct Passes {
+    stats: Vec<PassStat>,
+    verifier: PassVerifier,
+}
+
+impl Passes {
+    /// Runs one pass on `nl` — `pass` returns its name and its `rewrites`
+    /// statistic — records its [`PassStat`] and verifies the result.
+    fn run(
+        &mut self,
+        nl: &mut Netlist,
+        pass: impl FnOnce(&mut Netlist) -> (&'static str, usize),
+    ) -> Result<(), SynthError> {
+        let gates_before = nl.num_gates();
+        let t0 = Instant::now();
+        let (name, rewrites) = pass(nl);
+        self.stats.push(PassStat {
+            name,
+            rewrites,
+            gates_before,
+            gates_after: nl.num_gates(),
+            elapsed: t0.elapsed(),
+        });
+        self.verifier.check(nl, name)
+    }
+}
+
 /// The `verify_each_pass` debug harness: holds the netlist as of the last
-/// verified pass and SAT-checks each new snapshot against it.
+/// verified pass and SAT-checks each new snapshot against it, so the
+/// flow's last check proves the very netlist it returns.
 ///
 /// Pure combinational designs use the miter check. Anything with flops goes
 /// through the sequential SAT check: an induction prover first proves the
@@ -197,7 +199,9 @@ pub fn compile_netlist(
 /// between the two designs' signals (nearly every pass does), and whatever
 /// it cannot prove is bounded-model-checked 6 cycles from reset. A pass
 /// that changes behaviour within those cycles is caught with BMC's
-/// concrete, cycle-numbered counterexample in the error message.
+/// concrete, cycle-numbered counterexample in the error message. A pass
+/// that left the netlist as it was (a skipped `fsm_reencode`) needs no
+/// proof.
 struct PassVerifier {
     prev: Option<Netlist>,
 }
@@ -213,6 +217,9 @@ impl PassVerifier {
         let Some(prev) = &self.prev else {
             return Ok(());
         };
+        if prev == nl {
+            return Ok(());
+        }
         use synthir_sim::{check_comb_equiv, check_seq_equiv, EquivOptions};
         let mut eopts = EquivOptions::new();
         eopts.bmc_depth = 6;

@@ -7,7 +7,7 @@ use synthir_netlist::{Library, Netlist};
 /// How often each net is used: once per gate-input pin reading it (so
 /// `And2(a, a)` uses `a` twice) and once per output-port bit. Every live
 /// gate counts, including dead ones an earlier rewrite left for the final
-/// sweep, exactly as [`Netlist::fanout_map`] lists them.
+/// sweep, exactly as [`Netlist::fanout_counts`] counts them.
 #[derive(Debug, PartialEq)]
 pub(crate) struct UseCounts {
     refs: Vec<u32>,
@@ -15,16 +15,9 @@ pub(crate) struct UseCounts {
 
 impl UseCounts {
     pub(crate) fn count(nl: &Netlist) -> Self {
-        let mut refs = vec![0u32; nl.num_nets()];
-        for (_, g) in nl.gates() {
-            for &i in g.inputs() {
-                refs[i.index()] += 1;
-            }
-        }
-        for p in nl.outputs() {
-            for &n in &p.nets {
-                refs[n.index()] += 1;
-            }
+        let mut refs = nl.fanout_counts();
+        for n in nl.outputs().iter().flat_map(|p| &p.nets) {
+            refs[n.index()] += 1;
         }
         UseCounts { refs }
     }
