@@ -6,10 +6,12 @@
 //! [`compile_fresh`]. On its mapped netlist the bench times
 //! [`Netlist::clone`], [`Netlist::encode_words`] (the cache key's and the
 //! store's encoding), [`Netlist::decode_words`] (a hit) and
-//! [`synthir_synth::sta`]; on the lowering it times [`elaborate`], which
-//! builds the netlist every `flex_map` job starts from. Each row reports
-//! the median wall-clock time per call over batches of calls, and the
-//! bench checks that decoding gives back the same netlist.
+//! [`synthir_synth::sta`]; on the lowering it times [`elaborate_fresh`],
+//! which builds the netlist every `flex_map` job starts from, and
+//! [`elaborate`] once the elaboration memo holds it (`elaborate_hit`:
+//! the module key, a lookup and a decode). Each row reports the median
+//! wall-clock time per call over batches of calls, and the bench checks
+//! that decoding and a memo hit give back the same netlist.
 //!
 //! Run with `cargo bench --bench bench_netlist` (add `-- --quick` for a
 //! fast smoke pass; `BENCH_netlist.json` at the workspace root is written
@@ -20,7 +22,7 @@ use std::time::{Duration, Instant};
 use synthir_bench::compile_fresh;
 use synthir_core::random::random_fsm;
 use synthir_netlist::{Library, NetId, Netlist};
-use synthir_rtl::elaborate;
+use synthir_rtl::{elaborate, elaborate_fresh};
 use synthir_synth::{sta, SynthOptions};
 
 /// The median time per call over `batches` batches of `per_batch` calls.
@@ -50,7 +52,12 @@ fn bench(_: &mut Criterion) {
     let batches = if quick { 5 } else { 31 };
     let lib = Library::vt90();
     let module = random_fsm(2, 8, 16, 1).to_programmable_module();
-    let elab = elaborate(&module).expect("the lowering elaborates");
+    let elab = elaborate_fresh(&module).expect("the lowering elaborates");
+    // The memo admits an elaboration on its second miss.
+    for _ in 0..2 {
+        elaborate(&module).expect("the lowering elaborates");
+    }
+    assert!(elaborate(&module).unwrap() == elab, "a memo hit differs");
     let mapped = compile_fresh(&elab, &lib, &SynthOptions::default())
         .expect("the lowering compiles")
         .netlist;
@@ -92,6 +99,11 @@ fn bench(_: &mut Criterion) {
         (
             "elaborate",
             20,
+            Box::new(|| drop(std::hint::black_box(elaborate_fresh(&module).unwrap()))),
+        ),
+        (
+            "elaborate_hit",
+            100,
             Box::new(|| drop(std::hint::black_box(elaborate(&module).unwrap()))),
         ),
     ];
@@ -103,7 +115,7 @@ fn bench(_: &mut Criterion) {
         words.len()
     );
     let mut json = format!(
-        "{{\n  \"benchmark\": \"Netlist layout on the programmable lowering of random_fsm(2, 8, 16, 1): clone, encode_words, decode_words and sta of the mapped netlist, elaborate of the lowering\",\n  \"unit\": \"us per call (median over batches, wall-clock)\",\n  \"elaborated_gates\": {},\n  \"named_nets\": {},\n  \"mapped_gates\": {},\n  \"encoded_words\": {},\n  \"workloads\": {{\n",
+        "{{\n  \"benchmark\": \"Netlist layout on the programmable lowering of random_fsm(2, 8, 16, 1): clone, encode_words, decode_words and sta of the mapped netlist, elaborate (fresh and memo hit) of the lowering\",\n  \"unit\": \"us per call (median over batches, wall-clock)\",\n  \"elaborated_gates\": {},\n  \"named_nets\": {},\n  \"mapped_gates\": {},\n  \"encoded_words\": {},\n  \"workloads\": {{\n",
         elab.netlist.num_gates(),
         named_nets(&elab.netlist),
         mapped.num_gates(),

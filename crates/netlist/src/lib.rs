@@ -35,7 +35,13 @@
 //!
 //! [`Netlist::encode_words`] and [`Netlist::decode_words`] convert to and
 //! from a self-delimiting `u32` encoding that keeps every gate and net
-//! number; it is what the compile cache hashes and stores.
+//! number; it is what the compile cache hashes and stores. A netlist keeps
+//! the [`sha256::UnitHasher`] state after its own encoding
+//! ([`Netlist::key_state`]) until it is changed, so every key that starts
+//! with the netlist hashes it once, and an [`EncodedNetlist`] stores the
+//! words together with that state. [`store::Store`] is the
+//! content-addressed, byte-budgeted store behind the compile cache and the
+//! elaboration memo.
 //!
 //! ## Example
 //!
@@ -64,12 +70,14 @@ pub mod library;
 pub mod netgraph;
 pub mod power;
 pub mod report;
+pub mod sha256;
+pub mod store;
 pub mod topo;
 pub mod verilog;
 
 pub use cell::{GateKind, ResetKind};
 pub use library::{CellSpec, Library};
-pub use netgraph::{Fanout, Gate, GateId, NetId, Netlist, Port};
+pub use netgraph::{EncodedNetlist, Fanout, Gate, GateId, NetId, Netlist, Port};
 pub use power::{estimate_power, PowerReport};
 pub use report::AreaReport;
 

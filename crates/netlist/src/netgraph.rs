@@ -3,12 +3,16 @@
 use crate::cell::GateKind;
 use crate::library::Library;
 use crate::report::AreaReport;
+use crate::sha256::UnitHasher;
 use crate::NetlistError;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 #[cfg(test)]
 mod oracle;
 mod words;
+
+pub use words::EncodedNetlist;
 
 /// Identifier of a net (a single-bit wire).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -153,13 +157,24 @@ impl Fanout {
     }
 }
 
+/// The memoized [`Netlist::key_state`]. It is a function of the rest of the
+/// netlist, so equality ignores it (and `Debug` leaves it out).
+#[derive(Clone, Default)]
+struct KeyMemo(OnceLock<UnitHasher>);
+
+impl PartialEq for KeyMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// A flat gate-level module.
 ///
 /// See the [crate-level documentation](crate) for the layout and an
 /// example. Equality is structural and exact: the same name, gate slots
 /// (removed gates included), net numbering, net names, ports and cached
 /// constant nets.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Netlist {
     name: String,
     /// Gate slots in id order; `None` is a removed gate.
@@ -172,6 +187,23 @@ pub struct Netlist {
     const_nets: [Option<NetId>; 2],
     /// How many slots of `gates` hold a gate.
     live: usize,
+    /// Cleared by every method that changes what `encode_words` writes.
+    key: KeyMemo,
+}
+
+impl std::fmt::Debug for Netlist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Netlist")
+            .field("name", &self.name)
+            .field("gates", &self.gates)
+            .field("driver", &self.driver)
+            .field("names", &self.names)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .field("const_nets", &self.const_nets)
+            .field("live", &self.live)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Netlist {
@@ -188,13 +220,41 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the module.
+    /// Renames the module. The name is not encoded, so the
+    /// [`Netlist::key_state`] is kept.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
     }
 
+    /// The [`UnitHasher`] after hashing this netlist's
+    /// [`Netlist::encode_words`]: the state every key that starts with the
+    /// netlist continues from. It is computed on first use and kept, in
+    /// clones too, until a method changes the netlist.
+    pub fn key_state(&self) -> &UnitHasher {
+        self.key.0.get_or_init(|| {
+            let mut words = Vec::new();
+            self.encode_words(&mut words);
+            words::key_state_of(&words)
+        })
+    }
+
+    /// Forgets the [`Netlist::key_state`]: every method that changes what
+    /// [`Netlist::encode_words`] writes calls this.
+    fn edited(&mut self) {
+        self.key.0.take();
+    }
+
+    /// Reserves room for at least `gates` more gates and `nets` more nets,
+    /// so that building a netlist of a known size does not regrow its
+    /// arrays.
+    pub fn reserve(&mut self, gates: usize, nets: usize) {
+        self.gates.reserve(gates);
+        self.driver.reserve(nets);
+    }
+
     /// Creates a fresh anonymous net.
     pub fn add_net(&mut self) -> NetId {
+        self.edited();
         let id = NetId(self.driver.len() as u32);
         self.driver.push(None);
         id
@@ -224,6 +284,7 @@ impl Netlist {
     /// Declares an input port bus of `width` bits; returns its nets
     /// (LSB first).
     pub fn add_input(&mut self, name: impl Into<String>, width: usize) -> Vec<NetId> {
+        self.edited();
         let name = name.into();
         let nets: Vec<NetId> = (0..width)
             .map(|i| self.add_named_net(format_args!("{name}[{i}]")))
@@ -237,6 +298,7 @@ impl Netlist {
 
     /// Declares an output port bus connected to existing nets (LSB first).
     pub fn add_output(&mut self, name: impl Into<String>, nets: &[NetId]) {
+        self.edited();
         self.outputs.push(Port {
             name: name.into(),
             nets: nets.to_vec(),
@@ -347,6 +409,7 @@ impl Netlist {
         if self.driver[output.index()].is_some() {
             return Err(NetlistError::MultipleDrivers { net: output });
         }
+        self.edited();
         let id = GateId(self.gates.len() as u32);
         self.gates.push(Some(Gate::new(kind, inputs, output)));
         self.driver[output.index()] = Some(id);
@@ -430,6 +493,7 @@ impl Netlist {
     /// Removes a gate, leaving its output net undriven.
     pub fn remove_gate(&mut self, id: GateId) {
         if let Some(g) = self.gates[id.index()].take() {
+            self.edited();
             self.live -= 1;
             self.driver[g.output.index()] = None;
             for cn in &mut self.const_nets {
@@ -467,6 +531,7 @@ impl Netlist {
     /// Replaces each gate input and output-port net `n` for which `to(n)`
     /// is `Some`.
     fn rewire(&mut self, to: impl Fn(NetId) -> Option<NetId>) {
+        self.edited();
         let gate_pins = self.gates.iter_mut().flatten().flat_map(Gate::inputs_mut);
         let port_nets = self.outputs.iter_mut().flat_map(|p| p.nets.iter_mut());
         for n in gate_pins.chain(port_nets) {
@@ -484,6 +549,7 @@ impl Netlist {
     ///
     /// Panics on arity mismatch or if the gate is dead.
     pub fn rewrite_gate(&mut self, id: GateId, kind: GateKind, inputs: &[NetId]) {
+        self.edited();
         let g = self.gates[id.index()].as_mut().expect("live gate");
         *g = Gate::new(kind, inputs, g.output);
         for (cn, k) in self

@@ -5,9 +5,12 @@
 //! Seeded random sequences of every mutating operation run on both; after
 //! each one the two must agree on gates, drivers, names, ports, fanout and
 //! the gate count, and the old model's word encoding (the layout cache
-//! keys are made of) must equal the new one's.
+//! keys are made of) must equal the new one's. The netlist's key state is
+//! filled before every operation, so an operation that changes the netlist
+//! without forgetting it leaves a stale state, which must then differ from
+//! a fresh hash of the words.
 
-use super::{Fanout, GateId, NetId, Netlist, Port};
+use super::{words::key_state_of, Fanout, GateId, NetId, Netlist, Port};
 use crate::cell::{GateKind, ResetKind};
 use crate::NetlistError;
 use std::collections::HashMap;
@@ -316,6 +319,20 @@ fn assert_agree(nl: &Netlist, o: &Oracle, step: &str) {
     let back = Netlist::decode_words(nl.name(), &words).expect("own encoding decodes");
     assert!(&back == nl, "{step}: decode ∘ encode");
     assert!(&nl.clone() == nl, "{step}: clone");
+    // Kept only if the encoding did not change.
+    let fresh = key_state_of(&words);
+    if let Some(kept) = nl.key.0.get() {
+        assert_eq!(kept, &fresh, "{step}: a stale key state was kept");
+    }
+    assert_eq!(nl.key_state(), &fresh, "{step}: key state");
+    assert_eq!(
+        nl.clone().key.0.get(),
+        Some(&fresh),
+        "{step}: cloned key state"
+    );
+    let stored = nl.to_encoded().decode(nl.name());
+    assert!(&stored == nl, "{step}: encoded and decoded");
+    assert_eq!(stored.key_state(), &fresh, "{step}: decoded key state");
 }
 
 /// One seeded run of `steps` random operations on both models.
@@ -331,6 +348,7 @@ fn run(seed: u64, steps: usize) {
         let net = |rng: &mut Rng| NetId(rng.below(nets) as u32);
         let op = rng.below(15);
         let label = format!("seed {seed} step {step} op {op}");
+        nl.key_state();
         match op {
             0..=3 => {
                 let kind = kinds[rng.below(kinds.len())];
@@ -405,6 +423,10 @@ fn run(seed: u64, steps: usize) {
                 let (name, w) = (format!("in{step}"), 1 + rng.below(3));
                 assert_eq!(nl.add_input(name.clone(), w), o.add_input(&name, w));
             }
+        }
+        // The name is not encoded: renaming keeps the key state.
+        if step % 16 == 15 {
+            nl.set_name(format!("diff{seed}_{step}"));
         }
         assert_agree(&nl, &o, &label);
     }

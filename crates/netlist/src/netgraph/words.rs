@@ -3,7 +3,44 @@
 
 use super::{Gate, GateId, NetId, Netlist, Port, MAX_PINS, NO_PIN};
 use crate::cell::GateKind;
+use crate::sha256::UnitHasher;
 use crate::NetlistError;
+
+/// The key state of a netlist whose encoding is `words`.
+pub(super) fn key_state_of(words: &[u32]) -> UnitHasher {
+    let mut h = UnitHasher::new();
+    h.update(words);
+    h
+}
+
+/// A netlist kept compactly: its [`Netlist::encode_words`] together with
+/// its [`Netlist::key_state`], for stores that hand the same netlist out
+/// many times. Only [`Netlist::to_encoded`] builds one, so the key state
+/// is always that of the words, and a decoded netlist carries it without
+/// hashing again.
+#[derive(Clone, Debug)]
+pub struct EncodedNetlist {
+    words: Box<[u32]>,
+    key: UnitHasher,
+}
+
+impl EncodedNetlist {
+    /// The netlist, named `name`, with its key state already known.
+    pub fn decode(&self, name: impl Into<String>) -> Netlist {
+        let nl = Netlist::decode_words(name, &self.words)
+            .expect("an EncodedNetlist holds a netlist's own encoding");
+        nl.key
+            .0
+            .set(self.key.clone())
+            .expect("a decoded netlist has no key state yet");
+        nl
+    }
+
+    /// The heap and inline bytes this encoding occupies.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(&*self.words)
+    }
+}
 
 impl Netlist {
     /// Appends the netlist's word encoding to `out`.
@@ -43,6 +80,7 @@ impl Netlist {
             outputs,
             const_nets,
             live: _,
+            key: _,
         } = self;
         out.reserve(4 + 5 * gates.len());
         out.push(driver.len() as u32);
@@ -75,6 +113,18 @@ impl Netlist {
                 out.push(p.nets.len() as u32);
                 out.extend(p.nets.iter().map(|n| n.0));
             }
+        }
+    }
+
+    /// The netlist's encoding and key state, for a store (the name is left
+    /// out, as in [`Netlist::encode_words`]).
+    pub fn to_encoded(&self) -> EncodedNetlist {
+        let mut words = Vec::new();
+        self.encode_words(&mut words);
+        let key = self.key.0.get_or_init(|| key_state_of(&words)).clone();
+        EncodedNetlist {
+            words: words.into_boxed_slice(),
+            key,
         }
     }
 
@@ -112,12 +162,18 @@ impl Netlist {
                 gates.push(None);
                 continue;
             }
-            let kind = GateKind::from_word_code(code - 1).ok_or(r.error())?;
-            let mut pins = [NO_PIN; MAX_PINS];
-            for pin in &mut pins[..kind.arity()] {
-                *pin = r.net(num_nets)?;
+            let kind = GateKind::from_word_code(code - 1).ok_or_else(|| r.error())?;
+            // The inputs and the output, each a net in range.
+            let arity = kind.arity();
+            let slot = r.take(arity + 1)?;
+            if slot.iter().any(|&n| n as usize >= num_nets) {
+                return Err(r.error());
             }
-            let output = r.net(num_nets)?;
+            let mut pins = [NO_PIN; MAX_PINS];
+            for (pin, &n) in pins.iter_mut().zip(&slot[..arity]) {
+                *pin = NetId(n);
+            }
+            let output = NetId(slot[arity]);
             let d = &mut driver[output.index()];
             if d.is_some() {
                 return Err(r.error());
@@ -142,23 +198,37 @@ impl Netlist {
                 return Err(r.error());
             }
         }
-        let mut text = Vec::new();
+        // The names and the ports are all that is left, so the rest of the
+        // words bound the name bytes.
+        let named = bitmap.iter().map(|m| m.count_ones() as usize).sum();
+        nl.names.ends.reserve_exact(named);
+        let mut text = Vec::with_capacity(4 * (words.len() - r.at));
         for (w, &mask) in bitmap.iter().enumerate() {
             let mut bits = mask;
             while bits != 0 {
                 let net = NetId((32 * w) as u32 + bits.trailing_zeros());
                 bits &= bits - 1;
-                r.string_into(&mut text)?;
+                r.bytes_into(&mut text)?;
                 let end = u32::try_from(text.len()).map_err(|_| r.error())?;
                 nl.names.ends.push((net, end));
             }
         }
-        nl.names.text = String::from_utf8(text).expect("every name was checked as UTF-8");
+        // Every name is UTF-8 exactly when the whole text is and every
+        // name ends on a character boundary: one check instead of one per
+        // name.
+        nl.names.text = String::from_utf8(text).map_err(|_| r.error())?;
+        let text = &nl.names.text;
+        if !nl
+            .names
+            .ends
+            .iter()
+            .all(|&(_, end)| text.is_char_boundary(end as usize))
+        {
+            return Err(r.error());
+        }
         for ports in [&mut nl.inputs, &mut nl.outputs] {
             for _ in 0..r.word()? {
-                let mut name = Vec::new();
-                r.string_into(&mut name)?;
-                let name = String::from_utf8(name).expect("checked as UTF-8");
+                let name = r.string()?;
                 let width = r.word()? as usize;
                 let nets = (0..width)
                     .map(|_| r.net(num_nets))
@@ -193,7 +263,7 @@ impl<'a> Reader<'a> {
     }
 
     fn word(&mut self) -> Result<u32, NetlistError> {
-        let w = *self.words.get(self.at).ok_or(self.error())?;
+        let w = *self.words.get(self.at).ok_or_else(|| self.error())?;
         self.at += 1;
         Ok(w)
     }
@@ -223,27 +293,32 @@ impl<'a> Reader<'a> {
         self.net_id(raw, num_nets)
     }
 
-    /// Appends the next string's bytes to `out`, which must hold whole
-    /// UTF-8 strings; the appended bytes are checked to be one too.
-    fn string_into(&mut self, out: &mut Vec<u8>) -> Result<(), NetlistError> {
+    /// Appends the next string's bytes to `out`, unchecked as UTF-8.
+    fn bytes_into(&mut self, out: &mut Vec<u8>) -> Result<(), NetlistError> {
         let len = self.word()? as usize;
         let packed = self
             .words
             .get(self.at..self.at + len.div_ceil(4))
-            .ok_or(self.error())?;
+            .ok_or_else(|| self.error())?;
         let start = out.len();
-        out.extend(packed.iter().flat_map(|w| w.to_le_bytes()));
+        for w in packed {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
         // The padding of the last word must be zero, or two strings could
         // share one encoding.
-        if out[start + len..].iter().any(|&b| b != 0)
-            || std::str::from_utf8(&out[start..start + len]).is_err()
-        {
-            out.truncate(start);
+        if out[start + len..].iter().any(|&b| b != 0) {
             return Err(self.error());
         }
         out.truncate(start + len);
         self.at += packed.len();
         Ok(())
+    }
+
+    /// The next string.
+    fn string(&mut self) -> Result<String, NetlistError> {
+        let mut bytes = Vec::new();
+        self.bytes_into(&mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| self.error())
     }
 }
 
@@ -372,5 +447,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Two names that are not UTF-8 apart but are together (a character
+    /// split between them) are refused: each name must stand alone.
+    #[test]
+    fn a_character_split_between_two_names_is_refused() {
+        let mut nl = Netlist::new("t");
+        nl.add_named_net("añ");
+        nl.add_named_net("b");
+        let mut words = Vec::new();
+        nl.encode_words(&mut words);
+        // The two names (a length and one word each), then two empty port
+        // lists.
+        let at = words.len() - 6;
+        assert_eq!(
+            &words[at..],
+            [
+                3,
+                u32::from_le_bytes(*b"a\xc3\xb1\0"),
+                1,
+                u32::from(b'b'),
+                0,
+                0
+            ]
+        );
+        words[at..at + 4].copy_from_slice(&[
+            2,
+            u32::from_le_bytes(*b"a\xc3\0\0"),
+            2,
+            u32::from_le_bytes(*b"\xb1b\0\0"),
+        ]);
+        assert!(Netlist::decode_words("t", &words).is_err());
     }
 }

@@ -1,10 +1,16 @@
 //! SHA-256 (FIPS 180-4) over `u32` words, in safe scalar Rust.
 //!
-//! The compile cache ([`crate::cache`]) keys results by the digest of a
-//! word encoding of everything a compile reads, so the hasher takes words:
-//! word `i` of the input is message word `i`, i.e. the message bytes are
-//! the words' big-endian bytes and a full block is 16 words with no byte
-//! shuffling.
+//! The compile cache and the elaboration memo key their entries by the
+//! digest of a word encoding of everything they read, so the hasher takes
+//! words: word `i` of the input is message word `i`, i.e. the message bytes
+//! are the words' big-endian bytes and a full block is 16 words with no
+//! byte shuffling.
+//!
+//! [`sha256_words`] hashes a whole message at once. [`UnitHasher`] hashes a
+//! key stream as it is produced, packed into 16-bit units (see its docs),
+//! and can be cloned at any point, so the hash of a shared prefix (a
+//! [`Netlist`](crate::Netlist)'s own encoding) is computed once and
+//! continued by each key that starts with it.
 
 /// A SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -77,15 +83,20 @@ pub fn sha256_words(words: &[u32]) -> Digest {
     for b in &mut blocks {
         compress(&mut h, b.try_into().expect("16-word chunk"));
     }
+    finish(h, blocks.remainder(), words.len() as u64)
+}
+
+/// The digest of a message of `len` words whose full blocks are folded
+/// into `h` and whose last `rest` words (fewer than 16) are not.
+fn finish(mut h: [u32; 8], rest: &[u32], len: u64) -> Digest {
     // The padding: the remaining words, the 0x80 marker byte, zeros, and
     // the bit length in the last two words of a block. It fits in one
     // block after at most 13 remaining words, and takes two otherwise.
-    let rest = blocks.remainder();
     let mut tail = [0u32; 32];
     tail[..rest.len()].copy_from_slice(rest);
     tail[rest.len()] = 0x8000_0000;
     let n = if rest.len() < 14 { 16 } else { 32 };
-    let bits = words.len() as u64 * 32;
+    let bits = len * 32;
     tail[n - 2] = (bits >> 32) as u32;
     tail[n - 1] = bits as u32;
     for b in tail[..n].chunks_exact(16) {
@@ -96,6 +107,92 @@ pub fn sha256_words(words: &[u32]) -> Digest {
         o.copy_from_slice(&x.to_be_bytes());
     }
     out
+}
+
+/// A streaming SHA-256 of a word stream recoded as 16-bit units.
+///
+/// A word below `0x8000` (gate kinds, net ids, counts: most of a netlist)
+/// takes one unit, one below `0x7fff_0000` two (`0x8000 + hi`, `lo`), and
+/// any other the escape unit `0xffff` and two more. The code is
+/// prefix-free, so distinct word streams pack to distinct unit streams.
+/// Units are hashed two to a message word, high unit first; an odd unit
+/// count is padded with `0xffff`, which cannot end a complete code, so
+/// padding never collides with real units. Hashing the packed stream costs
+/// about half as much as hashing the words.
+///
+/// The state carries the partial block and any odd unit, so feeding a
+/// stream in any number of [`UnitHasher::update`] calls gives the same
+/// digest, and a clone continues from where the original stands.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnitHasher {
+    h: [u32; 8],
+    /// Message words not yet folded into `h`; the first `filled` are set.
+    block: [u32; 16],
+    filled: usize,
+    /// The high unit of the next message word, when the unit count so far
+    /// is odd.
+    odd: Option<u16>,
+    /// Message words folded into `h`.
+    folded: u64,
+}
+
+impl Default for UnitHasher {
+    fn default() -> Self {
+        UnitHasher {
+            h: H0,
+            block: [0; 16],
+            filled: 0,
+            odd: None,
+            folded: 0,
+        }
+    }
+}
+
+impl UnitHasher {
+    /// A hasher over the empty stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `words` to the stream.
+    pub fn update(&mut self, words: &[u32]) {
+        for &w in words {
+            if w < 0x8000 {
+                self.unit(w as u16);
+            } else if w < 0x7fff_0000 {
+                self.unit(0x8000 + (w >> 16) as u16);
+                self.unit(w as u16);
+            } else {
+                self.unit(0xffff);
+                self.unit((w >> 16) as u16);
+                self.unit(w as u16);
+            }
+        }
+    }
+
+    fn unit(&mut self, u: u16) {
+        match self.odd.take() {
+            None => self.odd = Some(u),
+            Some(hi) => {
+                self.block[self.filled] = u32::from(hi) << 16 | u32::from(u);
+                self.filled += 1;
+                if self.filled == 16 {
+                    compress(&mut self.h, &self.block);
+                    self.filled = 0;
+                    self.folded += 16;
+                }
+            }
+        }
+    }
+
+    /// The digest of the stream so far.
+    pub fn finish(mut self) -> Digest {
+        if self.odd.is_some() {
+            self.unit(0xffff);
+        }
+        let len = self.folded + self.filled as u64;
+        finish(self.h, &self.block[..self.filled], len)
+    }
 }
 
 #[cfg(test)]
@@ -211,5 +308,126 @@ mod tests {
             let bytes: Vec<u8> = msg.iter().flat_map(|w| w.to_be_bytes()).collect();
             assert_eq!(sha256_words(msg), reference(&bytes), "{len} words");
         }
+    }
+
+    /// The unit packing of [`UnitHasher`] done all at once: every word's
+    /// units, an odd count padded with `0xffff`, then paired high unit
+    /// first.
+    fn pack_units(words: &[u32]) -> Vec<u32> {
+        let mut units: Vec<u16> = Vec::new();
+        for &w in words {
+            if w < 0x8000 {
+                units.push(w as u16);
+            } else if w < 0x7fff_0000 {
+                units.extend([0x8000 + (w >> 16) as u16, w as u16]);
+            } else {
+                units.extend([0xffff, (w >> 16) as u16, w as u16]);
+            }
+        }
+        if units.len() % 2 == 1 {
+            units.push(0xffff);
+        }
+        units
+            .chunks_exact(2)
+            .map(|p| u32::from(p[0]) << 16 | u32::from(p[1]))
+            .collect()
+    }
+
+    /// Decodes a unit stream back to words: the packing is invertible,
+    /// hence injective.
+    fn unpack_units(packed: &[u32]) -> Vec<u32> {
+        let mut units = packed.iter().flat_map(|w| [(w >> 16) as u16, *w as u16]);
+        let mut out = Vec::new();
+        while let Some(u) = units.next() {
+            let w = match u {
+                0..=0x7fff => u32::from(u),
+                0xffff => match (units.next(), units.next()) {
+                    (Some(hi), Some(lo)) => u32::from(hi) << 16 | u32::from(lo),
+                    _ => break, // the odd-count padding
+                },
+                _ => u32::from(u - 0x8000) << 16 | u32::from(units.next().unwrap()),
+            };
+            out.push(w);
+        }
+        out
+    }
+
+    #[test]
+    fn unit_packing_is_invertible() {
+        let edges = [
+            0,
+            1,
+            0x7fff,
+            0x8000,
+            0xffff,
+            0x1_0000,
+            0x7ffe_ffff,
+            0x7fff_0000,
+            0x8000_0000,
+            u32::MAX,
+        ];
+        for len in 0..5 {
+            for start in 0..edges.len() {
+                let words: Vec<u32> = (0..len)
+                    .map(|i| edges[(start + 3 * i) % edges.len()])
+                    .collect();
+                assert_eq!(unpack_units(&pack_units(&words)), words, "{words:x?}");
+            }
+        }
+        // A trailing escape pad and a real unit never meet: [0x7fff] pads,
+        // [0x7fff, 0] does not.
+        assert_ne!(pack_units(&[0x7fff]), pack_units(&[0x7fff, 0]));
+        // A netlist's encoding is mostly one-unit words.
+        let mut nl = crate::Netlist::new("m");
+        let x = nl.add_input("x", 4);
+        let y = nl.add_gate(crate::GateKind::And2, &x[..2]);
+        let z = nl.add_gate(crate::GateKind::Xor2, &[y, x[3]]);
+        nl.add_output("z", &[z]);
+        let mut words = Vec::new();
+        nl.encode_words(&mut words);
+        let packed = pack_units(&words);
+        assert_eq!(unpack_units(&packed), words);
+        assert!(2 * packed.len() < words.len() + words.len() / 2);
+    }
+
+    /// The streaming hasher, with the stream split at every point, equals
+    /// the one-shot hash of the packed stream, for every stream of 0 to 130
+    /// words; the words mix one-, two- and three-unit codes, so the split
+    /// falls after odd and even unit counts alike.
+    #[test]
+    fn streaming_equals_one_shot_at_every_split() {
+        let mut x = 0x2545_F491u32;
+        let words: Vec<u32> = (0..130)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                match i % 5 {
+                    0 | 3 => x & 0x7fff,
+                    1 => x & 0x7ffe_ffff,
+                    _ => x | 0x8000_0000,
+                }
+            })
+            .collect();
+        let mut odd_splits = 0;
+        for len in 0..=130 {
+            let msg = &words[..len];
+            let want = sha256_words(&pack_units(msg));
+            for split in 0..=len {
+                let mut h = UnitHasher::new();
+                h.update(&msg[..split]);
+                odd_splits += usize::from(h.odd.is_some());
+                let mut g = h.clone();
+                g.update(&msg[split..]);
+                assert_eq!(g.finish(), want, "{len} words split at {split}");
+                h.update(&msg[split..]);
+                assert_eq!(h.finish(), want, "{len} words split at {split}");
+            }
+        }
+        assert!(
+            odd_splits > 1000,
+            "splits after an odd unit count: {odd_splits}"
+        );
+        assert_eq!(UnitHasher::new().finish(), sha256_words(&[]));
     }
 }

@@ -1,11 +1,17 @@
 //! Elaboration: bit-blasting RTL modules into gate-level netlists.
+//!
+//! [`elaborate()`] serves repeated modules from a process-wide memo;
+//! [`elaborate_fresh`] is the elaborator itself.
 
 use crate::expr::{BinOp, Expr, ReduceOp};
 use crate::module::{Memory, Module};
 use crate::RtlError;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use synthir_logic::ValueSet;
-use synthir_netlist::{GateKind, NetId, Netlist, ResetKind};
+use synthir_netlist::sha256::{Digest, UnitHasher};
+use synthir_netlist::store::{Lookup, Store, BUDGET};
+use synthir_netlist::{EncodedNetlist, GateKind, NetId, Netlist, ResetKind};
 
 /// A value-set annotation resolved to concrete nets (LSB first).
 #[derive(Clone, Debug, PartialEq)]
@@ -28,7 +34,7 @@ pub struct FsmNets {
 }
 
 /// The result of elaborating a [`Module`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Elaborated {
     /// The gate-level netlist.
     pub netlist: Netlist,
@@ -40,14 +46,127 @@ pub struct Elaborated {
     pub annotations: Vec<NetGroupValues>,
 }
 
-/// Elaborates a module into a netlist.
+/// Elaborates a module into a netlist, serving a module that declares a
+/// memory from a process-wide memo.
+///
+/// A chip generator asks for the same hardware again and again: a
+/// programmable lowering depends only on its interface, and a memory is
+/// where elaboration expands depth × width into gates. So a module with a
+/// memory is keyed by the SHA-256 of its [`Module::encode_words`] (which
+/// leaves out the name) and looked up in a byte-budgeted [`Store`] of
+/// [`BUDGET`] bytes; the doorkeeper admits an elaboration on its second
+/// miss. A hit is the stored elaboration under `m`'s name, equal to what
+/// [`elaborate_fresh`] returns, and its netlist already carries its
+/// [`Netlist::key_state`], so a compile cache keyed on it hashes only what
+/// follows the netlist. A module without a memory costs about as much to
+/// hash as to elaborate, so it is always elaborated fresh. Errors are never
+/// memoized.
+///
+/// # Errors
+///
+/// As [`elaborate_fresh`].
+pub fn elaborate(m: &Module) -> Result<Elaborated, RtlError> {
+    if m.memories().is_empty() {
+        return elaborate_fresh(m);
+    }
+    let digest = module_key(m);
+    match memo().lookup(&digest) {
+        Lookup::Hit(stored) => Ok(stored.elaborated(m.name())),
+        Lookup::Miss { admit } => {
+            let e = elaborate_fresh(m)?;
+            if admit {
+                let stored = Memoized::new(&e);
+                let bytes = stored.bytes();
+                memo().insert(digest, stored, bytes);
+            }
+            Ok(e)
+        }
+    }
+}
+
+/// The memo key of a module: the SHA-256 of its word encoding, hashed as
+/// 16-bit units.
+fn module_key(m: &Module) -> Digest {
+    let mut words = Vec::new();
+    m.encode_words(&mut words);
+    let mut h = UnitHasher::new();
+    h.update(&words);
+    h.finish()
+}
+
+fn memo() -> &'static Store<Memoized> {
+    static MEMO: OnceLock<Store<Memoized>> = OnceLock::new();
+    MEMO.get_or_init(|| Store::new(BUDGET))
+}
+
+/// One memoized elaboration: the netlist as its encoding and key state
+/// (a third of the flat netlist's bytes), the rest as it is.
+struct Memoized {
+    netlist: EncodedNetlist,
+    signals: Vec<(String, Vec<NetId>)>,
+    fsm: Option<FsmNets>,
+    annotations: Vec<NetGroupValues>,
+}
+
+impl Memoized {
+    fn new(e: &Elaborated) -> Memoized {
+        Memoized {
+            netlist: e.netlist.to_encoded(),
+            signals: e
+                .signals
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+            fsm: e.fsm.clone(),
+            annotations: e.annotations.clone(),
+        }
+    }
+
+    /// The bytes this entry counts against the budget.
+    fn bytes(&self) -> usize {
+        let nets = |n: &[NetId]| std::mem::size_of_val(n);
+        let signals: usize = self
+            .signals
+            .iter()
+            .map(|(k, v)| std::mem::size_of::<(String, Vec<NetId>)>() + k.len() + nets(v))
+            .sum();
+        let fsm = self.fsm.as_ref().map_or(0, |f| {
+            nets(&f.state_nets) + std::mem::size_of_val(&f.codes[..])
+        });
+        let annotations: usize = self
+            .annotations
+            .iter()
+            .map(|a| {
+                let values = match &a.values {
+                    ValueSet::All { .. } => 0,
+                    ValueSet::Values { values, .. } => 16 * values.len(),
+                };
+                std::mem::size_of::<NetGroupValues>() + nets(&a.nets) + values
+            })
+            .sum();
+        std::mem::size_of::<Memoized>() + self.netlist.bytes() + signals + fsm + annotations
+    }
+
+    /// The stored elaboration, its module named `name`.
+    fn elaborated(&self, name: &str) -> Elaborated {
+        Elaborated {
+            netlist: self.netlist.decode(name),
+            signals: self.signals.iter().cloned().collect(),
+            fsm: self.fsm.clone(),
+            annotations: self.annotations.clone(),
+        }
+    }
+}
+
+/// Elaborates a module into a netlist, without the memo of
+/// [`elaborate()`].
 ///
 /// # Errors
 ///
 /// Returns an [`RtlError`] for undeclared or duplicate signals, width
 /// mismatches, out-of-range indices, combinational wire cycles, or
 /// ill-formed memories.
-pub fn elaborate(m: &Module) -> Result<Elaborated, RtlError> {
+pub fn elaborate_fresh(m: &Module) -> Result<Elaborated, RtlError> {
     m.check_names()?;
     let mut ctx = Ctx::new(m)?;
     ctx.resolve_wires()?;
@@ -69,6 +188,8 @@ struct Ctx<'m> {
 impl<'m> Ctx<'m> {
     fn new(m: &'m Module) -> Result<Self, RtlError> {
         let mut nl = Netlist::new(m.name());
+        let (gates, nets) = size_hint(m);
+        nl.reserve(gates, nets);
         let mut signals = HashMap::new();
         for (name, width) in m.inputs() {
             let nets = nl.add_input(name.clone(), *width);
@@ -163,7 +284,8 @@ impl<'m> Ctx<'m> {
         }
         for i in order {
             let (name, width, expr) = &wires[i];
-            let nets = self.elab_expr(expr)?;
+            let mut nets = Vec::with_capacity(*width);
+            self.elab_expr(expr, &mut nets)?;
             if nets.len() != *width {
                 return Err(RtlError::WidthMismatch {
                     context: format!("wire `{name}`"),
@@ -177,8 +299,10 @@ impl<'m> Ctx<'m> {
     }
 
     fn elaborate_outputs(&mut self) -> Result<(), RtlError> {
+        let mut nets = Vec::new();
         for (name, width, expr) in self.m.outputs() {
-            let nets = self.elab_expr(expr)?;
+            nets.clear();
+            self.elab_expr(expr, &mut nets)?;
             if nets.len() != *width {
                 return Err(RtlError::WidthMismatch {
                     context: format!("output `{name}`"),
@@ -192,8 +316,10 @@ impl<'m> Ctx<'m> {
     }
 
     fn elaborate_registers(&mut self) -> Result<(), RtlError> {
+        let mut d = Vec::new();
         for r in self.m.registers() {
-            let d = self.elab_expr(&r.next)?;
+            d.clear();
+            self.elab_expr(&r.next, &mut d)?;
             if d.len() != r.width {
                 return Err(RtlError::WidthMismatch {
                     context: format!("register `{}` next-state", r.name),
@@ -201,7 +327,7 @@ impl<'m> Ctx<'m> {
                     right: r.width,
                 });
             }
-            let q = self.signals[&r.name].clone();
+            let q = &self.signals[&r.name];
             for bit in 0..r.width {
                 let init = r.reset.value >> bit & 1 != 0;
                 let kind = GateKind::Dff {
@@ -236,8 +362,8 @@ impl<'m> Ctx<'m> {
                 mem.write_port.as_ref().ok_or_else(|| RtlError::BadMemory {
                     context: format!("programmable memory `{}` needs a write port", mem.name),
                 })?;
-            let addr = self.lookup(addr_sig)?;
-            let data = self.lookup(data_sig)?;
+            let addr = self.lookup(addr_sig)?.to_vec();
+            let data = self.lookup(data_sig)?.to_vec();
             let en = self.lookup(en_sig)?;
             let abits = log2_exact(mem.depth).expect("validated");
             if addr.len() != abits {
@@ -261,11 +387,12 @@ impl<'m> Ctx<'m> {
                     right: 1,
                 });
             }
+            let en = en[0];
             let storage = mem_storage.remove(&mem.name).expect("storage exists");
             for (w, word_nets) in storage.iter().enumerate() {
                 // wen_w = en & (addr == w)
                 let eq = self.addr_eq(&addr, w as u128);
-                let wen = self.nl.add_gate(GateKind::And2, &[en[0], eq]);
+                let wen = self.nl.add_gate(GateKind::And2, &[en, eq]);
                 for (b, &q) in word_nets.iter().enumerate() {
                     let d = self.nl.add_gate(GateKind::Mux2, &[wen, q, data[b]]);
                     self.nl
@@ -284,20 +411,21 @@ impl<'m> Ctx<'m> {
         Ok(())
     }
 
-    /// AND-tree comparator `addr == value`.
+    /// AND-tree comparator `addr == value`: the address bits, inverted
+    /// where `value` has a zero, all built before the tree.
     fn addr_eq(&mut self, addr: &[NetId], value: u128) -> NetId {
-        let bits: Vec<NetId> = addr
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| {
-                if value >> i & 1 != 0 {
-                    a
-                } else {
-                    self.nl.add_gate(GateKind::Inv, &[a])
-                }
-            })
-            .collect();
-        self.and_tree(&bits)
+        // An address has at most `usize::BITS` bits (the depth is a
+        // power-of-two `usize`), so the terms fit on the stack.
+        let mut terms = [NetId(0); usize::BITS as usize];
+        let terms = &mut terms[..addr.len()];
+        for (i, (t, &a)) in terms.iter_mut().zip(addr).enumerate() {
+            *t = if value >> i & 1 != 0 {
+                a
+            } else {
+                self.nl.add_gate(GateKind::Inv, &[a])
+            };
+        }
+        self.and_tree(terms)
     }
 
     fn and_tree(&mut self, bits: &[NetId]) -> NetId {
@@ -320,182 +448,192 @@ impl<'m> Ctx<'m> {
         }
     }
 
-    fn lookup(&self, name: &str) -> Result<Vec<NetId>, RtlError> {
+    fn lookup(&self, name: &str) -> Result<&[NetId], RtlError> {
         self.signals
             .get(name)
-            .cloned()
+            .map(Vec::as_slice)
             .ok_or_else(|| RtlError::UnknownSignal { name: name.into() })
     }
 
-    fn elab_expr(&mut self, e: &Expr) -> Result<Vec<NetId>, RtlError> {
+    /// Elaborates `e` and appends its nets (LSB first) to `out`.
+    ///
+    /// Operands are elaborated onto the end of `out` and replaced there by
+    /// the result, so no expression allocates a vector of its own; gates
+    /// are created in the same order as operand-first evaluation.
+    fn elab_expr(&mut self, e: &Expr, out: &mut Vec<NetId>) -> Result<(), RtlError> {
+        let s = out.len();
         match e {
-            Expr::Ref(name) => self.lookup(name),
-            Expr::Const { width, value } => Ok((0..*width)
-                .map(|i| self.nl.constant(value >> i & 1 != 0))
-                .collect()),
+            Expr::Ref(name) => out.extend_from_slice(self.lookup(name)?),
+            Expr::Const { width, value } => {
+                for i in 0..*width {
+                    out.push(self.nl.constant(value >> i & 1 != 0));
+                }
+            }
             Expr::Not(a) => {
-                let a = self.elab_expr(a)?;
-                Ok(a.iter()
-                    .map(|&n| self.nl.add_gate(GateKind::Inv, &[n]))
-                    .collect())
+                self.elab_expr(a, out)?;
+                for n in &mut out[s..] {
+                    *n = self.nl.add_gate(GateKind::Inv, &[*n]);
+                }
             }
             Expr::Bin { op, a, b } => {
-                let a = self.elab_expr(a)?;
-                let b = self.elab_expr(b)?;
-                if a.len() != b.len() {
-                    return Err(RtlError::WidthMismatch {
-                        context: format!("{op:?}"),
-                        left: a.len(),
-                        right: b.len(),
-                    });
-                }
+                let mid = self.elab_pair(a, b, out, || format!("{op:?}"))?;
                 let kind = match op {
                     BinOp::And => GateKind::And2,
                     BinOp::Or => GateKind::Or2,
                     BinOp::Xor => GateKind::Xor2,
                 };
-                Ok(a.iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| self.nl.add_gate(kind, &[x, y]))
-                    .collect())
+                for i in 0..mid - s {
+                    out[s + i] = self.nl.add_gate(kind, &[out[s + i], out[mid + i]]);
+                }
+                out.truncate(mid);
             }
             Expr::Reduce { op, a } => {
-                let a = self.elab_expr(a)?;
+                self.elab_expr(a, out)?;
                 let kind = match op {
                     ReduceOp::Or => GateKind::Or2,
                     ReduceOp::And => GateKind::And2,
                     ReduceOp::Xor => GateKind::Xor2,
                 };
-                Ok(vec![self.reduce_tree(&a, kind)])
+                let r = self.reduce_tree(&out[s..], kind);
+                out.truncate(s);
+                out.push(r);
             }
             Expr::Mux { sel, on0, on1 } => {
-                let sel = self.elab_expr(sel)?;
-                if sel.len() != 1 {
+                self.elab_expr(sel, out)?;
+                if out.len() - s != 1 {
                     return Err(RtlError::WidthMismatch {
                         context: "mux select".into(),
-                        left: sel.len(),
+                        left: out.len() - s,
                         right: 1,
                     });
                 }
-                let on0 = self.elab_expr(on0)?;
-                let on1 = self.elab_expr(on1)?;
-                if on0.len() != on1.len() {
-                    return Err(RtlError::WidthMismatch {
-                        context: "mux arms".into(),
-                        left: on0.len(),
-                        right: on1.len(),
-                    });
+                let sel = out.pop().expect("one select bit");
+                let mid = self.elab_pair(on0, on1, out, || "mux arms".into())?;
+                for i in 0..mid - s {
+                    out[s + i] = self
+                        .nl
+                        .add_gate(GateKind::Mux2, &[sel, out[s + i], out[mid + i]]);
                 }
-                Ok(on0
-                    .iter()
-                    .zip(&on1)
-                    .map(|(&d0, &d1)| self.nl.add_gate(GateKind::Mux2, &[sel[0], d0, d1]))
-                    .collect())
+                out.truncate(mid);
             }
             Expr::Index { a, bit } => {
-                let a = self.elab_expr(a)?;
-                a.get(*bit).map(|&n| vec![n]).ok_or(RtlError::OutOfRange {
+                self.elab_expr(a, out)?;
+                let n = *out[s..].get(*bit).ok_or(RtlError::OutOfRange {
                     context: format!("index {bit}"),
-                })
+                })?;
+                out.truncate(s);
+                out.push(n);
             }
             Expr::Slice { a, lo, width } => {
-                let a = self.elab_expr(a)?;
-                if lo + width > a.len() {
+                self.elab_expr(a, out)?;
+                let len = out.len() - s;
+                if lo + width > len {
                     return Err(RtlError::OutOfRange {
-                        context: format!("slice [{lo} +: {width}] of {}-bit value", a.len()),
+                        context: format!("slice [{lo} +: {width}] of {len}-bit value"),
                     });
                 }
-                Ok(a[*lo..lo + width].to_vec())
+                out.copy_within(s + lo..s + lo + width, s);
+                out.truncate(s + width);
             }
             Expr::Concat(parts) => {
-                let mut out = Vec::new();
                 for p in parts {
-                    out.extend(self.elab_expr(p)?);
+                    self.elab_expr(p, out)?;
                 }
-                Ok(out)
             }
             Expr::Eq { a, b } => {
-                let a = self.elab_expr(a)?;
-                let b = self.elab_expr(b)?;
-                if a.len() != b.len() {
-                    return Err(RtlError::WidthMismatch {
-                        context: "eq".into(),
-                        left: a.len(),
-                        right: b.len(),
-                    });
+                let mid = self.elab_pair(a, b, out, || "eq".into())?;
+                for i in 0..mid - s {
+                    out[s + i] = self
+                        .nl
+                        .add_gate(GateKind::Xnor2, &[out[s + i], out[mid + i]]);
                 }
-                let bits: Vec<NetId> = a
-                    .iter()
-                    .zip(&b)
-                    .map(|(&x, &y)| self.nl.add_gate(GateKind::Xnor2, &[x, y]))
-                    .collect();
-                Ok(vec![self.and_tree(&bits)])
+                let r = self.and_tree(&out[s..mid]);
+                out.truncate(s);
+                out.push(r);
             }
             Expr::Inc(a) => {
-                let a = self.elab_expr(a)?;
-                let mut out = Vec::with_capacity(a.len());
+                self.elab_expr(a, out)?;
                 let mut carry: Option<NetId> = None;
-                for &bit in &a {
+                for n in &mut out[s..] {
+                    let bit = *n;
                     match carry {
                         None => {
-                            out.push(self.nl.add_gate(GateKind::Inv, &[bit]));
+                            *n = self.nl.add_gate(GateKind::Inv, &[bit]);
                             carry = Some(bit);
                         }
                         Some(c) => {
-                            out.push(self.nl.add_gate(GateKind::Xor2, &[bit, c]));
+                            *n = self.nl.add_gate(GateKind::Xor2, &[bit, c]);
                             carry = Some(self.nl.add_gate(GateKind::And2, &[bit, c]));
                         }
                     }
                 }
-                Ok(out)
             }
             Expr::ReadMem { mem, addr } => {
                 let m: &'m Module = self.m;
                 let mem = m
                     .memory(mem)
                     .ok_or_else(|| RtlError::UnknownSignal { name: mem.clone() })?;
-                let addr = self.elab_expr(addr)?;
+                self.elab_expr(addr, out)?;
                 let abits = log2_exact(mem.depth).ok_or_else(|| RtlError::BadMemory {
                     context: format!(
                         "memory `{}` depth {} is not a power of two",
                         mem.name, mem.depth
                     ),
                 })?;
-                if addr.len() != abits {
+                if out.len() - s != abits {
                     return Err(RtlError::WidthMismatch {
                         context: format!("memory `{}` read address", mem.name),
-                        left: addr.len(),
+                        left: out.len() - s,
                         right: abits,
                     });
                 }
-                match &mem.contents {
-                    Some(words) => {
-                        // Bound table: mux tree with constant leaves, one per
-                        // output bit. This is the structure the synthesis
-                        // engine partially evaluates.
-                        let mut out = Vec::with_capacity(mem.width);
-                        for b in 0..mem.width {
-                            let leaves: Vec<NetId> = (0..mem.depth)
-                                .map(|w| self.nl.constant(words[w] >> b & 1 != 0))
-                                .collect();
-                            out.push(self.mux_tree(&leaves, &addr));
+                // One read multiplexer tree per output bit, after the
+                // address: a bound table's leaves are constants (the
+                // structure the synthesis engine partially evaluates), a
+                // programmable memory's the storage flops.
+                let mut leaves = Vec::with_capacity(mem.depth);
+                for b in 0..mem.width {
+                    leaves.clear();
+                    match &mem.contents {
+                        Some(words) => {
+                            for w in words {
+                                leaves.push(self.nl.constant(w >> b & 1 != 0));
+                            }
                         }
-                        Ok(out)
-                    }
-                    None => {
-                        let mut out = Vec::with_capacity(mem.width);
-                        for b in 0..mem.width {
-                            let leaves: Vec<NetId> = self.mem_storage[&mem.name]
-                                .iter()
-                                .map(|word| word[b])
-                                .collect();
-                            out.push(self.mux_tree(&leaves, &addr));
+                        None => {
+                            leaves.extend(self.mem_storage[&mem.name].iter().map(|word| word[b]));
                         }
-                        Ok(out)
                     }
+                    let r = self.mux_tree(&leaves, &out[s..s + abits]);
+                    out.push(r);
                 }
+                out.drain(s..s + abits);
             }
         }
+        Ok(())
+    }
+
+    /// Elaborates two equal-width operands onto `out`, one after the
+    /// other; returns where the second starts.
+    fn elab_pair(
+        &mut self,
+        a: &Expr,
+        b: &Expr,
+        out: &mut Vec<NetId>,
+        context: impl FnOnce() -> String,
+    ) -> Result<usize, RtlError> {
+        let s = out.len();
+        self.elab_expr(a, out)?;
+        let mid = out.len();
+        self.elab_expr(b, out)?;
+        if mid - s != out.len() - mid {
+            return Err(RtlError::WidthMismatch {
+                context: context(),
+                left: mid - s,
+                right: out.len() - mid,
+            });
+        }
+        Ok(mid)
     }
 
     /// Builds a read multiplexer tree: `leaves.len() == 2^addr.len()`,
@@ -515,14 +653,11 @@ impl<'m> Ctx<'m> {
     fn finish(mut self) -> Result<Elaborated, RtlError> {
         let fsm = match &self.m.fsm {
             None => None,
-            Some(info) => {
-                let nets = self.lookup(&info.state_reg)?;
-                Some(FsmNets {
-                    state_nets: nets,
-                    codes: info.codes.clone(),
-                    reset_code: info.reset_code,
-                })
-            }
+            Some(info) => Some(FsmNets {
+                state_nets: self.lookup(&info.state_reg)?.to_vec(),
+                codes: info.codes.clone(),
+                reset_code: info.reset_code,
+            }),
         };
         let mut annotations = Vec::new();
         for a in &self.m.annotations {
@@ -535,7 +670,7 @@ impl<'m> Ctx<'m> {
                 });
             }
             annotations.push(NetGroupValues {
-                nets,
+                nets: nets.to_vec(),
                 values: a.values.clone(),
             });
         }
@@ -550,6 +685,32 @@ impl<'m> Ctx<'m> {
             annotations,
         })
     }
+}
+
+/// About how many gates and nets elaborating `m` creates, so the netlist's
+/// arrays are allocated once: a memory is where depth × width expands
+/// (storage flops, write multiplexers and word decoders for a programmable
+/// one, a read tree per bit for either), and registers add a flop per bit.
+fn size_hint(m: &Module) -> (usize, usize) {
+    let mut gates: usize = m.registers().iter().map(|r| r.width).sum();
+    let mut nets = gates;
+    for mem in m.memories() {
+        let cells = mem.depth.saturating_mul(mem.width);
+        if mem.contents.is_none() {
+            let abits = mem.depth.trailing_zeros() as usize;
+            let decode = mem.depth.saturating_mul(2 * abits + 1);
+            gates = gates
+                .saturating_add(cells.saturating_mul(3))
+                .saturating_add(decode);
+            nets = nets
+                .saturating_add(cells.saturating_mul(4))
+                .saturating_add(decode);
+        } else {
+            gates = gates.saturating_add(cells);
+            nets = nets.saturating_add(cells);
+        }
+    }
+    (gates, nets)
 }
 
 fn validate_memory(mem: &Memory) -> Result<(), RtlError> {
@@ -760,5 +921,299 @@ mod tests {
         m.add_output("y", 4, Expr::reference("a").inc());
         let e = elaborate(&m).unwrap();
         assert_eq!(e.netlist.output("y").unwrap().nets.len(), 4);
+    }
+
+    /// A module with every kind of field: an input, a wire, an output, a
+    /// register with a reset, a programmable and a bound memory, FSM
+    /// metadata and an annotation. `tag` names one input, so that tests
+    /// sharing the process-wide memo do not share modules.
+    fn featureful(tag: &str) -> Module {
+        let mut m = Module::new("featureful");
+        m.add_input(tag, 1);
+        m.add_input("waddr", 2);
+        m.add_input("wdata", 2);
+        m.add_input("wen", 1);
+        m.add_memory(Memory {
+            name: "cfg".into(),
+            width: 2,
+            depth: 4,
+            contents: None,
+            write_port: Some(("waddr".into(), "wdata".into(), "wen".into())),
+        });
+        m.add_memory(Memory {
+            name: "rom".into(),
+            width: 2,
+            depth: 2,
+            contents: Some(vec![1, 2]),
+            write_port: None,
+        });
+        m.add_wire(
+            "next",
+            2,
+            Expr::read_mem(
+                "cfg",
+                Expr::concat(vec![
+                    Expr::reference(tag),
+                    Expr::reference("state").index(0),
+                ]),
+            ),
+        );
+        m.add_register(Register {
+            name: "state".into(),
+            width: 2,
+            next: Expr::reference("next"),
+            reset: RegReset {
+                kind: ResetKind::Sync,
+                value: 1,
+            },
+        });
+        m.add_output(
+            "y",
+            2,
+            Expr::read_mem("rom", Expr::reference("state").index(1)).xor(Expr::reference("state")),
+        );
+        m.set_fsm(crate::module::FsmInfo {
+            state_reg: "state".into(),
+            codes: vec![0, 1, 2],
+            reset_code: 1,
+        });
+        m.annotate("state", ValueSet::from_values(2, [0, 1, 2]));
+        m
+    }
+
+    fn rebuild(m: &Module, edit: impl FnOnce(&mut Parts)) -> Module {
+        let mut p = Parts {
+            inputs: m.inputs().to_vec(),
+            outputs: m.outputs().to_vec(),
+            wires: m.wires().to_vec(),
+            regs: m.registers().to_vec(),
+            mems: m.memories().to_vec(),
+        };
+        edit(&mut p);
+        let mut out = Module::new(m.name());
+        for (n, w) in p.inputs {
+            out.add_input(n, w);
+        }
+        for (n, w, e) in p.outputs {
+            out.add_output(n, w, e);
+        }
+        for (n, w, e) in p.wires {
+            out.add_wire(n, w, e);
+        }
+        for r in p.regs {
+            out.add_register(r);
+        }
+        for mem in p.mems {
+            out.add_memory(mem);
+        }
+        out.fsm = m.fsm.clone();
+        out.annotations = m.annotations.clone();
+        out
+    }
+
+    /// A module's declarations, to edit one field at a time.
+    struct Parts {
+        inputs: Vec<(String, usize)>,
+        outputs: Vec<(String, usize, Expr)>,
+        wires: Vec<(String, usize, Expr)>,
+        regs: Vec<Register>,
+        mems: Vec<Memory>,
+    }
+
+    #[test]
+    fn every_single_field_change_alters_the_memo_key_and_the_name_does_not() {
+        let base = featureful("go");
+        let mut renamed = base.clone();
+        renamed.set_name("another");
+        assert_eq!(module_key(&renamed), module_key(&base));
+        assert_eq!(rebuild(&base, |_| {}).name(), base.name());
+        assert_eq!(module_key(&rebuild(&base, |_| {})), module_key(&base));
+
+        let mut variants: Vec<(&str, Module)> = vec![
+            ("an input name", featureful("gO")),
+            ("an input width", rebuild(&base, |p| p.inputs[0].1 = 2)),
+            (
+                "an extra input",
+                rebuild(&base, |p| p.inputs.push(("z".into(), 1))),
+            ),
+            (
+                "an output name",
+                rebuild(&base, |p| p.outputs[0].0 = "z".into()),
+            ),
+            ("an output width", rebuild(&base, |p| p.outputs[0].1 = 3)),
+            (
+                "an output expression",
+                rebuild(&base, |p| {
+                    p.outputs[0].2 = Expr::reference("state").and(Expr::reference("next"))
+                }),
+            ),
+            (
+                "a wire expression",
+                rebuild(&base, |p| p.wires[0].2 = Expr::reference("state").inc()),
+            ),
+            (
+                "a register name",
+                rebuild(&base, |p| p.regs[0].name = "s".into()),
+            ),
+            (
+                "a register next state",
+                rebuild(&base, |p| p.regs[0].next = Expr::reference("next").not()),
+            ),
+            (
+                "a reset kind",
+                rebuild(&base, |p| p.regs[0].reset.kind = ResetKind::Async),
+            ),
+            (
+                "a reset value",
+                rebuild(&base, |p| p.regs[0].reset.value = 2),
+            ),
+            (
+                "a memory name",
+                rebuild(&base, |p| p.mems[1].name = "tab".into()),
+            ),
+            ("a memory width", rebuild(&base, |p| p.mems[0].width = 3)),
+            ("a memory depth", rebuild(&base, |p| p.mems[0].depth = 8)),
+            (
+                "a memory word",
+                rebuild(&base, |p| p.mems[1].contents = Some(vec![1, 3])),
+            ),
+            (
+                "bound contents",
+                rebuild(&base, |p| p.mems[0].contents = Some(vec![0; 4])),
+            ),
+            (
+                "a write port",
+                rebuild(&base, |p| {
+                    p.mems[0].write_port = Some(("wdata".into(), "waddr".into(), "wen".into()))
+                }),
+            ),
+            (
+                "no memory",
+                rebuild(&base, |p| {
+                    p.mems.pop();
+                }),
+            ),
+        ];
+        for e in [
+            Expr::constant(2, 3),
+            Expr::reference("state").or(Expr::reference("next")),
+            Expr::reference("state").xor(Expr::reference("next")),
+            Expr::reference("state")
+                .reduce_or()
+                .mux(Expr::constant(2, 0), Expr::constant(2, 1)),
+            Expr::reference("state")
+                .reduce_and()
+                .mux(Expr::constant(2, 0), Expr::constant(2, 1)),
+            Expr::reference("state")
+                .reduce_xor()
+                .mux(Expr::constant(2, 0), Expr::constant(2, 1)),
+            Expr::reference("state").slice(0, 2),
+            Expr::concat(vec![Expr::reference("state").index(1), Expr::bit(true)]),
+            Expr::reference("state")
+                .eq(Expr::reference("next"))
+                .mux(Expr::constant(2, 0), Expr::constant(2, 1)),
+        ] {
+            variants.push(("an expression node", rebuild(&base, |p| p.outputs[0].2 = e)));
+        }
+        let mut m = base.clone();
+        m.fsm.as_mut().unwrap().codes.push(3);
+        variants.push(("an FSM code", m));
+        let mut m = base.clone();
+        m.fsm.as_mut().unwrap().reset_code = 0;
+        variants.push(("the FSM reset code", m));
+        let mut m = base.clone();
+        m.fsm.as_mut().unwrap().state_reg = "next".into();
+        variants.push(("the FSM state register", m));
+        let mut m = base.clone();
+        m.fsm = None;
+        variants.push(("no FSM metadata", m));
+        let mut m = base.clone();
+        m.annotations[0].values = ValueSet::from_values(2, [0, 1, 3]);
+        variants.push(("an annotation value", m));
+        let mut m = base.clone();
+        m.annotations[0].values = ValueSet::all(2);
+        variants.push(("an unconstrained annotation", m));
+        let mut m = base.clone();
+        m.annotations[0].signal = "next".into();
+        variants.push(("an annotated signal", m));
+
+        let mut keys = vec![module_key(&base)];
+        for (label, m) in &variants {
+            let k = module_key(m);
+            assert!(!keys.contains(&k), "{label}: the key collides");
+            keys.push(k);
+        }
+    }
+
+    #[test]
+    fn a_hit_equals_a_fresh_elaboration_under_the_callers_name() {
+        let m = featureful("hit");
+        let fresh = elaborate_fresh(&m).unwrap();
+        for i in 0..3 {
+            let mut named = m.clone();
+            named.set_name(format!("hit{i}"));
+            let e = elaborate(&named).unwrap();
+            let mut want = fresh.clone();
+            want.netlist.set_name(format!("hit{i}"));
+            assert_eq!(e, want, "elaboration {i}");
+            assert_eq!(e.netlist.key_state(), fresh.netlist.key_state());
+        }
+        assert!(
+            memo().contains(&module_key(&m)),
+            "admitted on its second miss"
+        );
+    }
+
+    #[test]
+    fn modules_without_a_memory_are_not_memoized() {
+        let mut m = Module::new("plain");
+        m.add_input("only_in_this_test", 2);
+        m.add_output("y", 1, Expr::reference("only_in_this_test").reduce_xor());
+        for _ in 0..3 {
+            assert_eq!(elaborate(&m).unwrap(), elaborate_fresh(&m).unwrap());
+        }
+        assert!(!memo().contains(&module_key(&m)));
+    }
+
+    #[test]
+    fn errors_are_never_memoized() {
+        let bad = [
+            rebuild(&featureful("err"), |p| p.outputs[0].1 = 5),
+            rebuild(&featureful("err"), |p| p.mems[0].depth = 3),
+            rebuild(&featureful("err"), |p| p.mems[0].write_port = None),
+            rebuild(&featureful("err"), |p| {
+                p.wires[0].2 = Expr::reference("ghost")
+            }),
+        ];
+        for m in &bad {
+            let want = elaborate_fresh(m).unwrap_err();
+            for _ in 0..3 {
+                assert_eq!(elaborate(m).unwrap_err(), want);
+            }
+            assert!(!memo().contains(&module_key(m)), "{want}");
+        }
+    }
+
+    #[test]
+    fn threads_elaborating_one_module_agree() {
+        let m = featureful("threads");
+        let fresh = elaborate_fresh(&m).unwrap();
+        let start = std::sync::Barrier::new(2);
+        let results: Vec<Vec<Elaborated>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..4).map(|_| elaborate(&m).unwrap()).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for e in results.iter().flatten() {
+            assert_eq!(e, &fresh);
+            assert_eq!(e.netlist.key_state(), fresh.netlist.key_state());
+        }
+        assert!(memo().contains(&module_key(&m)));
     }
 }

@@ -10,7 +10,10 @@
 //! * [`Expr`] — width-checked combinational expressions over named signals,
 //! * [`Module`] — a synthesizable module with wires, registers and memories,
 //! * [`elaborate()`] — bit-blasting elaboration into a
-//!   [`synthir_netlist::Netlist`],
+//!   [`synthir_netlist::Netlist`], served from a process-wide memo for
+//!   modules that declare a memory (a generator requests the same
+//!   programmable hardware again and again); [`elaborate_fresh`] is the
+//!   uncached elaborator,
 //! * [`styles`] — canned generators for the paper's coding styles.
 //!
 //! A [`Module`]'s memory with bound (`Some`) contents elaborates into pure
@@ -41,7 +44,7 @@ pub mod module;
 pub mod pretty;
 pub mod styles;
 
-pub use elaborate::{elaborate, Elaborated};
+pub use elaborate::{elaborate, elaborate_fresh, Elaborated};
 pub use expr::{BinOp, Expr, ReduceOp};
 pub use module::{FsmInfo, Memory, Module, RegReset, Register, SignalAnnotation};
 pub use synthir_netlist::ResetKind;

@@ -5,6 +5,8 @@ use crate::RtlError;
 use synthir_logic::ValueSet;
 use synthir_netlist::ResetKind;
 
+mod words;
+
 /// Reset specification of a [`Register`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegReset {

@@ -15,18 +15,21 @@
 //!   different inputs never share an encoding, and a result is served only
 //!   on an exact digest match. The module name is left out (a hit is
 //!   returned under the caller's name), and so is the thread count: the
-//!   flow's results do not depend on it.
-//! * **Admission.** A doorkeeper ring remembers the last
-//!   [`DOORKEEPER_LEN`] digests that missed (their first 64 bits). A result
-//!   is stored only when its digest misses a second time while still in
-//!   the ring, so a stream of one-off designs stores nothing.
-//! * **Store.** Results are kept compactly — the netlist as its word
-//!   encoding, plus area, timing and pass statistics — and evicted least
-//!   recently used first once their encoded size would exceed the byte
-//!   budget of [`BUDGET`] bytes.
-//! * **Locking.** One mutex guards the store; it is held for a lookup or
-//!   an insert, never across a compile or a decode. Errors are never
-//!   cached.
+//!   flow's results do not depend on it. The words are hashed as 16-bit
+//!   units ([`UnitHasher`](crate::sha256::UnitHasher)), and the netlist
+//!   comes first, so the key continues from the hash state the netlist
+//!   carries ([`Netlist::key_state`]): a netlist served by the elaboration
+//!   memo, or compiled before, is not encoded or hashed again, and only the
+//!   FSM, annotations, options and library are.
+//! * **Store.** A [`Store`] (in `synthir-netlist`, shared with the
+//!   elaboration memo of `synthir_rtl::elaborate`): a doorkeeper admits a
+//!   result on its second miss among the last [`DOORKEEPER_LEN`], so a
+//!   stream of one-off designs stores nothing; results are kept compactly —
+//!   the netlist as its word encoding, plus area, timing and pass
+//!   statistics — and evicted least recently used first once their encoded
+//!   size would exceed the byte budget of [`BUDGET`] bytes. Its one mutex is
+//!   held for a lookup or an insert, never across a compile or a decode.
+//!   Errors are never cached.
 //!
 //! Every compile through a cache ends its `stats` with a `compile_cache`
 //! [`PassStat`]: the time the cache itself took (key, lookup, and the
@@ -36,69 +39,41 @@
 
 use crate::flow::{compile_netlist, CompileResult, PassStat};
 use crate::options::{FsmEncoding, SynthOptions};
-use crate::sha256::{sha256_words, Digest};
+use crate::sha256::Digest;
 use crate::timing::TimingReport;
 use crate::SynthError;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use synthir_logic::ValueSet;
+use synthir_netlist::store::{Lookup, Store};
 use synthir_netlist::{AreaReport, Library, NetId, Netlist};
 use synthir_rtl::elaborate::{Elaborated, FsmNets, NetGroupValues};
 
-/// Byte budget of a [`CompileCache`]: 2 MiB of encoded results.
-pub const BUDGET: usize = 2 << 20;
-
-/// How many recent missed digests the doorkeeper remembers.
-pub const DOORKEEPER_LEN: usize = 4096;
+pub use synthir_netlist::store::{BUDGET, DOORKEEPER_LEN};
 
 /// The cache key of a compile: the SHA-256 digest of the word encoding of
-/// its inputs (see the [module docs](self)), packed into 16-bit units.
+/// its inputs (see the [module docs](self)), hashed as 16-bit units from
+/// the netlist's own key state on.
 fn compile_key(elab: &Elaborated, lib: &Library, opts: &SynthOptions) -> Digest {
     let mut words = Vec::new();
-    key_words(elab, lib, opts, &mut words);
-    sha256_words(&pack_units(&words))
+    key_tail_words(elab, lib, opts, &mut words);
+    let mut h = elab.netlist.key_state().clone();
+    h.update(&words);
+    h.finish()
 }
 
-/// Recodes words as 16-bit units, two to a word: a word below `0x8000`
-/// (gate kinds, net ids, counts: most of a netlist) takes one unit, one
-/// below `0x7fff_0000` two (`0x8000 + hi`, `lo`), and any other the escape
-/// unit `0xffff` and two more. The code is prefix-free, so distinct word
-/// streams pack to distinct unit streams. An odd unit count is padded with
-/// `0xffff`, which cannot end a complete code, so padding never collides
-/// with real units. Hashing the packed stream costs about half as much,
-/// which on repeated programmable lowerings is most of the key's cost.
-fn pack_units(words: &[u32]) -> Vec<u32> {
-    let mut units: Vec<u16> = Vec::with_capacity(words.len() * 5 / 4 + 1);
-    for &w in words {
-        if w < 0x8000 {
-            units.push(w as u16);
-        } else if w < 0x7fff_0000 {
-            units.extend([0x8000 + (w >> 16) as u16, w as u16]);
-        } else {
-            units.extend([0xffff, (w >> 16) as u16, w as u16]);
-        }
-    }
-    if units.len() % 2 == 1 {
-        units.push(0xffff);
-    }
-    units
-        .chunks_exact(2)
-        .map(|p| u32::from(p[0]) << 16 | u32::from(p[1]))
-        .collect()
-}
-
-/// Appends the key encoding of a compile's inputs to `out`.
-fn key_words(elab: &Elaborated, lib: &Library, opts: &SynthOptions, out: &mut Vec<u32>) {
+/// Appends the key encoding of a compile's inputs after the netlist's own
+/// encoding (whose hash state the netlist carries) to `out`.
+fn key_tail_words(elab: &Elaborated, lib: &Library, opts: &SynthOptions, out: &mut Vec<u32>) {
     // Destructured so that a new input cannot be left out silently; the
-    // signal map is the one field the flow never reads.
+    // netlist is the key's prefix, and the signal map is the one field the
+    // flow never reads.
     let Elaborated {
-        netlist,
+        netlist: _,
         signals: _,
         fsm,
         annotations,
     } = elab;
-    netlist.encode_words(out);
     match fsm {
         None => out.push(0),
         Some(FsmNets {
@@ -211,56 +186,18 @@ impl Entry {
     }
 }
 
-/// What a lookup found.
-enum Lookup {
-    Hit(Arc<Entry>),
-    /// Not stored; `admit` says the doorkeeper has seen the digest before,
-    /// so the fresh result should be stored.
-    Miss {
-        admit: bool,
-    },
-}
-
-#[derive(Default)]
-struct Store {
-    /// Stored entries and their last-use tick.
-    entries: HashMap<Digest, (Arc<Entry>, u64)>,
-    /// Last-use tick → digest, oldest first.
-    lru: BTreeMap<u64, Digest>,
-    tick: u64,
-    bytes: usize,
-    /// The doorkeeper: the first 64 bits of the last [`DOORKEEPER_LEN`]
-    /// missed digests, overwritten oldest first from `ring_next`. A false
-    /// match only admits a result one sighting early, so the prefix needs
-    /// no collision resistance, and a fixed 32 KiB scanned per miss never
-    /// grows or rehashes.
-    ring: Vec<u64>,
-    ring_next: usize,
-}
-
-impl Store {
-    /// Records a use of `digest` now; returns its new tick.
-    fn stamp(&mut self, digest: &Digest) -> u64 {
-        self.tick += 1;
-        self.lru.insert(self.tick, *digest);
-        self.tick
-    }
-}
-
 /// A content-addressed, byte-budgeted store of compile results (see the
 /// [module docs](self)). [`crate::flow::compile`] uses the process-wide
 /// [`CompileCache::global`]; a long-running service can own its own.
 pub struct CompileCache {
-    budget: usize,
-    store: Mutex<Store>,
+    store: Store<Entry>,
 }
 
 impl Default for CompileCache {
     /// An empty cache with the [`BUDGET`].
     fn default() -> Self {
         CompileCache {
-            budget: BUDGET,
-            store: Mutex::new(Store::default()),
+            store: Store::new(BUDGET),
         }
     }
 }
@@ -288,7 +225,7 @@ impl CompileCache {
     ) -> Result<CompileResult, SynthError> {
         let t0 = Instant::now();
         let digest = compile_key(elab, lib, opts);
-        let (mut r, hit, spent) = match self.lookup(&digest) {
+        let (mut r, hit, spent) = match self.store.lookup(&digest) {
             Lookup::Hit(entry) => (entry.result(elab.netlist.name()), true, t0.elapsed()),
             Lookup::Miss { admit } => {
                 let spent = t0.elapsed();
@@ -301,7 +238,9 @@ impl CompileCache {
                 )?;
                 let t1 = Instant::now();
                 if admit {
-                    self.insert(digest, Entry::new(&r));
+                    let entry = Entry::new(&r);
+                    let bytes = entry.bytes();
+                    self.store.insert(digest, entry, bytes);
                 }
                 (r, false, spent + t1.elapsed())
             }
@@ -316,55 +255,6 @@ impl CompileCache {
         });
         Ok(r)
     }
-
-    fn lock(&self) -> MutexGuard<'_, Store> {
-        self.store
-            .lock()
-            .expect("only a broken cache invariant panics under the lock")
-    }
-
-    fn lookup(&self, digest: &Digest) -> Lookup {
-        let mut s = self.lock();
-        if let Some(&(ref entry, old)) = s.entries.get(digest) {
-            let entry = Arc::clone(entry);
-            s.lru.remove(&old);
-            let now = s.stamp(digest);
-            s.entries.get_mut(digest).expect("just found").1 = now;
-            return Lookup::Hit(entry);
-        }
-        let prefix = u64::from_le_bytes(digest[..8].try_into().expect("8 of 32 bytes"));
-        if s.ring.contains(&prefix) {
-            return Lookup::Miss { admit: true };
-        }
-        if s.ring.len() < DOORKEEPER_LEN {
-            s.ring.push(prefix);
-        } else {
-            let at = s.ring_next;
-            s.ring[at] = prefix;
-            s.ring_next = (at + 1) % DOORKEEPER_LEN;
-        }
-        Lookup::Miss { admit: false }
-    }
-
-    fn insert(&self, digest: Digest, entry: Entry) {
-        let size = entry.bytes();
-        if size > self.budget {
-            return;
-        }
-        let mut s = self.lock();
-        if s.entries.contains_key(&digest) {
-            // Another thread stored the same result meanwhile.
-            return;
-        }
-        while s.bytes + size > self.budget {
-            let (_, victim) = s.lru.pop_first().expect("over budget implies an entry");
-            let (old, _) = s.entries.remove(&victim).expect("lru names stored entries");
-            s.bytes -= old.bytes();
-        }
-        let now = s.stamp(&digest);
-        s.bytes += size;
-        s.entries.insert(digest, (Arc::new(entry), now));
-    }
 }
 
 #[cfg(test)]
@@ -375,21 +265,20 @@ mod tests {
     impl CompileCache {
         fn with_budget(budget: usize) -> Self {
             CompileCache {
-                budget,
-                ..CompileCache::default()
+                store: Store::new(budget),
             }
         }
 
         fn contains(&self, digest: &Digest) -> bool {
-            self.lock().entries.contains_key(digest)
+            self.store.contains(digest)
         }
 
         fn len(&self) -> usize {
-            self.lock().entries.len()
+            self.store.len()
         }
 
         fn stored_bytes(&self) -> usize {
-            self.lock().bytes
+            self.store.bytes()
         }
 
         /// Compiles `elab` twice, so the second miss stores the result.
@@ -532,78 +421,6 @@ mod tests {
         }
     }
 
-    /// Decodes a unit stream back to words: the packing is invertible,
-    /// hence injective.
-    fn unpack_units(packed: &[u32]) -> Vec<u32> {
-        let mut units = packed.iter().flat_map(|w| [(w >> 16) as u16, *w as u16]);
-        let mut out = Vec::new();
-        while let Some(u) = units.next() {
-            let w = match u {
-                0..=0x7fff => u32::from(u),
-                0xffff => match (units.next(), units.next()) {
-                    (Some(hi), Some(lo)) => u32::from(hi) << 16 | u32::from(lo),
-                    _ => break, // the odd-count padding
-                },
-                _ => u32::from(u - 0x8000) << 16 | u32::from(units.next().unwrap()),
-            };
-            out.push(w);
-        }
-        out
-    }
-
-    #[test]
-    fn unit_packing_is_invertible() {
-        let edges = [
-            0,
-            1,
-            0x7fff,
-            0x8000,
-            0xffff,
-            0x1_0000,
-            0x7ffe_ffff,
-            0x7fff_0000,
-            0x8000_0000,
-            u32::MAX,
-        ];
-        for len in 0..5 {
-            for start in 0..edges.len() {
-                let words: Vec<u32> = (0..len)
-                    .map(|i| edges[(start + 3 * i) % edges.len()])
-                    .collect();
-                assert_eq!(unpack_units(&pack_units(&words)), words, "{words:x?}");
-            }
-        }
-        // A trailing escape pad and a real unit never meet: [0x7fff] pads,
-        // [0x7fff, 0] does not.
-        assert_ne!(pack_units(&[0x7fff]), pack_units(&[0x7fff, 0]));
-        let mut words = Vec::new();
-        design("x", "w").netlist.encode_words(&mut words);
-        let packed = pack_units(&words);
-        assert_eq!(unpack_units(&packed), words);
-        assert!(2 * packed.len() < words.len() + words.len() / 2);
-    }
-
-    /// The doorkeeper admits a digest's second miss only while the first
-    /// is among the last [`DOORKEEPER_LEN`] misses.
-    #[test]
-    fn doorkeeper_remembers_exactly_the_last_misses() {
-        let cache = CompileCache::default();
-        let digest = |i: u32| {
-            let mut d = [0u8; 32];
-            d[..4].copy_from_slice(&i.to_le_bytes());
-            d
-        };
-        let admits = |i| matches!(cache.lookup(&digest(i)), Lookup::Miss { admit: true });
-        assert!(!admits(0));
-        for i in 1..DOORKEEPER_LEN as u32 {
-            assert!(!admits(i));
-        }
-        assert!(admits(0), "0 is the oldest of the last {DOORKEEPER_LEN}");
-        assert!(!admits(DOORKEEPER_LEN as u32), "pushes 0 out");
-        assert!(!admits(0), "forgotten, so a first sighting again");
-        assert!(admits(DOORKEEPER_LEN as u32));
-    }
-
     #[test]
     fn module_name_and_signal_map_do_not_enter_the_key() {
         let lib = Library::vt90();
@@ -683,3 +500,6 @@ mod tests {
 
 #[cfg(test)]
 mod key_pin;
+
+#[cfg(test)]
+mod memo_diff;

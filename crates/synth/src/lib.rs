@@ -53,7 +53,6 @@ pub mod fsmreencode;
 pub mod options;
 pub mod resynth;
 pub mod retime;
-pub mod sha256;
 pub mod stateprop;
 pub mod timing;
 mod uses;
@@ -62,6 +61,10 @@ pub use cache::CompileCache;
 pub use cutmap::cut_map;
 pub use flow::{compile, compile_netlist, CompileResult, PassStat};
 pub use options::{FsmEncoding, SynthOptions};
+/// SHA-256 over words and the streaming key hasher; it lives in
+/// [`synthir_netlist`], whose [`Netlist`](synthir_netlist::Netlist)
+/// carries the hash state of its own encoding.
+pub use synthir_netlist::sha256;
 pub use timing::{sta, TimingReport};
 
 /// Errors produced by the synthesis engine.
