@@ -6,6 +6,9 @@ use crate::cell::GateKind;
 use crate::sha256::UnitHasher;
 use crate::NetlistError;
 
+/// How many gate kinds have a word code: 23 combinational, 6 flops.
+const KIND_CODES: usize = 29;
+
 /// The key state of a netlist whose encoding is `words`.
 pub(super) fn key_state_of(words: &[u32]) -> UnitHasher {
     let mut h = UnitHasher::new();
@@ -153,6 +156,12 @@ impl Netlist {
                 *c = Some(r.net_id(w - 1, num_nets)?);
             }
         }
+        // Every gate kind and its arity by word code, so that the loop below
+        // reads a gate without matching on its kind.
+        let kinds: [(GateKind, usize); KIND_CODES] = std::array::from_fn(|c| {
+            let k = GateKind::from_word_code(c as u32).expect("a code below KIND_CODES");
+            (k, k.arity())
+        });
         let mut gates = Vec::with_capacity(slots.min(words.len()));
         let mut driver = vec![None; num_nets];
         let mut live = 0;
@@ -162,24 +171,44 @@ impl Netlist {
                 gates.push(None);
                 continue;
             }
-            let kind = GateKind::from_word_code(code - 1).ok_or_else(|| r.error())?;
-            // The inputs and the output, each a net in range.
-            let arity = kind.arity();
-            let slot = r.take(arity + 1)?;
-            if slot.iter().any(|&n| n as usize >= num_nets) {
+            let &(kind, arity) = kinds.get(code as usize - 1).ok_or_else(|| r.error())?;
+            // The inputs and the output, each a net in range. They are read
+            // through a fixed window of `MAX_PINS + 1` words (fewer only at
+            // the very end of the words) and picked without a loop whose
+            // length is the arity: mixed arities otherwise mispredict a
+            // branch or more per gate, which costs more than the rest of
+            // the gate's decode.
+            let mut window = [0u32; MAX_PINS + 1];
+            match r.words.get(r.at..r.at + MAX_PINS + 1) {
+                Some(w) => {
+                    window.copy_from_slice(w);
+                    r.at += arity + 1;
+                }
+                None => window[..=arity].copy_from_slice(r.take(arity + 1)?),
+            }
+            let output = window[arity];
+            let mut pins = [NO_PIN; MAX_PINS];
+            let mut highest = output;
+            for (i, pin) in pins.iter_mut().enumerate() {
+                let n = if i < arity { window[i] } else { 0 };
+                highest = highest.max(n);
+                if i < arity {
+                    *pin = NetId(n);
+                }
+            }
+            if highest as usize >= num_nets {
                 return Err(r.error());
             }
-            let mut pins = [NO_PIN; MAX_PINS];
-            for (pin, &n) in pins.iter_mut().zip(&slot[..arity]) {
-                *pin = NetId(n);
-            }
-            let output = NetId(slot[arity]);
-            let d = &mut driver[output.index()];
+            let d = &mut driver[output as usize];
             if d.is_some() {
                 return Err(r.error());
             }
             *d = Some(GateId(id as u32));
-            gates.push(Some(Gate { kind, pins, output }));
+            gates.push(Some(Gate {
+                kind,
+                pins,
+                output: NetId(output),
+            }));
             live += 1;
         }
         let mut nl = Netlist {
@@ -406,7 +435,40 @@ mod tests {
         }
         nl.add_output("o", &outs);
         roundtrip(&nl).validate().unwrap();
-        assert_eq!(GateKind::from_word_code(29), None);
+        assert_eq!(GateKind::from_word_code(KIND_CODES as u32), None);
+        // A last gate with fewer than `MAX_PINS + 1` words after its code
+        // (a constant in an otherwise empty netlist) is read without the
+        // fixed window.
+        let mut tie = Netlist::new("tie");
+        tie.const1();
+        roundtrip(&tie);
+    }
+
+    /// A gate whose input or output net is out of range is refused, at
+    /// every pin of every gate.
+    #[test]
+    fn out_of_range_pins_are_refused() {
+        let mut words = Vec::new();
+        featureful().encode_words(&mut words);
+        let (nets, slots) = (words[0], words[1] as usize);
+        let mut at = 4;
+        let mut pins = 0;
+        for _ in 0..slots {
+            let code = words[at];
+            at += 1;
+            if code == 0 {
+                continue;
+            }
+            let arity = GateKind::from_word_code(code - 1).unwrap().arity();
+            for pin in at..=at + arity {
+                let mut bad = words.clone();
+                bad[pin] = nets;
+                assert!(Netlist::decode_words("t", &bad).is_err(), "word {pin}");
+                pins += 1;
+            }
+            at += arity + 1;
+        }
+        assert!(pins > 10, "{pins} pins checked");
     }
 
     #[test]

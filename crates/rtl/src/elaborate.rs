@@ -187,6 +187,11 @@ struct Ctx<'m> {
 
 impl<'m> Ctx<'m> {
     fn new(m: &'m Module) -> Result<Self, RtlError> {
+        // Validated before sizing: an ill-formed depth must be refused, not
+        // reserved for.
+        for mem in m.memories() {
+            validate_memory(mem)?;
+        }
         let mut nl = Netlist::new(m.name());
         let (gates, nets) = size_hint(m);
         nl.reserve(gates, nets);
@@ -221,7 +226,6 @@ impl<'m> Ctx<'m> {
         // Pre-create storage for programmable memories.
         let mut mem_storage = HashMap::new();
         for mem in m.memories() {
-            validate_memory(mem)?;
             if mem.contents.is_none() {
                 let words: Vec<Vec<NetId>> = (0..mem.depth)
                     .map(|w| {
@@ -869,19 +873,33 @@ mod tests {
         assert_eq!(e.netlist.flop_count(), 12); // 4 words x 3 bits
     }
 
+    /// A depth that is not a power of two is refused, also one so large
+    /// that sizing the netlist from it first would overflow.
     #[test]
     fn bad_memory_depth_rejected() {
-        let mut m = Module::new("bad");
-        m.add_input("addr", 2);
-        m.add_memory(Memory {
-            name: "t".into(),
-            width: 1,
-            depth: 3,
-            contents: Some(vec![0, 1, 0]),
-            write_port: None,
-        });
-        m.add_output("d", 1, Expr::read_mem("t", Expr::reference("addr")));
-        assert!(matches!(elaborate(&m), Err(RtlError::BadMemory { .. })));
+        for (depth, contents) in [
+            (3, Some(vec![0, 1, 0])),
+            ((1 << (usize::BITS - 2)) + 1, None),
+        ] {
+            let mut m = Module::new("bad");
+            m.add_input("addr", 2);
+            m.add_input("wdata", 1);
+            m.add_input("wen", 1);
+            m.add_memory(Memory {
+                name: "t".into(),
+                width: 1,
+                depth,
+                write_port: contents
+                    .is_none()
+                    .then(|| ("addr".into(), "wdata".into(), "wen".into())),
+                contents,
+            });
+            m.add_output("d", 1, Expr::read_mem("t", Expr::reference("addr")));
+            assert!(
+                matches!(elaborate(&m), Err(RtlError::BadMemory { .. })),
+                "depth {depth}"
+            );
+        }
     }
 
     #[test]
